@@ -8,101 +8,22 @@ wave and nonlinear shallow-water equations, plus a CLI reproducing energy-
 conservation, convergence, and timing experiments.
 """
 
-from .errors import ConfigError, ConstructionError, NumericalFailure
-from .grid_fields import (
-    CenterField,
-    ExtendedField,
-    NodeField,
-    StaggeredGrid1D,
-    build_grid,
-    extend_center_field,
-    sample,
-)
-from .mimetic_ops import (
-    SUPPORTED_ORDERS,
-    MimeticOperatorSet,
-    boundary_operator,
-    build_divergence,
-    build_gradient,
-    build_interpolants,
-    build_operator_set,
-    build_quadratures,
-    dump_operator,
-    extend_divergence,
-    laplacian,
-    mimetic_identity_residual,
-)
-from .hamiltonian_systems import (
-    HamiltonianSystem,
-    HarmonicOscillator,
-    ShallowWaterState,
-    ShallowWaterSystem,
-    WaveState,
-    WaveSystem,
-    gaussian_ic,
-    harmonic_oscillator,
-    shallow_water_hamiltonian,
-    shallow_water_ic,
-    shallow_water_rhs,
-    wave_hamiltonian,
-    wave_rhs,
-    wave_standing_exact,
-)
-from .integrators import (
-    TABLEAU_IMPLICIT_MIDPOINT,
-    TABLEAU_RK4,
-    ButcherTableau,
-    RunRecord,
-    SchemeKind,
-    cfl_dt,
-    composition4_step,
-    forest_ruth_step,
-    integrate,
-    leapfrog_step,
-    leapfrog_synchronized_step,
-    normalize_scheme,
-    pefrl_step,
-    rk4_step,
-    rrk_gamma_analytic,
-    rrk_gamma_bisection,
-    rrk_step,
-    symplecticity_residual,
-)
-from .experiment_cli import (
-    DRIFT_THRESHOLD,
-    ConvergenceRow,
-    ExperimentConfig,
-    emit_summary,
-    main,
-    parse_config,
-    run_convergence_study,
-    run_energy_experiment,
-    run_timing_benchmark,
-)
+from . import errors, experiment_cli, grid_fields, hamiltonian_systems, integrators, mimetic_ops
+from .errors import *
+from .grid_fields import *
+from .mimetic_ops import *
+from .hamiltonian_systems import *
+from .integrators import *
+from .experiment_cli import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError", "ConstructionError", "NumericalFailure",
-    "StaggeredGrid1D", "NodeField", "CenterField", "ExtendedField",
-    "build_grid", "extend_center_field", "sample",
-    "SUPPORTED_ORDERS", "MimeticOperatorSet", "build_gradient",
-    "build_divergence", "extend_divergence", "build_quadratures",
-    "boundary_operator", "laplacian", "build_interpolants",
-    "build_operator_set", "mimetic_identity_residual", "dump_operator",
-    "HamiltonianSystem", "WaveState", "ShallowWaterState", "WaveSystem",
-    "ShallowWaterSystem", "HarmonicOscillator", "wave_rhs",
-    "wave_hamiltonian", "wave_standing_exact", "gaussian_ic",
-    "shallow_water_ic", "shallow_water_rhs", "shallow_water_hamiltonian",
-    "harmonic_oscillator",
-    "ButcherTableau", "TABLEAU_RK4", "TABLEAU_IMPLICIT_MIDPOINT",
-    "symplecticity_residual", "SchemeKind", "normalize_scheme", "RunRecord",
-    "rk4_step", "rrk_gamma_analytic", "rrk_gamma_bisection", "rrk_step",
-    "forest_ruth_step", "pefrl_step", "leapfrog_step",
-    "leapfrog_synchronized_step", "composition4_step",
-    "integrate", "cfl_dt",
-    "ExperimentConfig", "ConvergenceRow", "DRIFT_THRESHOLD", "parse_config",
-    "run_energy_experiment", "run_convergence_study", "run_timing_benchmark",
-    "emit_summary", "main",
-    "__version__",
-]
+__all__ = (
+    errors.__all__
+    + grid_fields.__all__
+    + mimetic_ops.__all__
+    + hamiltonian_systems.__all__
+    + integrators.__all__
+    + experiment_cli.__all__
+    + ["__version__"]
+)

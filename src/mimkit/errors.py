@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConfigError", "ConstructionError", "NumericalFailure"]
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (maps to CLI exit code 2)."""

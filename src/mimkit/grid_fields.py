@@ -111,7 +111,11 @@ class _Field:
         return len(self.values)
 
     def __array__(self, dtype=None, copy=None):
-        return np.array(self.values, dtype=dtype, copy=bool(copy))
+        # numpy >= 2 passes copy=None for "copy only if needed"; numpy 1.x
+        # passes no copy argument at all.
+        if copy:
+            return np.array(self.values, dtype=dtype, copy=True)
+        return np.asarray(self.values, dtype=dtype)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={len(self)}, grid=[{self.grid.a}, {self.grid.b}])"

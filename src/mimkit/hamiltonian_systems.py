@@ -26,8 +26,8 @@ the inputs and must be treated as read-only by callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -42,28 +42,20 @@ __all__ = [
     "WaveSystem",
     "ShallowWaterSystem",
     "HarmonicOscillator",
-    "wave_rhs",
-    "wave_hamiltonian",
     "wave_standing_exact",
     "gaussian_ic",
     "shallow_water_ic",
-    "shallow_water_rhs",
-    "shallow_water_hamiltonian",
-    "harmonic_oscillator",
 ]
 
 
 class HamiltonianSystem:
-    """A Hamiltonian ODE system: rhs + energy + layouts + boundary handler.
+    """A Hamiltonian ODE system: rhs + energy + boundary handler.
 
-    ``position_layout`` / ``velocity_layout`` name where each field lives
-    ("extended", "node", or "scalar").  ``wave_speed`` (when not None) is the
-    characteristic speed used by CFL-based step selection.
+    ``wave_speed`` (when not None) is the characteristic speed used by
+    CFL-based step selection.
     """
 
     name: str = "abstract"
-    position_layout: str = "extended"
-    velocity_layout: str = "extended"
     wave_speed: Optional[float] = None
 
     def rhs(self, t: float, u: np.ndarray, v: np.ndarray):
@@ -121,13 +113,6 @@ class ShallowWaterState:
         return self.e, self.u
 
 
-def _pair(state):
-    if hasattr(state, "arrays"):
-        return state.arrays()
-    u, v = state
-    return np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-
-
 def _dirichlet_zero(a) -> bool:
     return type(a) is np.ndarray and a.dtype == np.float64 and a[0] == 0.0 and a[-1] == 0.0
 
@@ -140,8 +125,6 @@ class WaveSystem(HamiltonianSystem):
     """
 
     name = "wave"
-    position_layout = "extended"
-    velocity_layout = "extended"
     wave_speed = 1.0
 
     def __init__(self, ops: MimeticOperatorSet, source=None):
@@ -157,12 +140,7 @@ class WaveSystem(HamiltonianSystem):
         n = self.ops.grid.n_cells + 2
         if len(u) != n or len(v) != n:
             raise ValueError(f"wave state must be two extended fields of length {n}")
-        dv = self.ops.L @ u
-        F = self._source_at(t)
-        if F is not None:
-            dv = dv + np.asarray(F, dtype=float)
-        dv[0] = dv[-1] = 0.0
-        return v, dv
+        return v, self.velocity_rate(t, u, v)
 
     def position_rate(self, t, u, v):
         return v
@@ -205,8 +183,6 @@ class ShallowWaterSystem(HamiltonianSystem):
     u_t = -g G e - u * G(I_D u); energy is non-quadratic."""
 
     name = "shallow_water"
-    position_layout = "extended"
-    velocity_layout = "node"
 
     def __init__(self, ops: MimeticOperatorSet, d0: float = 1.0, g: float = 1.0):
         self.ops = ops
@@ -214,12 +190,16 @@ class ShallowWaterSystem(HamiltonianSystem):
         self.g = float(g)
         self.wave_speed = float(np.sqrt(self.g * self.d0))
 
-    def _depth_nodes(self, e):
-        """Total depth at nodes; aborts on non-positive depth."""
+    def _check_depth(self, e):
+        """Abort on non-positive total depth d0 + e at the extended centers."""
         if self.d0 + np.min(e) <= 0.0:
             raise NumericalFailure(
                 f"non-positive total depth: min(d0 + e) = {self.d0 + float(np.min(e)):.3e}"
             )
+
+    def _depth_nodes(self, e):
+        """Total depth at nodes; aborts on non-positive depth."""
+        self._check_depth(e)
         depth = self.d0 + self.ops.I_G @ e
         if np.min(depth) <= 0.0:
             raise NumericalFailure(
@@ -239,10 +219,7 @@ class ShallowWaterSystem(HamiltonianSystem):
         return de
 
     def velocity_rate(self, t, e, u):
-        if self.d0 + np.min(e) <= 0.0:
-            raise NumericalFailure(
-                f"non-positive total depth: min(d0 + e) = {self.d0 + float(np.min(e)):.3e}"
-            )
+        self._check_depth(e)
         du = -self.g * (self.ops.G @ e) - u * (self.ops.G @ (self.ops.I_D @ u))
         du[0] = du[-1] = 0.0
         return du
@@ -260,8 +237,6 @@ class HarmonicOscillator(HamiltonianSystem):
     """
 
     name = "harmonic_oscillator"
-    position_layout = "scalar"
-    velocity_layout = "scalar"
     wave_speed = None
 
     def rhs(self, t, u, v):
@@ -291,26 +266,9 @@ class HarmonicOscillator(HamiltonianSystem):
         return np.array([u0 * c + v0 * s]), np.array([-u0 * s + v0 * c])
 
 
-def harmonic_oscillator() -> HarmonicOscillator:
-    """The 2-dimensional oscillator oracle with exact-solution accessor."""
-    return HarmonicOscillator()
-
-
 # ---------------------------------------------------------------------------
-# free-function forms and initial conditions
+# exact solutions and initial conditions
 # ---------------------------------------------------------------------------
-
-def wave_rhs(ops: MimeticOperatorSet, state, source=None):
-    """(du/dt, dv/dt) for the wave system; boundary entries of dv/dt are 0."""
-    u, v = _pair(state)
-    return WaveSystem(ops, source).rhs(0.0, u, v)
-
-
-def wave_hamiltonian(ops: MimeticOperatorSet, state) -> float:
-    """H = (1/2)(<v, v>_Q + <G u, G u>_P)."""
-    u, v = _pair(state)
-    return WaveSystem(ops).energy(u, v)
-
 
 def wave_standing_exact(x, t):
     """Standing-wave solution u(x, t) = sin(pi x) cos(pi t) on [0, 1]
@@ -350,20 +308,3 @@ def shallow_water_ic(
     e = offset + amplitude * np.exp(-(((x - center) / width) ** 2))
     u = np.zeros(grid.n_cells + 1)
     return ShallowWaterState(e=e, u=u, d0=float(d0), g=float(g))
-
-
-def shallow_water_rhs(ops: MimeticOperatorSet, state: ShallowWaterState):
-    """(de/dt, du/dt); boundary entries forced to zero; aborts on
-    non-positive total depth."""
-    e, u = _pair(state)
-    d0 = getattr(state, "d0", 1.0)
-    g = getattr(state, "g", 1.0)
-    return ShallowWaterSystem(ops, d0=d0, g=g).rhs(0.0, e, u)
-
-
-def shallow_water_hamiltonian(ops: MimeticOperatorSet, state: ShallowWaterState) -> float:
-    """H = (1/2)(g <e, e>_Q + <(d0 + I_G e) u, u>_P)."""
-    e, u = _pair(state)
-    d0 = getattr(state, "d0", 1.0)
-    g = getattr(state, "g", 1.0)
-    return ShallowWaterSystem(ops, d0=d0, g=g).energy(e, u)

@@ -12,9 +12,9 @@ Schemes (``SchemeKind``):
   (3 force evaluations; the last kick weight is zero).
 * ``PEFRL`` — the position-extended Forest-Ruth-like 4th-order splitting
   (4 force evaluations, optimized error constant).
-* ``Leapfrog`` — 2nd-order staggered kick-drift (1 force evaluation); the
-  integration loop uses the algebraically equivalent synchronized
-  drift-kick-drift form so recorded (t, H) samples are time-aligned.
+* ``Leapfrog`` — 2nd-order drift-kick-drift (1 force evaluation), the
+  synchronized form of the staggered kick-drift leapfrog, so recorded
+  (t, H) samples are time-aligned.
 * ``Composition4`` — the 5-stage 4th-order palindromic composition
   (5 force evaluations).
 
@@ -39,7 +39,7 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -61,7 +61,6 @@ __all__ = [
     "rrk_step",
     "forest_ruth_step",
     "pefrl_step",
-    "leapfrog_step",
     "leapfrog_synchronized_step",
     "composition4_step",
     "integrate",
@@ -315,18 +314,14 @@ def rrk_step(
     dt: float,
     mode: str = "analytic",
     tol: float = 1e-12,
-    gamma_override: Optional[float] = None,
 ):
     """One relaxation-RK4 step: RK4 stages, then state + gamma*dt*d.
 
-    Returns (new_state, gamma).  ``gamma_override`` forces a fixed gamma
-    (gamma = 1 reproduces rk4_step exactly).
+    Returns (new_state, gamma).
     """
     u, v = state
     d_u, d_v = _rk4_increment(system, state, t, dt)
-    if gamma_override is not None:
-        gamma = float(gamma_override)
-    elif mode == "analytic":
+    if mode == "analytic":
         gamma = rrk_gamma_analytic(system, state, d_u, d_v, dt)
     elif mode == "bisection":
         gamma = rrk_gamma_bisection(system, state, d_u, d_v, dt, tol=tol)
@@ -403,25 +398,14 @@ def pefrl_step(system: HamiltonianSystem, state: State, t: float, dt: float) -> 
     return system.apply_boundary(u, v)
 
 
-def leapfrog_step(system: HamiltonianSystem, state_staggered: State, t: float, dt: float) -> State:
-    """Staggered leapfrog kick-drift: input (u at t+dt/2, v at t); the kick
-    v += dt*F(u_half) is the single force evaluation, then u_half drifts by
-    dt*v_new.  Output is (u at t+3dt/2, v at t+dt)."""
-    u_half, v = state_staggered
-    v = _kick(system, t, u_half, v, 1.0, dt)
-    u_half = _drift(system, t, u_half, v, 1.0, dt)
-    return system.apply_boundary(u_half, v)
-
-
 def leapfrog_synchronized_step(system: HamiltonianSystem, state: State, t: float, dt: float) -> State:
-    """Synchronized drift-kick-drift form of the staggered leapfrog (the
-    half-drifts telescope into the staggered scheme, so the trajectory is
-    algebraically identical); one force evaluation, time-aligned output.
+    """Synchronized drift-kick-drift leapfrog: half drift, kick, half drift.
 
-    This symmetric form is what ``integrate`` runs (recorded (t, H) samples
-    need time-aligned fields) and is the variant that is exactly
-    time-reversible under dt -> -dt; the staggered kick-drift map's inverse
-    is instead its adjoint (drift-kick with -dt).
+    Consecutive half-drifts telescope into the staggered kick-drift scheme,
+    so the trajectory is algebraically that of the staggered leapfrog, with
+    one force evaluation per step and time-aligned (u, v) output, as the
+    recorded (t, H) samples need.  The symmetric form is exactly
+    time-reversible under dt -> -dt.
     """
     u, v = state
     u = _drift(system, t, u, v, 0.5, dt)

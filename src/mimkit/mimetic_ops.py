@@ -63,13 +63,6 @@ from .grid_fields import (
 __all__ = [
     "SUPPORTED_ORDERS",
     "MimeticOperatorSet",
-    "build_gradient",
-    "build_divergence",
-    "extend_divergence",
-    "build_quadratures",
-    "boundary_operator",
-    "laplacian",
-    "build_interpolants",
     "build_operator_set",
     "mimetic_identity_residual",
     "dump_operator",
@@ -373,69 +366,6 @@ def _rows_to_csr(rows, n_cols, scale=1.0) -> sp.csr_matrix:
     return mat
 
 
-def build_gradient(k: int, grid: StaggeredGrid1D) -> sp.csr_matrix:
-    """(N+1) x (N+2) gradient: extended-center samples -> node derivatives."""
-    cons = _rational_construction(k, grid.n_cells)
-    return _rows_to_csr(cons["g_rows"], grid.n_cells + 2, 1.0 / grid.h)
-
-
-def build_divergence(k: int, grid: StaggeredGrid1D) -> sp.csr_matrix:
-    """N x (N+1) divergence: node samples -> cell-center derivatives."""
-    cons = _rational_construction(k, grid.n_cells)
-    return _rows_to_csr(cons["d_rows"], grid.n_cells + 1, 1.0 / grid.h)
-
-
-def extend_divergence(D) -> sp.csr_matrix:
-    """Pad D with a zero first and last row: (N+2) x (N+1)."""
-    D = sp.csr_matrix(D)
-    zero = sp.csr_matrix((1, D.shape[1]))
-    return sp.vstack([zero, D, zero], format="csr")
-
-
-def build_quadratures(k: int, grid: StaggeredGrid1D, D=None, G=None):
-    """Diagonal quadrature matrices (Q, P), strictly positive, interior
-    weights equal to h.  Boundary weights solve the small linear system that
-    enforces the discrete conservation law and minimize the duality defect of
-    Q*D_hat + G^T*P (deviation-from-h minimizing solution).
-
-    D and G, when given, are shape-checked against the grid (the weights are
-    derived from the cached exact construction for the same (k, N)).
-    """
-    N = grid.n_cells
-    for mat, shape, name in ((D, (N, N + 1), "D"), (G, (N + 1, N + 2), "G")):
-        if mat is not None and tuple(mat.shape) != shape:
-            raise ValueError(f"{name} has shape {tuple(mat.shape)}, expected {shape} for this grid")
-    cons = _rational_construction(k, N)
-    q_diag = np.array([float(w) for w in cons["q_hat"]]) * grid.h
-    p_diag = np.array([float(w) for w in cons["p"]]) * grid.h
-    return sp.diags(q_diag, format="csr"), sp.diags(p_diag, format="csr")
-
-
-def boundary_operator(Q, D_hat, G, P) -> sp.csr_matrix:
-    """B_hat = Q*D_hat + G^T*P ((N+2) x (N+1)) from the given matrices."""
-    n_ext, n_node = D_hat.shape
-    if Q.shape != (n_ext, n_ext) or G.shape != (n_node, n_ext) or P.shape != (n_node, n_node):
-        raise ValueError(
-            "inconsistent operator shapes: "
-            f"Q{tuple(Q.shape)}, D_hat{tuple(D_hat.shape)}, G{tuple(G.shape)}, P{tuple(P.shape)}"
-        )
-    return (Q @ D_hat + G.T @ P).tocsr()
-
-
-def laplacian(D_hat, G) -> sp.csr_matrix:
-    """L = D_hat * G ((N+2) x (N+2)); first/last rows zero."""
-    if D_hat.shape[1] != G.shape[0]:
-        raise ValueError(f"shape mismatch: D_hat{tuple(D_hat.shape)} @ G{tuple(G.shape)}")
-    return (D_hat @ G).tocsr()
-
-
-def build_interpolants(k: int, grid: StaggeredGrid1D):
-    """(I_D, I_G): node->extended and extended->node interpolation matrices."""
-    cons = _rational_construction(k, grid.n_cells)
-    N = grid.n_cells
-    return (_rows_to_csr(cons["id_rows"], N + 1), _rows_to_csr(cons["ig_rows"], N + 2))
-
-
 @dataclass(frozen=True, eq=False)
 class MimeticOperatorSet:
     """All order-k operators for one grid, plus the weighted inner products."""
@@ -491,7 +421,7 @@ def build_operator_set(k: int, grid: StaggeredGrid1D) -> MimeticOperatorSet:
     cons = _rational_construction(k, N)
     D = _rows_to_csr(cons["d_rows"], N + 1, 1.0 / grid.h)
     G = _rows_to_csr(cons["g_rows"], N + 2, 1.0 / grid.h)
-    D_hat = extend_divergence(D)
+    D_hat = _rows_to_csr([{}] + cons["d_rows"] + [{}], N + 1, 1.0 / grid.h)
     q_diag = np.array([float(w) for w in cons["q_hat"]]) * grid.h
     p_diag = np.array([float(w) for w in cons["p"]]) * grid.h
     Q = sp.diags(q_diag, format="csr")

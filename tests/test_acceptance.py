@@ -35,7 +35,6 @@ from mimkit import (
     build_operator_set,
     cfl_dt,
     gaussian_ic,
-    harmonic_oscillator,
     integrate,
     main,
     mimetic_identity_residual,
@@ -491,7 +490,7 @@ def test_criterion_8b_rk4_drift_largest(shallow_runs, acceptance):
 
 def test_criterion_9_oscillator_oracles(acceptance):
     state0 = HarmonicOscillator.initial_state(1.0, 0.0)
-    system = harmonic_oscillator()
+    system = HarmonicOscillator()
     worst4 = worst2 = 0.0
     for name in ("rk4", "rrk_analytic", "rrk_bisection", "fr", "pefrl",
                  "comp4", "lf"):

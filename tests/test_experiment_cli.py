@@ -3,8 +3,10 @@ formats, exit codes, and run-to-run determinism."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from mimkit import (
     DRIFT_THRESHOLD,
     ConfigError,
     ConvergenceRow,
-    emit_summary,
     main,
     parse_config,
     run_convergence_study,
@@ -317,14 +318,58 @@ def test_unknown_subcommand_is_usage_error():
         main(["frobnicate"])
 
 
-def test_emit_summary_requires_records():
-    with pytest.raises(ValueError, match="at least one record"):
-        emit_summary([])
-
-
 def test_output_dir_created_if_missing(tmp_path):
     nested = tmp_path / "deep" / "nested" / "dir"
     path = _write_config(tmp_path, schemes=["lf"], t_end=0.1,
                          output_dir=str(nested))
     assert main(["energy", path]) == 0
     assert (nested / "energy_Leapfrog.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# committed results regenerate byte for byte
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# sha256 of `mimkit dump-ops --order k --cells 600` (domain [0, 1])
+DUMP_OPS_600_SHA256 = {
+    4: "ee93b18738a98832247daa9847eeac051545246071b821e45de0512123d54f64",
+    2: "ad2f1f215cae4ef6ffe1f0e5bdaaf98591e7308ecdd257a963af189525b429d8",
+}
+
+
+def _committed_config(tmp_path, name):
+    """configs/<name>.json with output redirected to tmp_path/out; returns
+    (config path, committed results dir, output dir)."""
+    data = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    committed = ROOT / data["output_dir"]
+    data["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    return str(path), committed, tmp_path / "out"
+
+
+@pytest.mark.parametrize("name", ["wave_energy", "shallow_water_energy"])
+def test_energy_regenerates_committed_results(tmp_path, name):
+    """summary.json and timing.csv hold wall times and are not compared."""
+    path, committed, out = _committed_config(tmp_path, name)
+    assert main(["energy", path]) == 0
+    expected = sorted(p.name for p in committed.glob("energy_*.csv"))
+    assert sorted(p.name for p in out.glob("energy_*.csv")) == expected
+    for csv_name in expected:
+        assert (out / csv_name).read_bytes() == (committed / csv_name).read_bytes(), csv_name
+
+
+def test_converge_regenerates_committed_results(tmp_path):
+    path, committed, out = _committed_config(tmp_path, "wave_convergence")
+    # both relaxation schemes abort on the standing wave (criterion 6b)
+    assert main(["converge", path, "--n", "16,32,64,128"]) == 3
+    assert (out / "convergence.csv").read_bytes() == (committed / "convergence.csv").read_bytes()
+
+
+@pytest.mark.parametrize("order", [4, 2])
+def test_dump_ops_digest_is_pinned(capsys, order):
+    assert main(["dump-ops", "--order", str(order), "--cells", "600"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == DUMP_OPS_600_SHA256[order]

@@ -90,6 +90,20 @@ def test_fields_are_arraylike_and_frozen():
         f.values = np.zeros(5)
 
 
+def test_field_array_conversion_copies_only_when_asked():
+    g = build_grid(0.0, 1.0, 4)
+    f = ExtendedField(np.linspace(0.0, 1.0, 6), g)
+    # a dtype change needs a copy, which "copy if needed" must allow
+    as_f32 = np.asarray(f, dtype=np.float32)
+    assert as_f32.dtype == np.float32
+    np.testing.assert_array_equal(as_f32, f.values.astype(np.float32))
+    view = np.asarray(f)
+    assert np.shares_memory(view, f.values) and not view.flags.writeable
+    copy = np.array(f)
+    assert not np.shares_memory(copy, f.values) and copy.flags.writeable
+    np.testing.assert_array_equal(copy, f.values)
+
+
 def test_sample_matches_direct_evaluation():
     g = build_grid(0.0, 2.0, 16)
     f = sample(np.cos, "extended", g)

@@ -10,20 +10,13 @@ from scipy.integrate import quad
 from mimkit import (
     HarmonicOscillator,
     NumericalFailure,
-    ShallowWaterState,
     ShallowWaterSystem,
-    WaveState,
     WaveSystem,
     build_grid,
     build_operator_set,
     gaussian_ic,
-    harmonic_oscillator,
     integrate,
-    shallow_water_hamiltonian,
     shallow_water_ic,
-    shallow_water_rhs,
-    wave_hamiltonian,
-    wave_rhs,
     wave_standing_exact,
 )
 
@@ -80,17 +73,6 @@ def test_wave_energy_matches_manual_quadratic_form(wave64, rng):
     gu = ops.G @ u
     manual = 0.5 * (float(v * ops.q_diag @ v) + float(gu * ops.p_diag @ gu))
     assert system.energy(u, v) == pytest.approx(manual, rel=1e-13)
-
-
-def test_wave_free_functions_accept_state_or_pair(wave64, rng):
-    grid, ops, system = wave64
-    u, v = rng.standard_normal((2, grid.n_cells + 2))
-    state = WaveState(u=u, v=v)
-    assert wave_hamiltonian(ops, state) == wave_hamiltonian(ops, (u, v))
-    du1, dv1 = wave_rhs(ops, state)
-    du2, dv2 = system.rhs(0.0, u, v)
-    np.testing.assert_array_equal(du1, du2)
-    np.testing.assert_array_equal(dv1, dv2)
 
 
 def test_wave_apply_boundary_projects_dirichlet(wave64, rng):
@@ -179,7 +161,7 @@ def test_resolved_gaussian_energy_matches_continuum():
     grid = build_grid(-30.0, 30.0, 600)
     ops = build_operator_set(4, grid)
     state = gaussian_ic(grid, center=0.0, width=1.0)
-    H = wave_hamiltonian(ops, state)
+    H = WaveSystem(ops).energy(*state.arrays())
     ref, _ = quad(lambda x: 0.5 * (-2.0 * x * np.exp(-(x ** 2))) ** 2,
                   -10.0, 10.0, limit=800)
     assert abs(H - ref) / ref <= 1e-4
@@ -196,7 +178,7 @@ def test_resolved_gaussian_energy_matches_continuum():
 def test_default_gaussian_energy_matches_continuum():
     grid = build_grid(-30.0, 30.0, 600)
     ops = build_operator_set(4, grid)
-    H = wave_hamiltonian(ops, gaussian_ic(grid))
+    H = WaveSystem(ops).energy(*gaussian_ic(grid).arrays())
     ref, _ = quad(
         lambda x: 0.5 * (-200.0 * (x - 0.5) * np.exp(-100.0 * (x - 0.5) ** 2)) ** 2,
         -2.0, 3.0, limit=800)
@@ -243,8 +225,7 @@ def test_energy_invariant_for_boundary_spanning_state():
 
 
 def test_oscillator_rhs_energy_and_exact_solution():
-    system = harmonic_oscillator()
-    assert isinstance(system, HarmonicOscillator)
+    system = HarmonicOscillator()
     u, v = HarmonicOscillator.initial_state(0.8, -0.6)
     du, dv = system.rhs(0.0, u, v)
     assert du[0] == -0.6 and dv[0] == -0.8
@@ -257,7 +238,7 @@ def test_oscillator_rhs_energy_and_exact_solution():
 
 
 def test_oscillator_quadratic_parts_match_energy_expansion(rng):
-    system = harmonic_oscillator()
+    system = HarmonicOscillator()
     u, v = rng.standard_normal((2, 1))
     d_u, d_v = rng.standard_normal((2, 1))
     E, T = system.quadratic_parts(u, v, d_u, d_v)
@@ -316,10 +297,9 @@ def test_shallow_water_rhs_matches_formula(swater, rng):
     np.testing.assert_allclose(de[1:-1], de_ref[1:-1], atol=1e-12)
     np.testing.assert_allclose(du[1:-1], du_ref[1:-1], atol=1e-12)
     assert de[0] == de[-1] == 0.0 and du[0] == du[-1] == 0.0
-    # free-function form agrees
-    de2, du2 = shallow_water_rhs(ops, ShallowWaterState(e=e, u=u))
-    np.testing.assert_array_equal(de, de2)
-    np.testing.assert_array_equal(du, du2)
+    # the splitting schemes' drift and kick evaluate the same two halves
+    np.testing.assert_array_equal(system.position_rate(0.0, e, u), de)
+    np.testing.assert_array_equal(system.velocity_rate(0.0, e, u), du)
 
 
 def test_shallow_water_energy_matches_formula(swater, rng):
@@ -329,8 +309,6 @@ def test_shallow_water_energy_matches_formula(swater, rng):
     depth = 1.0 + ops.I_G @ e
     manual = 0.5 * (ops.inner_q(e, e) + ops.inner_p(depth * u, u))
     assert system.energy(e, u) == pytest.approx(manual, rel=1e-13)
-    state = ShallowWaterState(e=e, u=u)
-    assert shallow_water_hamiltonian(ops, state) == pytest.approx(manual, rel=1e-13)
 
 
 def test_shallow_water_rejects_non_positive_depth(swater):
@@ -339,6 +317,17 @@ def test_shallow_water_rejects_non_positive_depth(swater):
     u = np.zeros(grid.n_cells + 1)
     with pytest.raises(NumericalFailure, match="non-positive total depth"):
         system.rhs(0.0, e, u)
+
+
+def test_shallow_water_velocity_rate_rejects_non_positive_depth(swater):
+    """Splitting-scheme kicks call velocity_rate alone, without the depth
+    check of position_rate, so it carries the same guard."""
+    grid, _, system = swater
+    e = np.full(grid.n_cells + 2, 0.2)
+    e[7] = -1.0  # d0 + e = 0 at one extended center
+    u = np.zeros(grid.n_cells + 1)
+    with pytest.raises(NumericalFailure, match=r"non-positive total depth: min\(d0 \+ e\)"):
+        system.velocity_rate(0.0, e, u)
 
 
 def test_shallow_water_analytic_relaxation_unavailable(swater):
@@ -355,7 +344,7 @@ def test_shallow_water_energy_gap_is_exactly_half_h():
     extended-weight surplus sum(q) - (b - a) = h applied to eta ~ 1."""
     grid = build_grid(-30.0, 30.0, 600)
     ops = build_operator_set(4, grid)
-    H = shallow_water_hamiltonian(ops, shallow_water_ic(grid))
+    H = ShallowWaterSystem(ops).energy(*shallow_water_ic(grid).arrays())
     ref, _ = quad(lambda x: 0.5 * (1.0 + 0.1 * np.exp(-(x ** 2))) ** 2,
                   -30.0, 30.0, limit=800)
     assert H - ref == pytest.approx(grid.h / 2.0, abs=1e-9)
@@ -371,7 +360,7 @@ def test_shallow_water_energy_gap_is_exactly_half_h():
 def test_shallow_water_energy_matches_continuum():
     grid = build_grid(-30.0, 30.0, 600)
     ops = build_operator_set(4, grid)
-    H = shallow_water_hamiltonian(ops, shallow_water_ic(grid))
+    H = ShallowWaterSystem(ops).energy(*shallow_water_ic(grid).arrays())
     ref, _ = quad(lambda x: 0.5 * (1.0 + 0.1 * np.exp(-(x ** 2))) ** 2,
                   -30.0, 30.0, limit=800)
     assert abs(H - ref) <= 1e-4

@@ -22,7 +22,6 @@ from mimkit import (
     composition4_step,
     forest_ruth_step,
     gaussian_ic,
-    harmonic_oscillator,
     integrate,
     leapfrog_synchronized_step,
     normalize_scheme,
@@ -48,7 +47,7 @@ from oracles import (
 ALL_SCHEMES = ["rk4", "rrk_analytic", "rrk_bisection", "fr", "pefrl", "lf", "comp4"]
 FOURTH_ORDER = ["rk4", "rrk_analytic", "rrk_bisection", "fr", "pefrl", "comp4"]
 
-OSC = harmonic_oscillator()
+OSC = HarmonicOscillator()
 STATE0 = HarmonicOscillator.initial_state(0.8, -0.6)
 
 
