@@ -180,7 +180,8 @@ def parse_config(path: str) -> ExperimentConfig:
     _require(t_end > 0, f"config key 't_end' must be positive, got {t_end}")
 
     k = raw.get("k", 4)
-    _require(k in SUPPORTED_ORDERS, f"config key 'k' must be one of {SUPPORTED_ORDERS}, got {k!r}")
+    _require(isinstance(k, int) and not isinstance(k, bool) and k in SUPPORTED_ORDERS,
+             f"config key 'k' must be one of {SUPPORTED_ORDERS}, got {k!r}")
     _require(n_cells >= 2 * k,
              f"config key 'n_cells' must be >= 2k = {2 * k} for order k = {k}, got {n_cells}")
 

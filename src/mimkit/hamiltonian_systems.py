@@ -4,7 +4,7 @@ Each system couples a right-hand side ``rhs(t, u, v) -> (du/dt, dv/dt)`` with
 the energy functional it (approximately) conserves:
 
 * ``WaveSystem``: the linear wave equation with homogeneous Dirichlet
-  conditions, ``u_t = v``, ``v_t = L u + F``, with energy
+  conditions, ``u_t = v``, ``v_t = L u``, with energy
   ``H = (1/2)(<v, v>_Q + <G u, G u>_P)``; both fields live on extended
   centers.
 * ``ShallowWaterSystem``: the nonlinear shallow-water equations with surface
@@ -118,23 +118,13 @@ def _dirichlet_zero(a) -> bool:
 
 
 class WaveSystem(HamiltonianSystem):
-    """u_t = v, v_t = L u + F with homogeneous Dirichlet conditions.
-
-    ``source`` may be None, a static extended-center array, or a callable
-    ``t -> extended-center array``.
-    """
+    """u_t = v, v_t = L u with homogeneous Dirichlet conditions."""
 
     name = "wave"
     wave_speed = 1.0
 
-    def __init__(self, ops: MimeticOperatorSet, source=None):
+    def __init__(self, ops: MimeticOperatorSet):
         self.ops = ops
-        self.source = source
-
-    def _source_at(self, t: float):
-        if self.source is None:
-            return None
-        return self.source(t) if callable(self.source) else self.source
 
     def rhs(self, t, u, v):
         n = self.ops.grid.n_cells + 2
@@ -147,9 +137,6 @@ class WaveSystem(HamiltonianSystem):
 
     def velocity_rate(self, t, u, v):
         dv = self.ops.L @ u
-        F = self._source_at(t)
-        if F is not None:
-            dv = dv + np.asarray(F, dtype=float)
         dv[0] = dv[-1] = 0.0
         return dv
 

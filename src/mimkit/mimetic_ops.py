@@ -19,8 +19,15 @@ v_N - v_0`` (interior weights equal h); node weights minimize the column-wise
 duality defect of ``B_hat`` with the corner weight pinned so that
 ``B_hat[0,0] = -1`` exactly.
 
-Everything is constructed in exact rational arithmetic per (k, N) and scaled
-by h on conversion to sparse float matrices; construction results are cached.
+Every operator is laid out from three parts: its exact left-closure rows,
+its centered interior template, and a mirror sign.  The right-end rows are
+the left closure reflected (row i -> n-1-i, column j -> m-1-j) times -1 for
+G, D and B_hat, +1 for the interpolants and L.  Exact rational arithmetic is
+spent only on the closures, the weights and the rows of B_hat and L within
+``_P_ZONE`` plus the stencil reach of each end, so it does not grow with N;
+interior rows of L are the product of the two interior stencils, and
+interior rows of B_hat are empty.  Matrices are scaled by h on conversion
+to sparse floats; construction results are cached.
 
 Structure of ``B_hat``: the corner entries are exactly ``B_hat[0,0] = -1``
 and ``B_hat[N+1,N] = +1``.  For k=2 they are the only entries of the first
@@ -83,13 +90,18 @@ _Q_ZONE = 12
 # quadrature deviation zone plus the stencil width).
 _P_ZONE = 16
 
-# Standard interior stencils (unit spacing): row i of G touches extended
-# column i+off; row r of D (centered at x = r + 1/2) touches node r+off.
+# Centered interior stencils (unit spacing) as {column offset: coefficient}:
+# row i of G touches extended column i+off, row r of D (centered at
+# x = r + 1/2) touches node r+off.  Both are antisymmetric, c_{1-m} = -c_m.
 _STD_G = {
     2: {0: Fraction(-1), 1: Fraction(1)},
     4: {-1: Fraction(1, 24), 0: Fraction(-27, 24), 1: Fraction(27, 24), 2: Fraction(-1, 24)},
 }
-_STD_D = _STD_G
+
+# The first five extended centers and nodes (unit spacing): every one-sided
+# closure row draws on these points only.
+_EXT = [_F0] + [Fraction(2 * j - 1, 2) for j in range(1, 5)]
+_NODES = [Fraction(i) for i in range(5)]
 
 
 # ---------------------------------------------------------------------------
@@ -143,63 +155,56 @@ def _interp_row(points, x0):
     return _solve_exact(A, b)
 
 
-def _ext_coords(N):
-    return [_F0] + [Fraction(2 * j - 1, 2) for j in range(1, N + 1)] + [Fraction(N)]
-
-
-def _node_coords(N):
-    return [Fraction(i) for i in range(N + 1)]
+def _layout(closure, template, sign, n, m):
+    """Rows of an n x m operator as {column: coefficient} dicts: the left
+    closure rows on top, their mirror (row i -> n-1-i, column j -> m-1-j,
+    times ``sign``) at the bottom, and the template {offset: coefficient}
+    shifted to row i + offset in between.  A closure may reach the middle
+    row, which must then be its own mirror."""
+    rows = [{i + off: c for off, c in template.items()} for i in range(n)]
+    for i, row in enumerate(closure):
+        rows[i] = row
+        rows[n - 1 - i] = {m - 1 - j: sign * c for j, c in row.items()}
+    return rows
 
 
 def _build_g_rows(k, N):
-    """Gradient rows (unit spacing) as a list of {column: coefficient} dicts."""
-    xs = _ext_coords(N)
-    rows = [dict() for _ in range(N + 1)]
-    nb = 1 if k == 2 else 2  # one-sided rows per side
-    for i in range(N + 1):
-        if i < nb or i > N - nb:
-            im = min(i, N - i)
-            if k == 2:
-                pts_idx = [0, 1, 2]
-            else:
-                # Both one-sided rows use the window anchored at the boundary
-                # point.  Shifting row 1 one slot inward (dropping xi_0) makes
-                # the composed Laplacian non-normal enough to grow complex
-                # eigenvalue pairs with Re(lambda) ~ 1/h, i.e. an exponential
-                # instability of the semi-discrete wave system; anchoring both
-                # rows at xi_0 keeps the spectrum real and non-positive.
-                pts_idx = [0, 1, 2, 3, 4]
-            coeffs = _derivative_row([xs[j] for j in pts_idx], Fraction(im), k)
-            for j, c in zip(pts_idx, coeffs):
-                if i < nb:
-                    rows[i][j] = c
-                else:
-                    rows[i][N + 1 - j] = -c
-        else:
-            for off, c in _STD_G[k].items():
-                rows[i][i + off] = c
-    return rows
+    """Gradient rows; the k/2 closure rows (nodes 0..k/2-1) are one-sided
+    on the first k+1 extended centers.
+
+    For k=4 both one-sided rows use the window anchored at the boundary
+    point.  Shifting row 1 one slot inward (dropping xi_0) makes the composed
+    Laplacian non-normal enough to grow complex eigenvalue pairs with
+    Re(lambda) ~ 1/h, i.e. an exponential instability of the semi-discrete
+    wave system; anchoring both rows at xi_0 keeps the spectrum real and
+    non-positive."""
+    closure = [dict(enumerate(_derivative_row(_EXT[:k + 1], _NODES[i], k)))
+               for i in range(k // 2)]
+    return _layout(closure, _STD_G[k], -1, N + 1, N + 2)
 
 
 def _build_d_rows(k, N):
-    """Divergence rows (unit spacing); row r is centered at x = r + 1/2."""
-    nds = _node_coords(N)
-    rows = [dict() for _ in range(N)]
-    nb = 0 if k == 2 else 1
-    for r in range(N):
-        if r < nb or r > N - 1 - nb:
-            rm = min(r, N - 1 - r)
-            pts_idx = [0, 1, 2, 3, 4]
-            coeffs = _derivative_row([nds[j] for j in pts_idx], Fraction(2 * rm + 1, 2), k)
-            for j, c in zip(pts_idx, coeffs):
-                if r < nb:
-                    rows[r][j] = c
-                else:
-                    rows[r][N - j] = -c
-        else:
-            for off, c in _STD_D[k].items():
-                rows[r][r + off] = c
-    return rows
+    """Divergence rows; row r is centered at x = r + 1/2, and the k/2 - 1
+    closure rows are one-sided on the first k+1 nodes."""
+    closure = [dict(enumerate(_derivative_row(_NODES[:k + 1], _EXT[i + 1], k)))
+               for i in range(k // 2 - 1)]
+    return _layout(closure, _STD_G[k], -1, N, N + 1)
+
+
+def _build_interp_rows(k, N):
+    """Interpolant rows: I_D node->extended, I_G extended->node.  Local
+    polynomial interpolation of degree k-1 (exact on monomials <= k-1):
+    centered k-point interior rows, one-sided rows from the first k points
+    near the ends, and the boundary value itself at the boundary point."""
+    offsets = range(-(k // 2), k // 2)
+    id_tpl = dict(zip(offsets, _interp_row([Fraction(s) for s in offsets], -_HALF)))
+    ig_tpl = {off + 1: c for off, c in id_tpl.items()}
+    id_closure = [{0: _F1}] + [dict(enumerate(_interp_row(_NODES[:k], _EXT[i])))
+                               for i in range(1, k // 2)]
+    ig_closure = [{0: _F1}] + [dict(enumerate(_interp_row(_EXT[:k], _NODES[i])))
+                               for i in range(1, k // 2)]
+    return (_layout(id_closure, id_tpl, 1, N + 2, N + 1),
+            _layout(ig_closure, ig_tpl, 1, N + 1, N + 2))
 
 
 def _build_q(k, N, d_rows):
@@ -247,59 +252,18 @@ def _build_p(k, N, g_rows, d_ext_rows, q_hat):
     return p
 
 
-def _build_interp_rows(k, N):
-    """Interpolant rows: I_D node->extended, I_G extended->node.  Local
-    polynomial interpolation of degree k-1 (exact on monomials <= k-1);
-    boundary rows are exact at the boundary point itself."""
-    xs = _ext_coords(N)
-    nds = _node_coords(N)
-    # one interior template per operator (centered k-point interpolation)
-    if k == 2:
-        id_tpl = {-1: _HALF, 0: _HALF}       # center j-1/2 from nodes j-1, j
-        ig_tpl = {0: _HALF, 1: _HALF}        # node i from centers i-1/2, i+1/2
-    else:
-        mid = _interp_row([Fraction(s) for s in (-2, -1, 0, 1)], Fraction(-1, 2))
-        id_tpl = {off: c for off, c in zip((-2, -1, 0, 1), mid)}
-        ig_tpl = {off: c for off, c in zip((-1, 0, 1, 2), mid)}
-
-    id_rows = [dict() for _ in range(N + 2)]
-    id_rows[0][0] = _F1
-    id_rows[N + 1][N] = _F1
-    for j in range(1, N + 1):
-        lo = 1 if k == 2 else 2
-        if lo <= j <= N + 1 - lo:
-            id_rows[j] = {j + off: c for off, c in id_tpl.items()}
-        else:
-            jm = min(j, N + 1 - j)
-            pts_idx = list(range(4))
-            coeffs = _interp_row([nds[t] for t in pts_idx], xs[jm])
-            for t, c in zip(pts_idx, coeffs):
-                id_rows[j][t if j == jm else N - t] = c
-
-    ig_rows = [dict() for _ in range(N + 1)]
-    ig_rows[0][0] = _F1
-    ig_rows[N][N + 1] = _F1
-    for i in range(1, N):
-        lo = 1 if k == 2 else 2
-        if lo <= i <= N - lo:
-            ig_rows[i] = {i + off: c for off, c in ig_tpl.items()}
-        else:
-            im = min(i, N - i)
-            pts_idx = list(range(4))  # nearest four extended centers
-            coeffs = _interp_row([xs[t] for t in pts_idx], nds[im])
-            for t, c in zip(pts_idx, coeffs):
-                ig_rows[i][t if i == im else N + 1 - t] = c
-    return id_rows, ig_rows
-
-
 def _validate_order_cells(k, N):
-    if k not in SUPPORTED_ORDERS:
-        raise ValueError(f"order k must be one of {SUPPORTED_ORDERS}, got {k}")
+    if not isinstance(k, int) or k not in SUPPORTED_ORDERS:
+        raise ValueError(f"order k must be one of {SUPPORTED_ORDERS}, got {k!r}")
     if N < 2 * k:
         raise ValueError(f"operator construction requires n_cells >= 2k = {2 * k}, got {N}")
 
 
-@lru_cache(maxsize=64)
+def _nonzero(row):
+    return {j: c for j, c in row.items() if c != 0}
+
+
+@lru_cache(maxsize=64, typed=True)
 def _rational_construction(k: int, N: int):
     """All operator blocks for (k, N) in exact rational, unit-spacing form."""
     _validate_order_cells(k, N)
@@ -312,28 +276,32 @@ def _rational_construction(k: int, N: int):
     if min(q_hat) <= 0 or min(p) <= 0:
         raise ConstructionError("non-positive quadrature weight", k, N)
 
-    # B_hat = Q*D_hat + G^T*P assembled exactly; spacing cancels, so the
-    # unit-spacing sum is the physical matrix, with exact zeros off the zone.
-    b_rows = [dict() for _ in range(N + 2)]
-    for j in range(1, N + 1):
-        for i, c in d_rows[j - 1].items():
-            b_rows[j][i] = b_rows[j].get(i, _F0) + q_hat[j] * c
-    for i in range(N + 1):
+    # B_hat = Q*D_hat + G^T*P (spacing cancels, so this is the physical
+    # matrix) and the unit-spacing Laplacian D_hat*G (physical scaling 1/h^2),
+    # exact in the left rows j < nb and mirrored to the right end (up to the
+    # middle row on small grids).  Weights differ from 1 only on nodes
+    # <= _P_ZONE and cells < _Q_ZONE, and G's stencil reaches max(_STD_G[k])
+    # columns past its row, so a deeper B_hat row is c_{i-j+1} + c_{j-i} = 0
+    # by the stencil's antisymmetry and a deeper L row is the product of the
+    # two interior stencils.
+    nb = min(_P_ZONE + 1 + max(_STD_G[k]), (N + 3) // 2)
+    b_left = [dict() for _ in range(nb)]
+    l_left = [dict() for _ in range(nb)]
+    for j in range(1, nb):
+        for i, c in d_ext_rows[j].items():
+            b_left[j][i] = q_hat[j] * c
+            for col, g in g_rows[i].items():
+                l_left[j][col] = l_left[j].get(col, _F0) + c * g
+    for i in range(nb + 1):  # G rows past nb start at column nb or later
         for j, g in g_rows[i].items():
-            b_rows[j][i] = b_rows[j].get(i, _F0) + g * p[i]
-    for row in b_rows:
-        for i in [i for i, v in row.items() if v == 0]:
-            del row[i]
-
-    # unit-spacing Laplacian D_hat * G (physical scaling: 1/h^2)
-    l_rows = [dict() for _ in range(N + 2)]
-    for j in range(1, N + 1):
-        for c, dv in d_rows[j - 1].items():
-            for m_col, gv in g_rows[c].items():
-                l_rows[j][m_col] = l_rows[j].get(m_col, _F0) + dv * gv
-    for row in l_rows:
-        for i in [i for i, v in row.items() if v == 0]:
-            del row[i]
+            if j < nb:
+                b_left[j][i] = b_left[j].get(i, _F0) + g * p[i]
+    l_tpl = {}
+    for a, c in _STD_G[k].items():
+        for b, g in _STD_G[k].items():
+            l_tpl[a + b - 1] = l_tpl.get(a + b - 1, _F0) + c * g
+    b_rows = _layout([_nonzero(row) for row in b_left], {}, -1, N + 2, N + 1)
+    l_rows = _layout([_nonzero(row) for row in l_left], l_tpl, 1, N + 2, N + 2)
 
     id_rows, ig_rows = _build_interp_rows(k, N)
     return {
@@ -409,7 +377,7 @@ class MimeticOperatorSet:
         return float(np.dot(u * self.p_diag, v))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def build_operator_set(k: int, grid: StaggeredGrid1D) -> MimeticOperatorSet:
     """Build (or fetch from cache) the full operator set for (k, grid).
 

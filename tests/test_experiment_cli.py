@@ -20,6 +20,8 @@ from mimkit import (
     run_convergence_study,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def _write_config(tmp_path, name="config.json", **overrides):
     data = {
@@ -45,19 +47,19 @@ def _write_config(tmp_path, name="config.json", **overrides):
 
 
 def test_parse_shipped_configs():
-    wave = parse_config("configs/wave_energy.json")
+    wave = parse_config(ROOT / "configs" / "wave_energy.json")
     assert wave.problem == "wave"
     assert wave.domain == (-30.0, 30.0)
     assert wave.n_cells == 600 and wave.k == 4
     assert wave.cfl == 0.5 and wave.dt is None and wave.t_end == 24.0
     assert len(wave.schemes) == 7
 
-    sw = parse_config("configs/shallow_water_energy.json")
+    sw = parse_config(ROOT / "configs" / "shallow_water_energy.json")
     assert sw.problem == "shallow_water"
     assert sw.cfl == 0.25 and sw.t_end == 10.0
     assert sw.ic_offset == 1.0 and sw.d0 == 1.0 and sw.g == 1.0
 
-    conv = parse_config("configs/wave_convergence.json")
+    conv = parse_config(ROOT / "configs" / "wave_convergence.json")
     assert conv.domain == (0.0, 1.0) and conv.cfl == 0.5
 
 
@@ -77,6 +79,7 @@ def test_parse_config_key_aliases(tmp_path):
     ({"domain": [1.0, 0.0]}, "domain"),
     ({"mystery_key": 1}, "unknown config key"),
     ({"ic_offset": 0.5}, "offset"),
+    ({"k": 4.0}, "'k'"),
 ])
 def test_parse_config_rejects_bad_values(tmp_path, overrides, fragment):
     path = _write_config(tmp_path, **overrides)
@@ -330,12 +333,28 @@ def test_output_dir_created_if_missing(tmp_path):
 # committed results regenerate byte for byte
 # ---------------------------------------------------------------------------
 
-ROOT = Path(__file__).resolve().parents[1]
-
-# sha256 of `mimkit dump-ops --order k --cells 600` (domain [0, 1])
-DUMP_OPS_600_SHA256 = {
-    4: "ee93b18738a98832247daa9847eeac051545246071b821e45de0512123d54f64",
-    2: "ad2f1f215cae4ef6ffe1f0e5bdaaf98591e7308ecdd257a963af189525b429d8",
+# sha256 of `mimkit dump-ops --order k --cells N` (domain [0, 1]).  The sizes
+# sit on both sides of each construction branch: the full conservation solve
+# gives way to the zone solve at N = 28, the node-weight zone saturates at
+# N = 33, and from N = 35 (k = 2) and N = 37 (k = 4) interior rows lie between
+# the exact B_hat/L rows of the two ends.
+DUMP_OPS_SHA256 = {
+    4: {
+        8: "f3cfdae94e9480ffe0dc8fa85c32639c40d2d7cd2585713ff422891676ac00db",
+        27: "c9c967cb1f3934c3d9234ccbbaee01f1216bdf3dd098b74c669f1320065f280b",
+        28: "b5faa52f48a61dc7a67e72d9455988781eb8120c954881a9c050fa66468af857",
+        33: "d6d33a799029cfa39911001fa5c1bc4ae55d70f6a834f9963013d9f302b25a70",
+        40: "0a4f708c30ec1d9735d81656fbc108170d2be56fe8aa0036254c4ca11ded18f3",
+        600: "ee93b18738a98832247daa9847eeac051545246071b821e45de0512123d54f64",
+    },
+    2: {
+        8: "8d3d79f50d23bcd323a8dca02d7ce1e6d2104cd5fdbe546982e5a1e8023ae84b",
+        27: "e28dcae44a1ffdc0d24f6b25f6284e0316045d02d9ca50c00389e1babb2e5128",
+        28: "4fc5ed11b81c33c69bcc2e8865a5a20c930d92356e680d26f348f0848c1ba767",
+        33: "0b92e28a2ca802402b0a82eb5b7e339496ff47188665874acc7d8ff2c9a7231d",
+        40: "c8580b221b9d5f42ab320fdf8cccdcdaf1b4d4fa0d88cb148153c1f4219d4380",
+        600: "ad2f1f215cae4ef6ffe1f0e5bdaaf98591e7308ecdd257a963af189525b429d8",
+    },
 }
 
 
@@ -370,6 +389,7 @@ def test_converge_regenerates_committed_results(tmp_path):
 
 @pytest.mark.parametrize("order", [4, 2])
 def test_dump_ops_digest_is_pinned(capsys, order):
-    assert main(["dump-ops", "--order", str(order), "--cells", "600"]) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == DUMP_OPS_600_SHA256[order]
+    for cells, expected in DUMP_OPS_SHA256[order].items():
+        assert main(["dump-ops", "--order", str(order), "--cells", str(cells)]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == expected, cells

@@ -56,17 +56,6 @@ def test_wave_rhs_validates_length(wave64):
         system.rhs(0.0, np.zeros(10), np.zeros(10))
 
 
-def test_wave_source_static_and_callable(wave64, rng):
-    grid, ops, _ = wave64
-    u, v = rng.standard_normal((2, grid.n_cells + 2))
-    F = rng.standard_normal(grid.n_cells + 2)
-    static = WaveSystem(ops, source=F).rhs(0.3, u, v)[1]
-    timed = WaveSystem(ops, source=lambda t: t * F).rhs(2.0, u, v)[1]
-    base = WaveSystem(ops).rhs(0.0, u, v)[1]
-    np.testing.assert_allclose(static[1:-1], (base + F)[1:-1], atol=1e-12)
-    np.testing.assert_allclose(timed[1:-1], (base + 2.0 * F)[1:-1], atol=1e-12)
-
-
 def test_wave_energy_matches_manual_quadratic_form(wave64, rng):
     grid, ops, system = wave64
     u, v = rng.standard_normal((2, grid.n_cells + 2))

@@ -41,6 +41,10 @@ def test_build_rejects_bad_inputs(grid01):
         build_operator_set(4, build_grid(0.0, 1.0, 7))
     # minimum size is exactly 2k
     assert build_operator_set(4, build_grid(0.0, 1.0, 8)) is not None
+    # a float order neither hits the cached int entry nor builds
+    build_operator_set(4, grid01)
+    with pytest.raises(ValueError, match="order k"):
+        build_operator_set(4.0, grid01)
 
 
 def test_operator_set_is_cached(grid01):
