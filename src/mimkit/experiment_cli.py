@@ -145,8 +145,9 @@ def _require(cond: bool, message: str):
 
 def _as_float(raw: dict, key: str, default: float) -> float:
     value = raw.get(key, default)
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"config key '{key}' must be a number, got {value!r}")
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and math.isfinite(value),
+             f"config key '{key}' must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -187,8 +188,9 @@ def parse_config(path: str) -> ExperimentConfig:
 
     domain = raw.get("domain", [-30.0, 30.0])
     _require(isinstance(domain, (list, tuple)) and len(domain) == 2
-             and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in domain),
-             f"config key 'domain' must be a two-number list [a, b], got {domain!r}")
+             and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                     and math.isfinite(x) for x in domain),
+             f"config key 'domain' must be a list of two finite numbers [a, b], got {domain!r}")
     a, b = float(domain[0]), float(domain[1])
     _require(b > a, f"config key 'domain' must satisfy a < b, got [{a}, {b}]")
 

@@ -1,7 +1,9 @@
 """Semi-discrete Hamiltonian systems over staggered-grid field pairs.
 
-Each system couples a right-hand side ``rhs(t, u, v) -> (du/dt, dv/dt)`` with
-the energy functional it (approximately) conserves:
+Each system is autonomous: it defines the rates ``position_rate(u, v)``
+(du/dt) and ``velocity_rate(u, v)`` (dv/dt), paired by the one
+``HamiltonianSystem.rhs(u, v)``, and the energy functional it
+(approximately) conserves:
 
 * ``WaveSystem``: the linear wave equation with homogeneous Dirichlet
   conditions, ``u_t = v``, ``v_t = L u``, with energy
@@ -15,7 +17,7 @@ the energy functional it (approximately) conserves:
   ``H = (u^2 + v^2)/2`` and a closed-form rotation solution, used to pin
   integrator orders and sign conventions.
 
-Boundary handling: rhs implementations force the boundary entries of the
+Boundary handling: the field systems force the boundary entries of their
 rates to zero, so explicit updates never move boundary values; systems also
 expose ``apply_boundary`` (a projection for the Dirichlet wave system, the
 identity elsewhere) which integrators apply after stages/steps.
@@ -49,7 +51,7 @@ __all__ = [
 
 
 class HamiltonianSystem:
-    """A Hamiltonian ODE system: rhs + energy + boundary handler.
+    """An autonomous Hamiltonian ODE system: rates + energy + boundary handler.
 
     ``wave_speed`` (when not None) is the characteristic speed used by
     CFL-based step selection.
@@ -58,19 +60,20 @@ class HamiltonianSystem:
     name: str = "abstract"
     wave_speed: Optional[float] = None
 
-    def rhs(self, t: float, u: np.ndarray, v: np.ndarray):
+    def rhs(self, u: np.ndarray, v: np.ndarray):
+        """(du/dt, dv/dt), the rates Runge-Kutta stages evaluate."""
+        return self.position_rate(u, v), self.velocity_rate(u, v)
+
+    def position_rate(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """du/dt (splitting schemes' drift)."""
+        raise NotImplementedError
+
+    def velocity_rate(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """dv/dt (splitting schemes' kick)."""
         raise NotImplementedError
 
     def energy(self, u: np.ndarray, v: np.ndarray) -> float:
         raise NotImplementedError
-
-    def position_rate(self, t: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """du/dt alone (splitting schemes' drift); defaults to rhs()[0]."""
-        return self.rhs(t, u, v)[0]
-
-    def velocity_rate(self, t: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """dv/dt alone (splitting schemes' kick); defaults to rhs()[1]."""
-        return self.rhs(t, u, v)[1]
 
     def apply_boundary(self, u: np.ndarray, v: np.ndarray):
         """Project a state onto the boundary conditions (default: identity)."""
@@ -126,16 +129,10 @@ class WaveSystem(HamiltonianSystem):
     def __init__(self, ops: MimeticOperatorSet):
         self.ops = ops
 
-    def rhs(self, t, u, v):
-        n = self.ops.grid.n_cells + 2
-        if len(u) != n or len(v) != n:
-            raise ValueError(f"wave state must be two extended fields of length {n}")
-        return v, self.velocity_rate(t, u, v)
-
-    def position_rate(self, t, u, v):
+    def position_rate(self, u, v):
         return v
 
-    def velocity_rate(self, t, u, v):
+    def velocity_rate(self, u, v):
         dv = self.ops.L @ u
         dv[0] = dv[-1] = 0.0
         return dv
@@ -194,18 +191,13 @@ class ShallowWaterSystem(HamiltonianSystem):
             )
         return depth
 
-    def rhs(self, t, e, u):
-        de = self.position_rate(t, e, u)
-        du = self.velocity_rate(t, e, u)
-        return de, du
-
-    def position_rate(self, t, e, u):
+    def position_rate(self, e, u):
         depth = self._depth_nodes(e)
         de = -(self.ops.D_hat @ (depth * u))
         de[0] = de[-1] = 0.0
         return de
 
-    def velocity_rate(self, t, e, u):
+    def velocity_rate(self, e, u):
         self._check_depth(e)
         du = -self.g * (self.ops.G @ e) - u * (self.ops.G @ (self.ops.I_D @ u))
         du[0] = du[-1] = 0.0
@@ -226,13 +218,10 @@ class HarmonicOscillator(HamiltonianSystem):
     name = "harmonic_oscillator"
     wave_speed = None
 
-    def rhs(self, t, u, v):
-        return v.copy(), -u
-
-    def position_rate(self, t, u, v):
+    def position_rate(self, u, v):
         return v
 
-    def velocity_rate(self, t, u, v):
+    def velocity_rate(self, u, v):
         return -u
 
     def energy(self, u, v):

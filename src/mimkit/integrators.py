@@ -1,22 +1,28 @@
-"""Explicit time integrators for Hamiltonian field systems.
+"""Explicit time integrators for autonomous Hamiltonian field systems.
+
+Systems are autonomous: every rate is a function of the state alone
+(``rhs(u, v)``, ``position_rate(u, v)``, ``velocity_rate(u, v)``), so no
+step takes a time argument; ``integrate`` tracks t only for the record.
 
 Schemes (``SchemeKind``):
 
-* ``RK4`` — the classical fourth-order Runge-Kutta method.
+* ``RK4`` — the classical fourth-order Runge-Kutta method (``TABLEAU_RK4``).
 * ``RRK_analytic`` / ``RRK_bisection`` — relaxation RK4: after forming the
   RK4 increment d, the update ``state + gamma*dt*d`` uses the relaxation
   parameter gamma that restores the energy exactly, found in closed form for
   quadratic energies or by bisection in general.  Time advances by
   ``gamma*dt`` (configurable to plain ``dt``).
-* ``ForestRuth`` — the 4th-order 4-stage symplectic splitting
-  (3 force evaluations; the last kick weight is zero).
-* ``PEFRL`` — the position-extended Forest-Ruth-like 4th-order splitting
-  (4 force evaluations, optimized error constant).
-* ``Leapfrog`` — 2nd-order drift-kick-drift (1 force evaluation), the
-  synchronized form of the staggered kick-drift leapfrog, so recorded
-  (t, H) samples are time-aligned.
-* ``Composition4`` — the 5-stage 4th-order palindromic composition
-  (5 force evaluations).
+* ``ForestRuth``, ``PEFRL``, ``Leapfrog``, ``Composition4`` — symplectic
+  splittings.  Each is nothing but its coefficient table: drift weights
+  (a_1, ..., a_{s+1}) and kick weights (b_1, ..., b_s), run by one loop as
+  drift a_1, kick b_1, ..., kick b_s, drift a_{s+1}; s is its number of
+  force evaluations per step.  Forest-Ruth is the 4th-order triple jump
+  (s = 3), PEFRL the position-extended Forest-Ruth-like 4th-order method
+  with an optimized error constant (s = 4), Leapfrog the 2nd-order
+  synchronized drift-kick-drift form of the staggered kick-drift leapfrog,
+  so recorded (t, H) samples are time-aligned (s = 1), and Composition4 the
+  5-stage 4th-order palindromic composition (s = 5).  Every table is a
+  palindrome, so every splitting step is exactly time-reversible.
 
 Splitting schemes assume the separable pattern u' = f(v), v' = F(u); for
 systems that are not exactly separable (shallow water) they are applied in
@@ -36,9 +42,11 @@ records the energy trace.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -140,7 +148,11 @@ class SchemeKind(str, Enum):
 
     @property
     def rhs_evals_per_step(self) -> int:
-        return _RHS_EVALS[self]
+        """Force evaluations per step: one per kick of a splitting scheme,
+        one per stage of RK4 and its relaxation variants."""
+        if self in _SPLITTINGS:
+            return len(_SPLITTINGS[self][1])
+        return TABLEAU_RK4.stages
 
     @property
     def is_relaxation(self) -> bool:
@@ -150,16 +162,6 @@ class SchemeKind(str, Enum):
     def nominal_order(self) -> int:
         return 2 if self is SchemeKind.LEAPFROG else 4
 
-
-_RHS_EVALS = {
-    SchemeKind.RK4: 4,
-    SchemeKind.RRK_ANALYTIC: 4,
-    SchemeKind.RRK_BISECTION: 4,
-    SchemeKind.FOREST_RUTH: 3,
-    SchemeKind.PEFRL: 4,
-    SchemeKind.LEAPFROG: 1,
-    SchemeKind.COMPOSITION4: 5,
-}
 
 _SCHEME_ALIASES = {
     "rk4": SchemeKind.RK4,
@@ -200,10 +202,9 @@ def normalize_scheme(name) -> SchemeKind:
 # reads only stage i - 1.
 _RK4_A = tuple(TABLEAU_RK4.a[i][i - 1] for i in range(1, 4))
 _RK4_B = np.array(TABLEAU_RK4.b).reshape(4, 1)
-_RK4_C = TABLEAU_RK4.c
 
 
-def _rk4_increment(system: HamiltonianSystem, state: State, t: float, dt: float):
+def _rk4_increment(system: HamiltonianSystem, state: State, dt: float):
     """b-weighted RK4 increment (d_u, d_v): the update is state + dt*d.
 
     The stage slopes of both fields share one (4, len(u) + len(v)) buffer,
@@ -219,11 +220,11 @@ def _rk4_increment(system: HamiltonianSystem, state: State, t: float, dt: float)
     x = np.concatenate((u, v)).astype(float, copy=False)
     k = np.empty((4, x.size))
     y = np.empty_like(x)
-    k[0, :n], k[0, n:] = system.rhs(t + _RK4_C[0] * dt, u, v)
+    k[0, :n], k[0, n:] = system.rhs(u, v)
     for i in range(1, 4):
         np.multiply(k[i - 1], dt * _RK4_A[i - 1], out=y)
         y += x
-        k[i, :n], k[i, n:] = system.rhs(t + _RK4_C[i] * dt, *system.apply_boundary(y[:n], y[n:]))
+        k[i, :n], k[i, n:] = system.rhs(*system.apply_boundary(y[:n], y[n:]))
     k *= _RK4_B
     d = k[0] + 0.0  # a sum starting from 0: -0.0 becomes +0.0
     d += k[1]
@@ -232,12 +233,12 @@ def _rk4_increment(system: HamiltonianSystem, state: State, t: float, dt: float)
     return d[:n], d[n:]
 
 
-def rk4_step(system: HamiltonianSystem, state: State, t: float, dt: float) -> State:
+def rk4_step(system: HamiltonianSystem, state: State, dt: float) -> State:
     """One classical RK4 step; dt = 0 returns the state unchanged."""
     u, v = state
     if dt == 0.0:
         return u, v
-    d_u, d_v = _rk4_increment(system, state, t, dt)
+    d_u, d_v = _rk4_increment(system, state, dt)
     return system.apply_boundary(u + dt * d_u, v + dt * d_v)
 
 
@@ -310,7 +311,6 @@ def rrk_gamma_bisection(
 def rrk_step(
     system: HamiltonianSystem,
     state: State,
-    t: float,
     dt: float,
     mode: str = "analytic",
     tol: float = 1e-12,
@@ -320,7 +320,7 @@ def rrk_step(
     Returns (new_state, gamma).
     """
     u, v = state
-    d_u, d_v = _rk4_increment(system, state, t, dt)
+    d_u, d_v = _rk4_increment(system, state, dt)
     if mode == "analytic":
         gamma = rrk_gamma_analytic(system, state, d_u, d_v, dt)
     elif mode == "bisection":
@@ -336,26 +336,10 @@ def rrk_step(
 # ---------------------------------------------------------------------------
 
 _FR_X = (2.0 ** (1.0 / 3.0) + 2.0 ** (-1.0 / 3.0) - 1.0) / 6.0
-_FR_C = (_FR_X + 0.5, -_FR_X, -_FR_X, _FR_X + 0.5)
-_FR_D = (2.0 * _FR_X + 1.0, -4.0 * _FR_X - 1.0, 2.0 * _FR_X + 1.0, 0.0)
 
 _PEFRL_XI = +0.1644986515575760
 _PEFRL_LAMBDA = -0.02094333910398989
 _PEFRL_CHI = +1.235692651138917
-# alternating drift/kick weights; drifts sum to 1: 2*xi + 2*chi + (1-2(chi+xi))
-_PEFRL_DRIFTS = (
-    _PEFRL_XI,
-    _PEFRL_CHI,
-    1.0 - 2.0 * (_PEFRL_CHI + _PEFRL_XI),
-    _PEFRL_CHI,
-    _PEFRL_XI,
-)
-_PEFRL_KICKS = (
-    (1.0 - 2.0 * _PEFRL_LAMBDA) / 2.0,
-    _PEFRL_LAMBDA,
-    _PEFRL_LAMBDA,
-    (1.0 - 2.0 * _PEFRL_LAMBDA) / 2.0,
-)
 
 _SQRT19 = math.sqrt(19.0)
 _COMP4_BETA = (
@@ -368,64 +352,47 @@ _COMP4_BETA = (
 # alpha_k = beta_{6-k} (palindromic pairing); alpha_0 = 0
 _COMP4_ALPHA = tuple(reversed(_COMP4_BETA))
 
+# (drifts, kicks) of each splitting scheme, len(drifts) == len(kicks) + 1.
+_SPLITTINGS = {
+    SchemeKind.FOREST_RUTH: (
+        (_FR_X + 0.5, -_FR_X, -_FR_X, _FR_X + 0.5),
+        (2.0 * _FR_X + 1.0, -4.0 * _FR_X - 1.0, 2.0 * _FR_X + 1.0),
+    ),
+    SchemeKind.PEFRL: (
+        (_PEFRL_XI, _PEFRL_CHI, 1.0 - 2.0 * (_PEFRL_CHI + _PEFRL_XI), _PEFRL_CHI, _PEFRL_XI),
+        ((1.0 - 2.0 * _PEFRL_LAMBDA) / 2.0, _PEFRL_LAMBDA, _PEFRL_LAMBDA,
+         (1.0 - 2.0 * _PEFRL_LAMBDA) / 2.0),
+    ),
+    SchemeKind.LEAPFROG: ((0.5, 0.5), (1.0,)),
+    # drifts beta_k + alpha_{k-1} (k = 1..5) and alpha_5; kicks beta_k + alpha_k
+    SchemeKind.COMPOSITION4: (
+        tuple(b + a for b, a in zip(_COMP4_BETA, (0.0,) + _COMP4_ALPHA)) + (_COMP4_ALPHA[-1],),
+        tuple(b + a for b, a in zip(_COMP4_BETA, _COMP4_ALPHA)),
+    ),
+}
 
-def _drift(system, t, u, v, w, dt):
-    return u + (w * dt) * system.position_rate(t, u, v) if w != 0.0 else u
 
-
-def _kick(system, t, u, v, w, dt):
-    return v + (w * dt) * system.velocity_rate(t, u, v) if w != 0.0 else v
-
-
-def forest_ruth_step(system: HamiltonianSystem, state: State, t: float, dt: float) -> State:
-    """Forest-Ruth splitting: drifts (x+1/2, -x, -x, x+1/2), kicks
-    (2x+1, -4x-1, 2x+1, 0) with x = (2^(1/3) + 2^(-1/3) - 1)/6."""
+def _splitting_step(system: HamiltonianSystem, state: State, dt: float, drifts, kicks) -> State:
+    """One splitting step: drift, kick, drift, ..., kick, drift with the
+    given weights, each drift u += (a*dt)*f(u, v), each kick
+    v += (b*dt)*F(u, v) on the latest fields; then the boundary projection."""
     u, v = state
-    for ci, di in zip(_FR_C, _FR_D):
-        u = _drift(system, t, u, v, ci, dt)
-        v = _kick(system, t, u, v, di, dt)
+    for a, b in zip(drifts, kicks):
+        u = u + (a * dt) * system.position_rate(u, v)
+        v = v + (b * dt) * system.velocity_rate(u, v)
+    u = u + (drifts[-1] * dt) * system.position_rate(u, v)
     return system.apply_boundary(u, v)
 
 
-def pefrl_step(system: HamiltonianSystem, state: State, t: float, dt: float) -> State:
-    """PEFRL splitting: drift xi, kick (1-2*lambda)/2, drift chi, kick lambda,
-    drift 1-2(chi+xi), kick lambda, drift chi, kick (1-2*lambda)/2, drift xi."""
-    u, v = state
-    for i in range(4):
-        u = _drift(system, t, u, v, _PEFRL_DRIFTS[i], dt)
-        v = _kick(system, t, u, v, _PEFRL_KICKS[i], dt)
-    u = _drift(system, t, u, v, _PEFRL_DRIFTS[4], dt)
-    return system.apply_boundary(u, v)
+def _splitting(kind: SchemeKind):
+    drifts, kicks = _SPLITTINGS[kind]
+    return partial(_splitting_step, drifts=drifts, kicks=kicks)
 
 
-def leapfrog_synchronized_step(system: HamiltonianSystem, state: State, t: float, dt: float) -> State:
-    """Synchronized drift-kick-drift leapfrog: half drift, kick, half drift.
-
-    Consecutive half-drifts telescope into the staggered kick-drift scheme,
-    so the trajectory is algebraically that of the staggered leapfrog, with
-    one force evaluation per step and time-aligned (u, v) output, as the
-    recorded (t, H) samples need.  The symmetric form is exactly
-    time-reversible under dt -> -dt.
-    """
-    u, v = state
-    u = _drift(system, t, u, v, 0.5, dt)
-    v = _kick(system, t + 0.5 * dt, u, v, 1.0, dt)
-    u = _drift(system, t + dt, u, v, 0.5, dt)
-    return system.apply_boundary(u, v)
-
-
-def composition4_step(system: HamiltonianSystem, state: State, t: float, dt: float) -> State:
-    """Five-stage fourth-order palindromic composition: sub-steps
-    u += (beta_k + alpha_{k-1})*dt*f(v), v += (beta_k + alpha_k)*dt*F(u)
-    for k = 1..5 with alpha_0 = 0, then the closing drift alpha_5*dt."""
-    u, v = state
-    alpha_prev = 0.0
-    for beta_k, alpha_k in zip(_COMP4_BETA, _COMP4_ALPHA):
-        u = _drift(system, t, u, v, beta_k + alpha_prev, dt)
-        v = _kick(system, t, u, v, beta_k + alpha_k, dt)
-        alpha_prev = alpha_k
-    u = _drift(system, t, u, v, alpha_prev, dt)
-    return system.apply_boundary(u, v)
+forest_ruth_step = _splitting(SchemeKind.FOREST_RUTH)
+pefrl_step = _splitting(SchemeKind.PEFRL)
+leapfrog_synchronized_step = _splitting(SchemeKind.LEAPFROG)
+composition4_step = _splitting(SchemeKind.COMPOSITION4)
 
 
 # ---------------------------------------------------------------------------
@@ -455,22 +422,16 @@ class RunRecord:
     rhs_evals: int
 
 
+def _require_positive_finite(**values):
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def cfl_dt(grid: StaggeredGrid1D, cfl: float, wave_speed: float = 1.0) -> float:
     """dt = cfl * h / wave_speed."""
-    if cfl <= 0.0:
-        raise ValueError(f"cfl must be positive, got {cfl}")
-    if wave_speed <= 0.0:
-        raise ValueError(f"wave_speed must be positive, got {wave_speed}")
+    _require_positive_finite(cfl=cfl, wave_speed=wave_speed)
     return cfl * grid.h / wave_speed
-
-
-_PLAIN_STEPPERS = {
-    SchemeKind.RK4: rk4_step,
-    SchemeKind.FOREST_RUTH: forest_ruth_step,
-    SchemeKind.PEFRL: pefrl_step,
-    SchemeKind.LEAPFROG: leapfrog_synchronized_step,
-    SchemeKind.COMPOSITION4: composition4_step,
-}
 
 
 def integrate(
@@ -493,13 +454,11 @@ def integrate(
     final time.  Raises NumericalFailure (tagged with the step index) when a
     step aborts or the energy becomes non-finite.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_end <= 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    record_every = int(record_every)
-    if record_every < 1:
-        raise ValueError(f"record_every must be a positive integer, got {record_every}")
+    _require_positive_finite(dt=dt, t_end=t_end)
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"t_end / dt must be finite, got {t_end!r} / {dt!r}")
+    if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
+        raise ValueError(f"record_every must be a positive integer, got {record_every!r}")
     if rrk_advance not in ("gamma_dt", "plain_dt"):
         raise ValueError(f"rrk_advance must be 'gamma_dt' or 'plain_dt', got {rrk_advance!r}")
     kind = normalize_scheme(scheme)
@@ -532,7 +491,7 @@ def integrate(
                         f"relaxation stalled: reached only t = {t:.6g} of "
                         f"{t_end:.6g} after {max_steps} steps (dt = {dt:.6g})"
                     )
-                (u, v), gamma = rrk_step(system, (u, v), t, dt, mode=mode, tol=rrk_tol)
+                (u, v), gamma = rrk_step(system, (u, v), dt, mode=mode, tol=rrk_tol)
                 advance = gamma * dt if rrk_advance == "gamma_dt" else dt
                 if not advance > 0.0:
                     raise NumericalFailure(
@@ -545,12 +504,12 @@ def integrate(
             if times[-1] != t:
                 _record(system, u, v, t, times, energies, n_steps)
         else:
-            stepper = _PLAIN_STEPPERS[kind]
+            stepper = rk4_step if kind is SchemeKind.RK4 else _splitting(kind)
             total = max(1, math.ceil(t_end / dt - 1e-9))
             for i in range(1, total + 1):
                 n_steps = i
                 target = t_end if i == total else i * dt
-                u, v = stepper(system, (u, v), t, target - t)
+                u, v = stepper(system, (u, v), target - t)
                 t = target
                 if i % record_every == 0 or i == total:
                     if times[-1] != t:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -80,6 +81,10 @@ def test_parse_config_key_aliases(tmp_path):
     ({"mystery_key": 1}, "unknown config key"),
     ({"ic_offset": 0.5}, "offset"),
     ({"k": 4.0}, "'k'"),
+    ({"t_end": math.inf}, "'t_end' must be a finite number"),
+    ({"domain": [0.0, math.inf]}, "'domain' must be a list of two finite numbers"),
+    ({"d0": math.inf}, "'d0' must be a finite number"),
+    ({"ic_center": math.nan}, "'ic_center' must be a finite number"),
 ])
 def test_parse_config_rejects_bad_values(tmp_path, overrides, fragment):
     path = _write_config(tmp_path, **overrides)

@@ -44,16 +44,21 @@ def wave64():
 def test_wave_rhs_structure(wave64, rng):
     grid, ops, system = wave64
     u, v = rng.standard_normal((2, grid.n_cells + 2))
-    du, dv = system.rhs(0.0, u, v)
+    du, dv = system.rhs(u, v)
     np.testing.assert_array_equal(du, v)
     assert dv[0] == 0.0 and dv[-1] == 0.0
     np.testing.assert_allclose(dv[1:-1], (ops.L @ u)[1:-1], atol=1e-13)
 
 
-def test_wave_rhs_validates_length(wave64):
+def test_integrate_rejects_wave_state_of_wrong_length(wave64):
+    """The rates do not check lengths; integrate's initial energy call does:
+    G @ u names the extended length 66, and so does inner_q for v."""
     _, _, system = wave64
-    with pytest.raises(ValueError, match="extended fields"):
-        system.rhs(0.0, np.zeros(10), np.zeros(10))
+    good = np.zeros(66)
+    for bad in (np.zeros(10), np.zeros(1)):
+        for state in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="66"):
+                integrate(system, "pefrl", state, 0.1, 0.01)
 
 
 def test_wave_energy_matches_manual_quadratic_form(wave64, rng):
@@ -216,7 +221,7 @@ def test_energy_invariant_for_boundary_spanning_state():
 def test_oscillator_rhs_energy_and_exact_solution():
     system = HarmonicOscillator()
     u, v = HarmonicOscillator.initial_state(0.8, -0.6)
-    du, dv = system.rhs(0.0, u, v)
+    du, dv = system.rhs(u, v)
     assert du[0] == -0.6 and dv[0] == -0.8
     assert system.energy(u, v) == pytest.approx(0.5, abs=1e-15)
     for t in (0.0, 0.4, 3.1):
@@ -270,7 +275,7 @@ def test_lake_at_rest_is_stationary(swater):
     grid, _, system = swater
     e = np.full(grid.n_cells + 2, 0.7)
     u = np.zeros(grid.n_cells + 1)
-    de, du = system.rhs(0.0, e, u)
+    de, du = system.rhs(e, u)
     assert np.abs(de).max() == 0.0
     assert np.abs(du).max() <= 1e-12
 
@@ -279,7 +284,7 @@ def test_shallow_water_rhs_matches_formula(swater, rng):
     grid, ops, system = swater
     e = 1.0 + 0.05 * rng.standard_normal(grid.n_cells + 2)
     u = 0.05 * rng.standard_normal(grid.n_cells + 1)
-    de, du = system.rhs(0.0, e, u)
+    de, du = system.rhs(e, u)
     depth = 1.0 + ops.I_G @ e
     de_ref = -(ops.D_hat @ (depth * u))
     du_ref = -(ops.G @ e) - u * (ops.G @ (ops.I_D @ u))
@@ -287,8 +292,8 @@ def test_shallow_water_rhs_matches_formula(swater, rng):
     np.testing.assert_allclose(du[1:-1], du_ref[1:-1], atol=1e-12)
     assert de[0] == de[-1] == 0.0 and du[0] == du[-1] == 0.0
     # the splitting schemes' drift and kick evaluate the same two halves
-    np.testing.assert_array_equal(system.position_rate(0.0, e, u), de)
-    np.testing.assert_array_equal(system.velocity_rate(0.0, e, u), du)
+    np.testing.assert_array_equal(system.position_rate(e, u), de)
+    np.testing.assert_array_equal(system.velocity_rate(e, u), du)
 
 
 def test_shallow_water_energy_matches_formula(swater, rng):
@@ -305,7 +310,7 @@ def test_shallow_water_rejects_non_positive_depth(swater):
     e = np.full(grid.n_cells + 2, -1.5)  # d0 + e < 0
     u = np.zeros(grid.n_cells + 1)
     with pytest.raises(NumericalFailure, match="non-positive total depth"):
-        system.rhs(0.0, e, u)
+        system.rhs(e, u)
 
 
 def test_shallow_water_velocity_rate_rejects_non_positive_depth(swater):
@@ -316,7 +321,7 @@ def test_shallow_water_velocity_rate_rejects_non_positive_depth(swater):
     e[7] = -1.0  # d0 + e = 0 at one extended center
     u = np.zeros(grid.n_cells + 1)
     with pytest.raises(NumericalFailure, match=r"non-positive total depth: min\(d0 \+ e\)"):
-        system.velocity_rate(0.0, e, u)
+        system.velocity_rate(e, u)
 
 
 def test_shallow_water_analytic_relaxation_unavailable(swater):

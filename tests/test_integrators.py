@@ -33,8 +33,10 @@ from mimkit import (
     symplecticity_residual,
 )
 from mimkit.hamiltonian_systems import HarmonicOscillator
+from mimkit.integrators import _SPLITTINGS
 
 from oracles import (
+    forest_ruth_drift_kick,
     map_jacobian,
     observed_orders,
     relaxation_gamma_from_samples,
@@ -114,23 +116,38 @@ def test_scheme_properties():
         assert normalize_scheme(name).nominal_order == 4
 
 
+@pytest.mark.parametrize("kind", list(_SPLITTINGS), ids=lambda kind: kind.value)
+def test_splitting_tables_are_consistent_palindromes(kind):
+    """Each splitting scheme is its (drifts, kicks) table: one more drift
+    than kicks, each summing to 1 (consistency), each a palindrome (time
+    symmetry).  Forest-Ruth's table is the triple jump of the oracle."""
+    drifts, kicks = _SPLITTINGS[kind]
+    assert len(drifts) == len(kicks) + 1
+    assert abs(sum(drifts) - 1.0) <= 1e-15
+    assert abs(sum(kicks) - 1.0) <= 1e-15
+    assert drifts == drifts[::-1]
+    assert kicks == kicks[::-1]
+    if kind is SchemeKind.FOREST_RUTH:
+        c, d = forest_ruth_drift_kick()
+        np.testing.assert_allclose(drifts, c, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(kicks, d, rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("name,expected", [
     ("rk4", 4), ("rrk_analytic", 4), ("fr", 3), ("pefrl", 4), ("lf", 1), ("comp4", 5),
 ])
 def test_declared_rhs_evals_match_actual_calls(name, expected):
-    """The per-step work table is honest: count real evaluations."""
+    """The per-step work read from the coefficient tables is honest: count
+    real force evaluations.  Splitting kicks call velocity_rate, and so does
+    every rhs call of a Runge-Kutta stage."""
 
     class Counting(HarmonicOscillator):
         def __init__(self):
             self.calls = 0
 
-        def rhs(self, t, u, v):
+        def velocity_rate(self, u, v):
             self.calls += 1
-            return super().rhs(t, u, v)
-
-        def velocity_rate(self, t, u, v):
-            self.calls += 1
-            return super().velocity_rate(t, u, v)
+            return super().velocity_rate(u, v)
 
     system = Counting()
     integrate(system, name, STATE0, 1.0, 0.1)
@@ -177,7 +194,7 @@ def test_convergence_order_on_oscillator(name):
 ], ids=["lf_sync", "fr", "pefrl", "comp4"])
 def test_splitting_maps_are_symplectic(step):
     def phase_map(q, p):
-        (u, v) = step(OSC, (np.array([q]), np.array([p])), 0.0, 0.3)
+        (u, v) = step(OSC, (np.array([q]), np.array([p])), 0.3)
         return u[0], v[0]
 
     J = map_jacobian(phase_map, 0.8, -0.6)
@@ -190,7 +207,7 @@ def test_rk4_map_defect_matches_truncated_rotation():
     dt = 0.3
 
     def phase_map(q, p):
-        (u, v) = rk4_step(OSC, (np.array([q]), np.array([p])), 0.0, dt)
+        (u, v) = rk4_step(OSC, (np.array([q]), np.array([p])), dt)
         return u[0], v[0]
 
     J = map_jacobian(phase_map, 0.8, -0.6)
@@ -204,17 +221,17 @@ def test_rk4_step_equals_truncated_rotation_matrix(rng):
     M = rk4_amplification(dt)
     for _ in range(5):
         q, p = rng.standard_normal(2)
-        u, v = rk4_step(OSC, (np.array([q]), np.array([p])), 0.0, dt)
+        u, v = rk4_step(OSC, (np.array([q]), np.array([p])), dt)
         expected = M @ np.array([q, p])
         assert u[0] == pytest.approx(expected[0], abs=1e-14)
         assert v[0] == pytest.approx(expected[1], abs=1e-14)
 
 
-def _rk4_step_generic(system, state, t, dt):
+def _rk4_step_generic(system, state, dt):
     """RK4 as a loop over every entry of TABLEAU_RK4, field by field, with
     the b-weighted sums formed by ``sum`` (which starts from 0)."""
     u, v = state
-    a, b, c = TABLEAU_RK4.a, TABLEAU_RK4.b, TABLEAU_RK4.c
+    a, b = TABLEAU_RK4.a, TABLEAU_RK4.b
     ks = []
     for i in range(4):
         ui, vi = u, v
@@ -225,7 +242,7 @@ def _rk4_step_generic(system, state, t, dt):
                 vi = vi + dt * a[i][j] * kv
         if i > 0:
             ui, vi = system.apply_boundary(ui, vi)
-        ks.append(system.rhs(t + c[i] * dt, ui, vi))
+        ks.append(system.rhs(ui, vi))
     d_u = sum(bi * ku for bi, (ku, kv) in zip(b, ks))
     d_v = sum(bi * kv for bi, (ku, kv) in zip(b, ks))
     return system.apply_boundary(u + dt * d_u, v + dt * d_v)
@@ -253,8 +270,8 @@ def test_rk4_step_bitwise_equals_generic_tableau_loop(problem, rng):
     dt = cfl_dt(grid, 0.4)
     state = (u, v)
     for _ in range(3):
-        got = rk4_step(system, state, 0.0, dt)
-        want = _rk4_step_generic(system, state, 0.0, dt)
+        got = rk4_step(system, state, dt)
+        want = _rk4_step_generic(system, state, dt)
         for g, w in zip(got, want):
             assert g.shape == w.shape
             assert g.tobytes() == w.tobytes()
@@ -264,8 +281,11 @@ def test_rk4_step_bitwise_equals_generic_tableau_loop(problem, rng):
 class _Growth(HarmonicOscillator):
     """u' = u, v' = v: every stage slope of a -0.0 state is -0.0."""
 
-    def rhs(self, t, u, v):
-        return u.copy(), v.copy()
+    def position_rate(self, u, v):
+        return u.copy()
+
+    def velocity_rate(self, u, v):
+        return v.copy()
 
 
 def _int_wave_case():
@@ -281,8 +301,8 @@ def _int_wave_case():
 ], ids=["signed_zero", "integer_state"])
 def test_rk4_step_edge_states_match_generic_tableau_loop(case):
     system, state = case()
-    got = rk4_step(system, state, 0.0, 0.1)
-    want = _rk4_step_generic(system, state, 0.0, 0.1)
+    got = rk4_step(system, state, 0.1)
+    want = _rk4_step_generic(system, state, 0.1)
     for g, w in zip(got, want):
         assert g.dtype == np.float64
         assert g.tobytes() == w.tobytes()
@@ -299,9 +319,9 @@ def test_rk4_step_edge_states_match_generic_tableau_loop(case):
 def test_symmetric_schemes_reverse_exactly(step):
     state = (STATE0[0].copy(), STATE0[1].copy())
     for _ in range(20):
-        state = step(OSC, state, 0.0, 0.05)
+        state = step(OSC, state, 0.05)
     for _ in range(20):
-        state = step(OSC, state, 0.0, -0.05)
+        state = step(OSC, state, -0.05)
     assert abs(state[0][0] - 0.8) <= 1e-12
     assert abs(state[1][0] + 0.6) <= 1e-12
 
@@ -309,9 +329,9 @@ def test_symmetric_schemes_reverse_exactly(step):
 def test_rk4_is_not_time_symmetric():
     state = (STATE0[0].copy(), STATE0[1].copy())
     for _ in range(20):
-        state = rk4_step(OSC, state, 0.0, 0.05)
+        state = rk4_step(OSC, state, 0.05)
     for _ in range(20):
-        state = rk4_step(OSC, state, 0.0, -0.05)
+        state = rk4_step(OSC, state, -0.05)
     assert abs(state[0][0] - 0.8) > 1e-10
 
 
@@ -341,7 +361,7 @@ def test_leapfrog_energy_bounded_rk4_energy_decays():
 
 def _rk4_direction(system, state, dt):
     """Recover the RK4 increment direction d = (step(state) - state)/dt."""
-    u1, v1 = rk4_step(system, state, 0.0, dt)
+    u1, v1 = rk4_step(system, state, dt)
     return (u1 - state[0]) / dt, (v1 - state[1]) / dt
 
 
@@ -432,6 +452,19 @@ def test_integrate_validates_arguments():
         integrate(OSC, "rk4", STATE0, -1.0, 0.1)
     with pytest.raises(ValueError, match="record_every"):
         integrate(OSC, "rk4", STATE0, 1.0, 0.1, record_every=0)
+    for dt in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^dt must be positive and finite"):
+            integrate(OSC, "rk4", STATE0, 1.0, dt)
+    for t_end in (float("inf"), float("nan")):
+        for scheme in ("rk4", "rrk"):
+            with pytest.raises(ValueError, match="t_end must be positive and finite"):
+                integrate(OSC, scheme, STATE0, t_end, 0.1)
+    with pytest.raises(ValueError, match="t_end / dt must be finite"):
+        integrate(OSC, "rk4", STATE0, 1e300, 1e-300)
+    for record_every in (2.5, 0.5, 2.0, "3"):
+        with pytest.raises(ValueError, match=f"record_every must be a positive integer, "
+                                             f"got {record_every!r}"):
+            integrate(OSC, "rk4", STATE0, 1.0, 0.1, record_every=record_every)
     with pytest.raises(ValueError, match="rrk_advance"):
         integrate(OSC, "rrk", STATE0, 1.0, 0.1, rrk_advance="half")
     with pytest.raises(ValueError, match="unknown scheme"):
@@ -496,3 +529,8 @@ def test_cfl_dt_validation(grid01):
         cfl_dt(grid01, 0.0)
     with pytest.raises(ValueError, match="wave_speed"):
         cfl_dt(grid01, 0.5, wave_speed=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^cfl must be positive and finite"):
+            cfl_dt(grid01, bad)
+        with pytest.raises(ValueError, match="^wave_speed must be positive and finite"):
+            cfl_dt(grid01, 0.5, wave_speed=bad)
