@@ -22,6 +22,10 @@ rates to zero, so explicit updates never move boundary values; systems also
 expose ``apply_boundary`` (a projection for the Dirichlet wave system, the
 identity elsewhere) which integrators apply after stages/steps.
 
+Each system states the lengths of its two fields (``state_lengths``, from
+its grid), which ``integrate`` checks once against the initial state; rates,
+energies and inner products take plain arrays and do not check them.
+
 Rate arrays returned by ``rhs``/``position_rate``/``velocity_rate`` may alias
 the inputs and must be treated as read-only by callers.
 """
@@ -73,6 +77,11 @@ class HamiltonianSystem:
         raise NotImplementedError
 
     def energy(self, u: np.ndarray, v: np.ndarray) -> float:
+        raise NotImplementedError
+
+    @property
+    def state_lengths(self) -> dict:
+        """{field name: length} of the two state fields, in (u, v) order."""
         raise NotImplementedError
 
     def apply_boundary(self, u: np.ndarray, v: np.ndarray):
@@ -129,6 +138,11 @@ class WaveSystem(HamiltonianSystem):
     def __init__(self, ops: MimeticOperatorSet):
         self.ops = ops
 
+    @property
+    def state_lengths(self):
+        n = self.ops.grid.n_cells + 2
+        return {"u": n, "v": n}
+
     def position_rate(self, u, v):
         return v
 
@@ -174,6 +188,11 @@ class ShallowWaterSystem(HamiltonianSystem):
         self.g = float(g)
         self.wave_speed = float(np.sqrt(self.g * self.d0))
 
+    @property
+    def state_lengths(self):
+        n = self.ops.grid.n_cells
+        return {"e": n + 2, "u": n + 1}
+
     def _check_depth(self, e):
         """Abort on non-positive total depth d0 + e at the extended centers."""
         if self.d0 + np.min(e) <= 0.0:
@@ -217,6 +236,10 @@ class HarmonicOscillator(HamiltonianSystem):
 
     name = "harmonic_oscillator"
     wave_speed = None
+
+    @property
+    def state_lengths(self):
+        return {"u": 1, "v": 1}
 
     def position_rate(self, u, v):
         return v

@@ -451,8 +451,10 @@ def integrate(
     Relaxation schemes always take full steps of nominal size dt and advance
     time by gamma*dt (or plain dt with rrk_advance="plain_dt"), so the final
     time may exceed t_end by less than one step; the record keeps the true
-    final time.  Raises NumericalFailure (tagged with the step index) when a
-    step aborts or the energy becomes non-finite.
+    final time.  Raises ValueError when a field of ``state0`` does not have
+    the length ``system.state_lengths`` gives for it (the one layout check of
+    a run), and NumericalFailure (tagged with the step index) when a step
+    aborts or the energy becomes non-finite.
     """
     _require_positive_finite(dt=dt, t_end=t_end)
     if not math.isfinite(t_end / dt):
@@ -463,8 +465,12 @@ def integrate(
         raise ValueError(f"rrk_advance must be 'gamma_dt' or 'plain_dt', got {rrk_advance!r}")
     kind = normalize_scheme(scheme)
 
-    u, v = state0
-    u, v = system.apply_boundary(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    u, v = (np.asarray(x, dtype=float) for x in state0)
+    for (name, n), x in zip(system.state_lengths.items(), (u, v)):
+        if x.shape != (n,):
+            raise ValueError(f"{system.name}: initial {name} must have length {n}, "
+                             f"got shape {x.shape}")
+    u, v = system.apply_boundary(u, v)
 
     times = [0.0]
     energies = [system.energy(u, v)]

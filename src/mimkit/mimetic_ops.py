@@ -19,15 +19,19 @@ v_N - v_0`` (interior weights equal h); node weights minimize the column-wise
 duality defect of ``B_hat`` with the corner weight pinned so that
 ``B_hat[0,0] = -1`` exactly.
 
-Every operator is laid out from three parts: its exact left-closure rows,
-its centered interior template, and a mirror sign.  The right-end rows are
-the left closure reflected (row i -> n-1-i, column j -> m-1-j) times -1 for
-G, D and B_hat, +1 for the interpolants and L.  Exact rational arithmetic is
-spent only on the closures, the weights and the rows of B_hat and L within
-``_P_ZONE`` plus the stencil reach of each end, so it does not grow with N;
-interior rows of L are the product of the two interior stencils, and
-interior rows of B_hat are empty.  Matrices are scaled by h on conversion
-to sparse floats; construction results are cached.
+Every operator is kept as three parts from exact construction to sparse
+matrix: its exact left-closure rows, its centered interior template, and a
+mirror sign.  The right-end rows are the left closure reflected (row i ->
+n-1-i, column j -> m-1-j) times -1 for G, D, D_hat and B_hat, +1 for the
+interpolants and L.  Exact rational arithmetic and Python-level work are
+spent only in the closure zones: the closures, the weights that differ from
+h (interior weights are exactly h and are never formed one by one), and the
+rows of B_hat and L within ``_P_ZONE`` plus the stencil reach of each end,
+so they do not grow with N.  Interior rows of L are the product of the two
+interior stencils, and interior rows of B_hat are empty.  On conversion to
+sparse floats (scaled by powers of h) the closure and mirror rows are
+written entry by entry and the interior rows are tiled from the template
+with numpy; construction results are cached.
 
 Structure of ``B_hat``: the corner entries are exactly ``B_hat[0,0] = -1``
 and ``B_hat[N+1,N] = +1``.  For k=2 they are the only entries of the first
@@ -55,17 +59,13 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConstructionError
-from .grid_fields import (
-    CenterField,
-    ExtendedField,
-    NodeField,
-    StaggeredGrid1D,
-)
+from .grid_fields import StaggeredGrid1D
 
 __all__ = [
     "SUPPORTED_ORDERS",
@@ -155,22 +155,57 @@ def _interp_row(points, x0):
     return _solve_exact(A, b)
 
 
-def _layout(closure, template, sign, n, m):
-    """Rows of an n x m operator as {column: coefficient} dicts: the left
-    closure rows on top, their mirror (row i -> n-1-i, column j -> m-1-j,
-    times ``sign``) at the bottom, and the template {offset: coefficient}
-    shifted to row i + offset in between.  A closure may reach the middle
-    row, which must then be its own mirror."""
-    rows = [{i + off: c for off, c in template.items()} for i in range(n)]
-    for i, row in enumerate(closure):
-        rows[i] = row
-        rows[n - 1 - i] = {m - 1 - j: sign * c for j, c in row.items()}
-    return rows
+class _Operator(NamedTuple):
+    """An exact n x m operator with unit spacing.
+
+    ``closure`` holds the left-end rows as {column: coefficient} dicts;
+    interior row i is ``template`` {offset: coefficient} shifted to column
+    i + offset; right-end row n-1-i is closure row i mirrored (column j ->
+    m-1-j) times ``sign``.  A closure may reach the middle row, which must
+    then be its own mirror."""
+
+    closure: list
+    template: dict
+    sign: int
+    shape: tuple
+
+    def row(self, i):
+        """Exact row i as {column: coefficient}."""
+        n, m = self.shape
+        c = len(self.closure)
+        if i >= n - c:
+            return {m - 1 - j: self.sign * v for j, v in self.closure[n - 1 - i].items()}
+        if i < c:
+            return self.closure[i]
+        return {i + off: v for off, v in self.template.items()}
+
+    def to_csr(self, scale=1.0) -> sp.csr_matrix:
+        """Float CSR matrix times ``scale``: closure and mirror rows entry by
+        entry, interior rows tiled from the template."""
+        n, m = self.shape
+        c = len(self.closure)
+        top = [sorted(row.items()) for row in self.closure[:n - c]]
+        bottom = [sorted((m - 1 - j, self.sign * v) for j, v in row.items())
+                  for row in reversed(self.closure)]
+        n_mid = n - len(top) - len(bottom)
+        tpl = sorted(self.template.items())
+        mid_cols = np.arange(len(top), len(top) + n_mid)[:, None] + np.array(
+            [off for off, _ in tpl], dtype=int)
+        first, last = ([e for row in rows for e in row] for rows in (top, bottom))
+        indices = np.concatenate(([j for j, _ in first], mid_cols.ravel(), [j for j, _ in last]))
+        data = np.concatenate(([float(v) for _, v in first],
+                               np.tile([float(v) for _, v in tpl], n_mid),
+                               [float(v) for _, v in last])) * scale
+        counts = np.concatenate(([len(row) for row in top], np.full(n_mid, len(tpl)),
+                                 [len(row) for row in bottom]))
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        return sp.csr_matrix(
+            (data, indices.astype(np.int32), indptr.astype(np.int32)), shape=self.shape)
 
 
-def _build_g_rows(k, N):
-    """Gradient rows; the k/2 closure rows (nodes 0..k/2-1) are one-sided
-    on the first k+1 extended centers.
+def _build_g(k, N):
+    """Gradient; the k/2 closure rows (nodes 0..k/2-1) are one-sided on the
+    first k+1 extended centers.
 
     For k=4 both one-sided rows use the window anchored at the boundary
     point.  Shifting row 1 one slot inward (dropping xi_0) makes the composed
@@ -180,19 +215,19 @@ def _build_g_rows(k, N):
     non-positive."""
     closure = [dict(enumerate(_derivative_row(_EXT[:k + 1], _NODES[i], k)))
                for i in range(k // 2)]
-    return _layout(closure, _STD_G[k], -1, N + 1, N + 2)
+    return _Operator(closure, _STD_G[k], -1, (N + 1, N + 2))
 
 
-def _build_d_rows(k, N):
-    """Divergence rows; row r is centered at x = r + 1/2, and the k/2 - 1
-    closure rows are one-sided on the first k+1 nodes."""
+def _build_d(k, N):
+    """Divergence; row r is centered at x = r + 1/2, and the k/2 - 1 closure
+    rows are one-sided on the first k+1 nodes."""
     closure = [dict(enumerate(_derivative_row(_NODES[:k + 1], _EXT[i + 1], k)))
                for i in range(k // 2 - 1)]
-    return _layout(closure, _STD_G[k], -1, N, N + 1)
+    return _Operator(closure, _STD_G[k], -1, (N, N + 1))
 
 
-def _build_interp_rows(k, N):
-    """Interpolant rows: I_D node->extended, I_G extended->node.  Local
+def _build_interp(k, N):
+    """Interpolants I_D node->extended, I_G extended->node.  Local
     polynomial interpolation of degree k-1 (exact on monomials <= k-1):
     centered k-point interior rows, one-sided rows from the first k points
     near the ends, and the boundary value itself at the boundary point."""
@@ -203,52 +238,52 @@ def _build_interp_rows(k, N):
                                for i in range(1, k // 2)]
     ig_closure = [{0: _F1}] + [dict(enumerate(_interp_row(_EXT[:k], _NODES[i])))
                                for i in range(1, k // 2)]
-    return (_layout(id_closure, id_tpl, 1, N + 2, N + 1),
-            _layout(ig_closure, ig_tpl, 1, N + 1, N + 2))
+    return (_Operator(id_closure, id_tpl, 1, (N + 2, N + 1)),
+            _Operator(ig_closure, ig_tpl, 1, (N + 1, N + 2)))
 
 
-def _build_q(k, N, d_rows):
-    """Interior center weights q_0..q_{N-1} forced by the conservation law
+def _build_q(k, N, d):
+    """Interior center weights q_0..q_{N-1} that differ from 1, as {index:
+    weight}, forced by the conservation law
     sum_r q_r*D[r,i] = -delta_{i,0} + delta_{i,N}."""
     if k == 2:
         # the two-point stencil telescopes; q = 1 satisfies every column
-        return [_F1] * N
+        return {}
     m = _Q_ZONE
     if N >= 2 * m + 4:
         # solve the boundary zone exactly with the tail pinned to 1
+        rows = [d.row(r) for r in range(m + 2)]
         A, b = [], []
         for i in range(m):
-            A.append([d_rows[r].get(i, _F0) for r in range(m)])
-            tail = sum(d_rows[r].get(i, _F0) for r in range(m, min(N, i + 3)))
+            A.append([rows[r].get(i, _F0) for r in range(m)])
+            tail = sum(rows[r].get(i, _F0) for r in range(m, i + 3))
             b.append((Fraction(-1) if i == 0 else _F0) - tail)
         zone = _solve_exact(A, b)
-        q = zone + [_F1] * (N - 2 * m) + list(reversed(zone))
-    else:
-        A = [[d_rows[r].get(i, _F0) for r in range(N)] for i in range(N + 1)]
-        b = [_F0] * (N + 1)
-        b[0], b[N] = Fraction(-1), _F1
-        q = _solve_exact(A[:N], b[:N])
-        residual = sum(qr * ar for qr, ar in zip(q, A[N])) - b[N]
-        if residual != 0:
-            raise ConstructionError("conservation system inconsistent", k, N)
-    return q
+        return {**dict(enumerate(zone)), **{N - 1 - i: w for i, w in enumerate(zone)}}
+    rows = [d.row(r) for r in range(N)]
+    A = [[rows[r].get(i, _F0) for r in range(N)] for i in range(N + 1)]
+    b = [_F0] * (N + 1)
+    b[0], b[N] = Fraction(-1), _F1
+    q = _solve_exact(A[:N], b[:N])
+    residual = sum(qr * ar for qr, ar in zip(q, A[N])) - b[N]
+    if residual != 0:
+        raise ConstructionError("conservation system inconsistent", k, N)
+    return dict(enumerate(q))
 
 
-def _build_p(k, N, g_rows, d_ext_rows, q_hat):
-    """Node weights: corner pinned so B_hat[0,0] = -1 exactly; every other
-    boundary-zone weight is the exact least-squares minimizer of its B_hat
-    column's defect; interior weights are exactly 1 (i.e. h)."""
-    p = [_F1] * (N + 1)
-    p[0] = p[N] = -1 / g_rows[0][0]
-    M = min(_P_ZONE, (N - 1) // 2)
-    for i in range(1, M + 1):
+def _build_p(k, N, g, d_hat, q_hat):
+    """Node weights that differ from 1 (i.e. h), as {index: weight}: corner
+    pinned so B_hat[0,0] = -1 exactly; every other boundary-zone weight is
+    the exact least-squares minimizer of its B_hat column's defect."""
+    p = {0: -1 / g.closure[0][0]}
+    p[N] = p[0]
+    for i in range(1, min(_P_ZONE, (N - 1) // 2) + 1):
         num = _F0
         den = _F0
-        for j, g in g_rows[i].items():
-            num += q_hat[j] * d_ext_rows[j].get(i, _F0) * g
-            den += g * g
-        p[i] = -num / den if den != 0 else _F1
-        p[N - i] = p[i]
+        for j, c in g.row(i).items():
+            num += q_hat.get(j, _F1) * d_hat.row(j).get(i, _F0) * c
+            den += c * c
+        p[i] = p[N - i] = -num / den if den != 0 else _F1
     return p
 
 
@@ -265,15 +300,16 @@ def _nonzero(row):
 
 @lru_cache(maxsize=64, typed=True)
 def _rational_construction(k: int, N: int):
-    """All operator blocks for (k, N) in exact rational, unit-spacing form."""
+    """All operators for (k, N) in exact rational, unit-spacing form, and
+    the weights that differ from 1 as {index: weight}."""
     _validate_order_cells(k, N)
-    g_rows = _build_g_rows(k, N)
-    d_rows = _build_d_rows(k, N)
-    q = _build_q(k, N, d_rows)
-    q_hat = [_HALF] + q + [_HALF]
-    d_ext_rows = [dict()] + d_rows + [dict()]
-    p = _build_p(k, N, g_rows, d_ext_rows, q_hat)
-    if min(q_hat) <= 0 or min(p) <= 0:
+    g = _build_g(k, N)
+    d = _build_d(k, N)
+    d_hat = _Operator([{}] + d.closure, {off - 1: c for off, c in d.template.items()},
+                      -1, (N + 2, N + 1))
+    q_hat = {0: _HALF, N + 1: _HALF, **{r + 1: w for r, w in _build_q(k, N, d).items()}}
+    p = _build_p(k, N, g, d_hat, q_hat)
+    if min(q_hat.values()) <= 0 or min(p.values()) <= 0:
         raise ConstructionError("non-positive quadrature weight", k, N)
 
     # B_hat = Q*D_hat + G^T*P (spacing cancels, so this is the physical
@@ -285,34 +321,34 @@ def _rational_construction(k: int, N: int):
     # by the stencil's antisymmetry and a deeper L row is the product of the
     # two interior stencils.
     nb = min(_P_ZONE + 1 + max(_STD_G[k]), (N + 3) // 2)
+    g_rows = [g.row(i) for i in range(nb + 1)]  # G rows past nb start at column nb or later
     b_left = [dict() for _ in range(nb)]
     l_left = [dict() for _ in range(nb)]
     for j in range(1, nb):
-        for i, c in d_ext_rows[j].items():
-            b_left[j][i] = q_hat[j] * c
-            for col, g in g_rows[i].items():
-                l_left[j][col] = l_left[j].get(col, _F0) + c * g
-    for i in range(nb + 1):  # G rows past nb start at column nb or later
-        for j, g in g_rows[i].items():
+        for i, c in d_hat.row(j).items():
+            b_left[j][i] = q_hat.get(j, _F1) * c
+            for col, gc in g_rows[i].items():
+                l_left[j][col] = l_left[j].get(col, _F0) + c * gc
+    for i, row in enumerate(g_rows):
+        for j, gc in row.items():
             if j < nb:
-                b_left[j][i] = b_left[j].get(i, _F0) + g * p[i]
+                b_left[j][i] = b_left[j].get(i, _F0) + gc * p.get(i, _F1)
     l_tpl = {}
     for a, c in _STD_G[k].items():
-        for b, g in _STD_G[k].items():
-            l_tpl[a + b - 1] = l_tpl.get(a + b - 1, _F0) + c * g
-    b_rows = _layout([_nonzero(row) for row in b_left], {}, -1, N + 2, N + 1)
-    l_rows = _layout([_nonzero(row) for row in l_left], l_tpl, 1, N + 2, N + 2)
+        for b, gc in _STD_G[k].items():
+            l_tpl[a + b - 1] = l_tpl.get(a + b - 1, _F0) + c * gc
 
-    id_rows, ig_rows = _build_interp_rows(k, N)
+    i_d, i_g = _build_interp(k, N)
     return {
-        "g_rows": g_rows,
-        "d_rows": d_rows,
+        "G": g,
+        "D": d,
+        "D_hat": d_hat,
+        "B_hat": _Operator([_nonzero(row) for row in b_left], {}, -1, (N + 2, N + 1)),
+        "L": _Operator([_nonzero(row) for row in l_left], l_tpl, 1, (N + 2, N + 2)),
+        "I_D": i_d,
+        "I_G": i_g,
         "q_hat": q_hat,
         "p": p,
-        "b_rows": b_rows,
-        "l_rows": l_rows,
-        "id_rows": id_rows,
-        "ig_rows": ig_rows,
     }
 
 
@@ -320,23 +356,19 @@ def _rational_construction(k: int, N: int):
 # float sparse assembly
 # ---------------------------------------------------------------------------
 
-def _rows_to_csr(rows, n_cols, scale=1.0) -> sp.csr_matrix:
-    data, indices, indptr = [], [], [0]
-    for row in rows:
-        for col in sorted(row):
-            indices.append(col)
-            data.append(float(row[col]) * scale)
-        indptr.append(len(indices))
-    mat = sp.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
-        shape=(len(rows), n_cols),
-    )
-    return mat
+def _weights(zone, n, h) -> np.ndarray:
+    """Length-n float weights: h, except (weight * h) at the zone indices."""
+    w = np.full(n, h)
+    w[list(zone)] = np.array([float(v) for v in zone.values()]) * h
+    return w
 
 
 @dataclass(frozen=True, eq=False)
 class MimeticOperatorSet:
-    """All order-k operators for one grid, plus the weighted inner products."""
+    """All order-k operators for one grid, plus the weighted inner products.
+
+    The inner products are bare weighted dots and do not check their
+    arguments' lengths; ``integrate`` checks a run's state once, at entry."""
 
     order: int
     grid: StaggeredGrid1D
@@ -352,28 +384,12 @@ class MimeticOperatorSet:
     q_diag: np.ndarray
     p_diag: np.ndarray
 
-    def _check(self, x, length: int, kind, what: str) -> np.ndarray:
-        if isinstance(x, (NodeField, CenterField, ExtendedField)):
-            if not isinstance(x, kind):
-                raise ValueError(f"{what} expects a {kind.__name__}, got {type(x).__name__}")
-            x = x.values
-        arr = np.asarray(x, dtype=float)
-        if arr.shape != (length,):
-            raise ValueError(f"{what} expects length {length}, got shape {arr.shape}")
-        return arr
-
     def inner_q(self, f, g) -> float:
         """<f, g>_Q over extended-center fields."""
-        n = self.grid.n_cells + 2
-        f = self._check(f, n, ExtendedField, "inner_q")
-        g = self._check(g, n, ExtendedField, "inner_q")
         return float(np.dot(f * self.q_diag, g))
 
     def inner_p(self, u, v) -> float:
         """<u, v>_P over node fields."""
-        n = self.grid.n_cells + 1
-        u = self._check(u, n, NodeField, "inner_p")
-        v = self._check(v, n, NodeField, "inner_p")
         return float(np.dot(u * self.p_diag, v))
 
 
@@ -386,18 +402,14 @@ def build_operator_set(k: int, grid: StaggeredGrid1D) -> MimeticOperatorSet:
     rows outside the boundary closure zone are exactly zero.
     """
     N = grid.n_cells
-    cons = _rational_construction(k, N)
-    D = _rows_to_csr(cons["d_rows"], N + 1, 1.0 / grid.h)
-    G = _rows_to_csr(cons["g_rows"], N + 2, 1.0 / grid.h)
-    D_hat = _rows_to_csr([{}] + cons["d_rows"] + [{}], N + 1, 1.0 / grid.h)
-    q_diag = np.array([float(w) for w in cons["q_hat"]]) * grid.h
-    p_diag = np.array([float(w) for w in cons["p"]]) * grid.h
+    exact = _rational_construction(k, N)
+    D, G, D_hat = (exact[name].to_csr(1.0 / grid.h) for name in ("D", "G", "D_hat"))
+    q_diag = _weights(exact["q_hat"], N + 2, grid.h)
+    p_diag = _weights(exact["p"], N + 1, grid.h)
     Q = sp.diags(q_diag, format="csr")
     P = sp.diags(p_diag, format="csr")
-    B_hat = _rows_to_csr(cons["b_rows"], N + 1)
-    L = _rows_to_csr(cons["l_rows"], N + 2, 1.0 / grid.h**2)
-    I_D = _rows_to_csr(cons["id_rows"], N + 1)
-    I_G = _rows_to_csr(cons["ig_rows"], N + 2)
+    B_hat, I_D, I_G = (exact[name].to_csr() for name in ("B_hat", "I_D", "I_G"))
+    L = exact["L"].to_csr(1.0 / grid.h**2)
     return MimeticOperatorSet(
         order=k, grid=grid, D=D, G=G, D_hat=D_hat, Q=Q, P=P, B_hat=B_hat,
         I_D=I_D, I_G=I_G, L=L, q_diag=q_diag, p_diag=p_diag,
@@ -411,8 +423,13 @@ def mimetic_identity_residual(ops: MimeticOperatorSet, v, f_hat) -> float:
     boundary values, machine-zero when the boundary terms are inert.
     """
     N = ops.grid.n_cells
-    v = ops._check(v, N + 1, NodeField, "mimetic_identity_residual v")
-    f_hat = ops._check(f_hat, N + 2, ExtendedField, "mimetic_identity_residual f_hat")
+    v = np.asarray(v, dtype=float)
+    f_hat = np.asarray(f_hat, dtype=float)
+    if v.shape != (N + 1,) or f_hat.shape != (N + 2,):
+        raise ValueError(
+            f"mimetic_identity_residual expects v of length {N + 1} and f_hat of "
+            f"length {N + 2}, got shapes {v.shape} and {f_hat.shape}"
+        )
     lhs = ops.inner_q(ops.D_hat @ v, f_hat) + ops.inner_p(v, ops.G @ f_hat)
     boundary = v[-1] * f_hat[-1] - v[0] * f_hat[0]
     return abs(lhs - boundary)

@@ -341,14 +341,16 @@ def test_output_dir_created_if_missing(tmp_path):
 # sha256 of `mimkit dump-ops --order k --cells N` (domain [0, 1]).  The sizes
 # sit on both sides of each construction branch: the full conservation solve
 # gives way to the zone solve at N = 28, the node-weight zone saturates at
-# N = 33, and from N = 35 (k = 2) and N = 37 (k = 4) interior rows lie between
-# the exact B_hat/L rows of the two ends.
+# N = 33, and at N = 34/35 (k = 2) and N = 36/37 (k = 4) exactly zero and then
+# one tiled interior row lie between the exact B_hat/L rows of the two ends.
 DUMP_OPS_SHA256 = {
     4: {
         8: "f3cfdae94e9480ffe0dc8fa85c32639c40d2d7cd2585713ff422891676ac00db",
         27: "c9c967cb1f3934c3d9234ccbbaee01f1216bdf3dd098b74c669f1320065f280b",
         28: "b5faa52f48a61dc7a67e72d9455988781eb8120c954881a9c050fa66468af857",
         33: "d6d33a799029cfa39911001fa5c1bc4ae55d70f6a834f9963013d9f302b25a70",
+        36: "29ba1c712121ec863696c59d6b5d72d6734fe735c06f276225bf454e173f509f",
+        37: "c11da87bd0d83424b1f4e0ba42077326fd8b293020b6ef26a7144db3d1b6fc67",
         40: "0a4f708c30ec1d9735d81656fbc108170d2be56fe8aa0036254c4ca11ded18f3",
         600: "ee93b18738a98832247daa9847eeac051545246071b821e45de0512123d54f64",
     },
@@ -357,6 +359,8 @@ DUMP_OPS_SHA256 = {
         27: "e28dcae44a1ffdc0d24f6b25f6284e0316045d02d9ca50c00389e1babb2e5128",
         28: "4fc5ed11b81c33c69bcc2e8865a5a20c930d92356e680d26f348f0848c1ba767",
         33: "0b92e28a2ca802402b0a82eb5b7e339496ff47188665874acc7d8ff2c9a7231d",
+        34: "b7dea0d95778f47bc49e1840508fb588f639f0acb412e96529a764f7f265e280",
+        35: "f8d9db2fa83fb0150c672b18d8105adf0313bbf4d1da284098b87870d6991b9a",
         40: "c8580b221b9d5f42ab320fdf8cccdcdaf1b4d4fa0d88cb148153c1f4219d4380",
         600: "ad2f1f215cae4ef6ffe1f0e5bdaaf98591e7308ecdd257a963af189525b429d8",
     },

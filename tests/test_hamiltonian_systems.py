@@ -51,8 +51,8 @@ def test_wave_rhs_structure(wave64, rng):
 
 
 def test_integrate_rejects_wave_state_of_wrong_length(wave64):
-    """The rates do not check lengths; integrate's initial energy call does:
-    G @ u names the extended length 66, and so does inner_q for v."""
+    """The rates do not check lengths; integrate checks each initial field
+    once against the extended length 66."""
     _, _, system = wave64
     good = np.zeros(66)
     for bad in (np.zeros(10), np.zeros(1)):
@@ -267,6 +267,22 @@ def test_shallow_water_wave_speed():
     grid = build_grid(-30.0, 30.0, 300)
     ops = build_operator_set(4, grid)
     assert ShallowWaterSystem(ops, d0=4.0, g=9.0).wave_speed == pytest.approx(6.0)
+
+
+def test_integrate_rejects_shallow_water_state_of_wrong_lengths(swater):
+    """Swapped layouts (e on nodes, u on extended centers) and length-1
+    fields are rejected at entry, naming the field and its length; a
+    length-1 field would otherwise broadcast through the weighted dots."""
+    grid, _, system = swater
+    n = grid.n_cells
+    e, u = np.ones(n + 2), np.zeros(n + 1)
+    assert system.state_lengths == {"e": n + 2, "u": n + 1}
+    cases = [((np.ones(n + 1), np.zeros(n + 2)), f"initial e must have length {n + 2}"),
+             ((np.ones(1), u), f"initial e must have length {n + 2}"),
+             ((e, np.zeros(1)), f"initial u must have length {n + 1}")]
+    for state, message in cases:
+        with pytest.raises(ValueError, match=message):
+            integrate(system, "rk4", state, 0.1, 0.01)
 
 
 def test_lake_at_rest_is_stationary(swater):

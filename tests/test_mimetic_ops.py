@@ -296,8 +296,14 @@ def test_gauss_identity_machine_zero_for_interior_fields(order, rng):
 
 
 def test_gauss_identity_validates_lengths(ops, grid01):
-    with pytest.raises(ValueError):
-        mimetic_identity_residual(ops, np.zeros(grid01.n_cells), np.zeros(grid01.n_cells + 2))
+    """Each field is checked against its own layout; a length-1 field would
+    otherwise broadcast through the weighted dots and return a number."""
+    n = grid01.n_cells
+    node, ext = np.zeros(n + 1), np.zeros(n + 2)
+    for v, f_hat in ((np.zeros(n), ext), (node, np.zeros(n + 1)), (ext, node),
+                     (np.zeros(1), ext), (node, np.zeros(1))):
+        with pytest.raises(ValueError, match=f"v of length {n + 1} and f_hat of length {n + 2}"):
+            mimetic_identity_residual(ops, v, f_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +363,6 @@ def test_inner_products_symmetric_bilinear_positive(order, seed):
     assert ops.inner_q(2.5 * f, g) == pytest.approx(2.5 * ops.inner_q(f, g), rel=1e-12, abs=1e-12)
     assert ops.inner_q(f, f) > 0.0
     assert ops.inner_p(u, u) > 0.0
-
-
-def test_inner_products_validate_layout_and_length(ops, grid01):
-    n = grid01.n_cells
-    with pytest.raises(ValueError):
-        ops.inner_q(np.zeros(n + 1), np.zeros(n + 1))
-    with pytest.raises(ValueError):
-        ops.inner_p(np.zeros(n + 2), np.zeros(n + 2))
 
 
 # ---------------------------------------------------------------------------
