@@ -20,4 +20,14 @@ class ConstructionError(RuntimeError):
 
 class NumericalFailure(RuntimeError):
     """Integration aborted (non-finite energy, non-positive depth, root-solver
-    failure, ...). Maps to CLI exit code 3."""
+    failure, ...). Maps to CLI exit code 3.
+
+    A failure raised inside a run of ``integrate`` carries the run's
+    ``scheme`` name, the ``step`` it happened in (counted from 1; 0 for the
+    initial state) and ``t``, the last time the run reached; elsewhere they
+    are None.
+    """
+
+    scheme = None
+    step = None
+    t = None

@@ -405,6 +405,9 @@ def run_energy_experiment(config: ExperimentConfig) -> dict:
             scheme_summaries[kind.value] = {
                 "status": "failed",
                 "error": str(exc),
+                "scheme": exc.scheme,
+                "step": exc.step,
+                "t": exc.t,
                 "within_drift_threshold": False,
             }
             failures.append(f"{kind.value}: {exc}")

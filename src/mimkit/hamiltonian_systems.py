@@ -23,11 +23,25 @@ expose ``apply_boundary`` (a projection for the Dirichlet wave system, the
 identity elsewhere) which integrators apply after stages/steps.
 
 Each system states the lengths of its two fields (``state_lengths``, from
-its grid), which ``integrate`` checks once against the initial state; rates,
-energies and inner products take plain arrays and do not check them.
+its grid), which ``integrate`` checks once against the initial state, naming
+the field.  Rates, energies and inner products take plain arrays and make no
+length check of their own; called directly with a wrong-length field, they
+raise ValueError from the first product that meets it (``matvec`` checks
+its shapes, numpy its broadcasts).
 
-Rate arrays returned by ``rhs``/``position_rate``/``velocity_rate`` may alias
-the inputs and must be treated as read-only by callers.
+The ``out`` contract: ``position_rate(u, v, out)`` and
+``velocity_rate(u, v, out)`` write their rate into the float array ``out``
+and return it; ``rhs(u, v, out)`` takes a pair ``(out_u, out_v)`` and
+returns it.  ``out`` is positional, so a delegating proxy that forwards
+``*args`` passes it on, and it must not overlap the inputs.  With ``out``
+left out a rate allocates a fresh array and then runs the same code, so the
+two calls give bitwise the same values.  Energies, ``quadratic_parts`` and
+the intermediate products of the field systems' rates go through scratch
+arrays each system allocates once from its grid, and their inner products
+through the operator set's own scratch (``MimeticOperatorSet.inner_q``), so
+a step allocates nothing.  It also means one system instance must not be
+used from two threads at once; nor may two systems built on the same
+cached operator set.
 """
 
 from __future__ import annotations
@@ -39,7 +53,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .grid_fields import StaggeredGrid1D
-from .mimetic_ops import MimeticOperatorSet
+from .mimetic_ops import MimeticOperatorSet, matvec
 
 __all__ = [
     "HamiltonianSystem",
@@ -64,16 +78,18 @@ class HamiltonianSystem:
     name: str = "abstract"
     wave_speed: Optional[float] = None
 
-    def rhs(self, u: np.ndarray, v: np.ndarray):
-        """(du/dt, dv/dt), the rates Runge-Kutta stages evaluate."""
-        return self.position_rate(u, v), self.velocity_rate(u, v)
+    def rhs(self, u: np.ndarray, v: np.ndarray, out=None):
+        """(du/dt, dv/dt), the rates Runge-Kutta stages evaluate; ``out`` is
+        an optional pair of arrays to write them into."""
+        out_u, out_v = (None, None) if out is None else out
+        return self.position_rate(u, v, out_u), self.velocity_rate(u, v, out_v)
 
-    def position_rate(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """du/dt (splitting schemes' drift)."""
+    def position_rate(self, u: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
+        """du/dt (splitting schemes' drift), written into ``out``."""
         raise NotImplementedError
 
-    def velocity_rate(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """dv/dt (splitting schemes' kick)."""
+    def velocity_rate(self, u: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
+        """dv/dt (splitting schemes' kick), written into ``out``."""
         raise NotImplementedError
 
     def energy(self, u: np.ndarray, v: np.ndarray) -> float:
@@ -129,6 +145,18 @@ def _dirichlet_zero(a) -> bool:
     return type(a) is np.ndarray and a.dtype == np.float64 and a[0] == 0.0 and a[-1] == 0.0
 
 
+def _out(out, n):
+    """The rate buffer: ``out``, or a new length-n float array if it is None."""
+    return np.empty(n) if out is None else out
+
+
+def _copy(a, out):
+    """``a`` copied into the rate buffer ``_out(out, len(a))``."""
+    out = _out(out, len(a))
+    np.copyto(out, a)
+    return out
+
+
 class WaveSystem(HamiltonianSystem):
     """u_t = v, v_t = L u with homogeneous Dirichlet conditions."""
 
@@ -137,23 +165,25 @@ class WaveSystem(HamiltonianSystem):
 
     def __init__(self, ops: MimeticOperatorSet):
         self.ops = ops
+        self._gu, self._gd = np.empty((2, ops.grid.n_cells + 1))
 
     @property
     def state_lengths(self):
         n = self.ops.grid.n_cells + 2
         return {"u": n, "v": n}
 
-    def position_rate(self, u, v):
-        return v
+    def position_rate(self, u, v, out=None):
+        return _copy(v, out)
 
-    def velocity_rate(self, u, v):
-        dv = self.ops.L @ u
+    def velocity_rate(self, u, v, out=None):
+        dv = matvec(self.ops.L, u, _out(out, len(u)))
         dv[0] = dv[-1] = 0.0
         return dv
 
     def energy(self, u, v):
-        gu = self.ops.G @ u
-        return 0.5 * (self.ops.inner_q(v, v) + self.ops.inner_p(gu, gu))
+        ops = self.ops
+        gu = matvec(ops.G, u, self._gu)
+        return 0.5 * (ops.inner_q(v, v) + ops.inner_p(gu, gu))
 
     def apply_boundary(self, u, v):
         """Zero the end values of both fields.  Float arrays whose ends are
@@ -169,10 +199,10 @@ class WaveSystem(HamiltonianSystem):
         return u, v
 
     def quadratic_parts(self, u, v, d_u, d_v):
-        G = self.ops.G
-        gu, gdu = G @ u, G @ d_u
-        E = self.ops.inner_q(v, d_v) + self.ops.inner_p(gu, gdu)
-        T = self.ops.inner_q(d_v, d_v) + self.ops.inner_p(gdu, gdu)
+        ops = self.ops
+        gu, gdu = matvec(ops.G, u, self._gu), matvec(ops.G, d_u, self._gd)
+        E = ops.inner_q(v, d_v) + ops.inner_p(gu, gdu)
+        T = ops.inner_q(d_v, d_v) + ops.inner_p(gdu, gdu)
         return E, T
 
 
@@ -187,6 +217,9 @@ class ShallowWaterSystem(HamiltonianSystem):
         self.d0 = float(d0)
         self.g = float(g)
         self.wave_speed = float(np.sqrt(self.g * self.d0))
+        n = ops.grid.n_cells
+        self._ext = np.empty(n + 2)
+        self._node = np.empty(n + 1)
 
     @property
     def state_lengths(self):
@@ -195,36 +228,48 @@ class ShallowWaterSystem(HamiltonianSystem):
 
     def _check_depth(self, e):
         """Abort on non-positive total depth d0 + e at the extended centers."""
-        if self.d0 + np.min(e) <= 0.0:
+        if self.d0 + e.min() <= 0.0:
             raise NumericalFailure(
-                f"non-positive total depth: min(d0 + e) = {self.d0 + float(np.min(e)):.3e}"
+                f"non-positive total depth: min(d0 + e) = {self.d0 + float(e.min()):.3e}"
             )
 
-    def _depth_nodes(self, e):
-        """Total depth at nodes; aborts on non-positive depth."""
+    def _depth_nodes(self, e, out):
+        """Total depth d0 + I_G e at nodes, written into ``out``; aborts on
+        non-positive depth."""
         self._check_depth(e)
-        depth = self.d0 + self.ops.I_G @ e
-        if np.min(depth) <= 0.0:
+        depth = matvec(self.ops.I_G, e, out)
+        depth += self.d0
+        if depth.min() <= 0.0:
             raise NumericalFailure(
-                f"non-positive total depth at nodes: min = {float(np.min(depth)):.3e}"
+                f"non-positive total depth at nodes: min = {float(depth.min()):.3e}"
             )
         return depth
 
-    def position_rate(self, e, u):
-        depth = self._depth_nodes(e)
-        de = -(self.ops.D_hat @ (depth * u))
+    def position_rate(self, e, u, out=None):
+        flux = self._depth_nodes(e, self._node)
+        flux *= u
+        de = matvec(self.ops.D_hat, flux, _out(out, len(e)))
+        np.negative(de, out=de)
         de[0] = de[-1] = 0.0
         return de
 
-    def velocity_rate(self, e, u):
+    def velocity_rate(self, e, u, out=None):
         self._check_depth(e)
-        du = -self.g * (self.ops.G @ e) - u * (self.ops.G @ (self.ops.I_D @ u))
+        ops = self.ops
+        du = matvec(ops.G, e, _out(out, len(u)))
+        du *= -self.g
+        advection = matvec(ops.G, matvec(ops.I_D, u, self._ext), self._node)
+        advection *= u
+        du -= advection
         du[0] = du[-1] = 0.0
         return du
 
     def energy(self, e, u):
-        depth = self.d0 + self.ops.I_G @ e
-        return 0.5 * (self.g * self.ops.inner_q(e, e) + self.ops.inner_p(depth * u, u))
+        ops, depth_u = self.ops, self._node
+        matvec(ops.I_G, e, depth_u)
+        depth_u += self.d0
+        depth_u *= u
+        return 0.5 * (self.g * ops.inner_q(e, e) + ops.inner_p(depth_u, u))
 
 
 class HarmonicOscillator(HamiltonianSystem):
@@ -241,11 +286,11 @@ class HarmonicOscillator(HamiltonianSystem):
     def state_lengths(self):
         return {"u": 1, "v": 1}
 
-    def position_rate(self, u, v):
-        return v
+    def position_rate(self, u, v, out=None):
+        return _copy(v, out)
 
-    def velocity_rate(self, u, v):
-        return -u
+    def velocity_rate(self, u, v, out=None):
+        return np.negative(u, out=_out(out, len(u)))
 
     def energy(self, u, v):
         return 0.5 * float(u @ u + v @ v)

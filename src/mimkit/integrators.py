@@ -37,6 +37,15 @@ as the wave equation.
 land exactly, except relaxation schemes, whose accumulated ``gamma*dt`` may
 overshoot by less than one step; the record keeps the true final time) and
 records the energy trace.
+
+``integrate`` owns one contiguous float buffer per run: it copies
+``state0`` into it once, with u and v as views, and every RK4 stage,
+relaxation trial state, drift and kick updates buffers of that run in place
+(``_Workspace``), the rates writing into them through their ``out``
+argument, passed positionally.  A step allocates no array.  The public
+``*_step`` functions and ``rrk_step`` copy their input into a fresh
+workspace and run the same in-place code, so they never modify the caller's
+arrays; ``RunRecord.final_state`` are views of the run's own buffer.
 """
 
 from __future__ import annotations
@@ -201,45 +210,81 @@ def normalize_scheme(name) -> SchemeKind:
 # TABLEAU_RK4 is explicit with one nonzero a[i][i-1] per stage, so stage i
 # reads only stage i - 1.
 _RK4_A = tuple(TABLEAU_RK4.a[i][i - 1] for i in range(1, 4))
-_RK4_B = np.array(TABLEAU_RK4.b).reshape(4, 1)
 
 
-def _rk4_increment(system: HamiltonianSystem, state: State, dt: float):
-    """b-weighted RK4 increment (d_u, d_v): the update is state + dt*d.
+class _Workspace:
+    """The buffers of one run, each holding both fields back to back.
+
+    ``x`` is the state, updated in place by every step; ``k`` the four RK4
+    stage slopes (row 0 doubles as the splitting schemes' rate buffer);
+    ``y`` an RK4 stage or relaxation trial state; ``d`` the RK4 increment.
+    ``state``, ``slopes``, ``stage`` and ``incr`` are their (u, v) views,
+    made once.
+    """
+
+    def __init__(self, state: State):
+        u, v = state
+        n = len(u)
+        self.x = np.concatenate((u, v)).astype(float, copy=False)
+        self.k = np.empty((4, self.x.size))
+        self.y = np.empty_like(self.x)
+        self.d = np.empty_like(self.x)
+        self.rows = tuple(self.k)
+        self.state, self.stage, self.incr = ((a[:n], a[n:]) for a in (self.x, self.y, self.d))
+        self.slopes = tuple((row[:n], row[n:]) for row in self.rows)
+
+
+def _project(system: HamiltonianSystem, u, v):
+    """Apply the boundary projection to the views u, v in place."""
+    pu, pv = system.apply_boundary(u, v)
+    if pu is not u:
+        u[...] = pu
+    if pv is not v:
+        v[...] = pv
+
+
+def _rk4_increment(system: HamiltonianSystem, ws: _Workspace, dt: float):
+    """Write the b-weighted RK4 increment at ``ws.x`` into ``ws.d``; the
+    update is x + dt*d.
 
     The stage slopes of both fields share one (4, len(u) + len(v)) buffer,
-    so each stage ``state + (dt*a[i][i-1])*k[i-1]`` and the sum
+    so each stage ``x + (dt*a[i][i-1])*k[i-1]`` and the sum
     d = (((0 + b1*k1) + b2*k2) + b3*k3) + b4*k4 take a few ufunc calls over
     both fields at once rather than one per field and term, whose fixed cost
     dominates at a few hundred cells.  Each element goes through the same
     floating-point operations as the term-by-term loop over the tableau, so
     the results are bitwise the same.
     """
-    u, v = state
-    n = len(u)
-    x = np.concatenate((u, v)).astype(float, copy=False)
-    k = np.empty((4, x.size))
-    y = np.empty_like(x)
-    k[0, :n], k[0, n:] = system.rhs(u, v)
+    k, y = ws.rows, ws.y
+    system.rhs(*ws.state, ws.slopes[0])
     for i in range(1, 4):
         np.multiply(k[i - 1], dt * _RK4_A[i - 1], out=y)
-        y += x
-        k[i, :n], k[i, n:] = system.rhs(*system.apply_boundary(y[:n], y[n:]))
-    k *= _RK4_B
-    d = k[0] + 0.0  # a sum starting from 0: -0.0 becomes +0.0
+        y += ws.x
+        _project(system, *ws.stage)
+        system.rhs(*ws.stage, ws.slopes[i])
+    for row, b in zip(k, TABLEAU_RK4.b):
+        row *= b  # row by row: numpy forms k *= b[:, None] in a temporary
+    d = np.add(k[0], 0.0, out=ws.d)  # a sum starting from 0: -0.0 becomes +0.0
     d += k[1]
     d += k[2]
     d += k[3]
-    return d[:n], d[n:]
+
+
+def _rk4_advance(system: HamiltonianSystem, ws: _Workspace, dt: float):
+    """One RK4 step of ``ws.x`` in place; dt = 0 leaves it unchanged."""
+    if dt == 0.0:
+        return
+    _rk4_increment(system, ws, dt)
+    ws.d *= dt
+    ws.x += ws.d
+    _project(system, *ws.state)
 
 
 def rk4_step(system: HamiltonianSystem, state: State, dt: float) -> State:
-    """One classical RK4 step; dt = 0 returns the state unchanged."""
-    u, v = state
-    if dt == 0.0:
-        return u, v
-    d_u, d_v = _rk4_increment(system, state, dt)
-    return system.apply_boundary(u + dt * d_u, v + dt * d_v)
+    """One classical RK4 step; dt = 0 returns a copy of the state."""
+    ws = _Workspace(state)
+    _rk4_advance(system, ws, dt)
+    return ws.state
 
 
 def rrk_gamma_analytic(system: HamiltonianSystem, state: State, d_u, d_v, dt: float) -> float:
@@ -270,12 +315,22 @@ def rrk_gamma_bisection(
     [0.1, 2.0] if the residual does not change sign; terminates when the
     bracket width drops below ``tol`` or after 200 iterations.
     """
-    u, v = state
-    h0 = system.energy(u, v)
+    ws = _Workspace(state)
+    ws.incr[0][...] = d_u
+    ws.incr[1][...] = d_v
+    return _gamma_bisection(system, ws, dt, tol)
+
+
+def _gamma_bisection(system: HamiltonianSystem, ws: _Workspace, dt: float, tol: float) -> float:
+    """``rrk_gamma_bisection`` at state ``ws.x`` along ``ws.d``, each trial
+    state formed in ``ws.y``."""
+    h0 = system.energy(*ws.state)
 
     def residual(g: float) -> float:
-        uu, vv = system.apply_boundary(u + g * dt * d_u, v + g * dt * d_v)
-        return system.energy(uu, vv) - h0
+        np.multiply(ws.d, g * dt, out=ws.y)
+        ws.y += ws.x
+        _project(system, *ws.stage)
+        return system.energy(*ws.stage) - h0
 
     if residual(1.0) == 0.0:
         return 1.0
@@ -308,6 +363,22 @@ def rrk_gamma_bisection(
     return 0.5 * (lo + hi)
 
 
+def _rrk_advance(system: HamiltonianSystem, ws: _Workspace, dt: float, mode: str,
+                 tol: float) -> float:
+    """One relaxation-RK4 step of ``ws.x`` in place; returns gamma."""
+    if mode not in ("analytic", "bisection"):
+        raise ValueError(f"unknown relaxation mode {mode!r}; expected 'analytic' or 'bisection'")
+    _rk4_increment(system, ws, dt)
+    if mode == "analytic":
+        gamma = rrk_gamma_analytic(system, ws.state, *ws.incr, dt)
+    else:
+        gamma = _gamma_bisection(system, ws, dt, tol)
+    ws.d *= gamma * dt
+    ws.x += ws.d
+    _project(system, *ws.state)
+    return gamma
+
+
 def rrk_step(
     system: HamiltonianSystem,
     state: State,
@@ -319,16 +390,9 @@ def rrk_step(
 
     Returns (new_state, gamma).
     """
-    u, v = state
-    d_u, d_v = _rk4_increment(system, state, dt)
-    if mode == "analytic":
-        gamma = rrk_gamma_analytic(system, state, d_u, d_v, dt)
-    elif mode == "bisection":
-        gamma = rrk_gamma_bisection(system, state, d_u, d_v, dt, tol=tol)
-    else:
-        raise ValueError(f"unknown relaxation mode {mode!r}; expected 'analytic' or 'bisection'")
-    new = system.apply_boundary(u + gamma * dt * d_u, v + gamma * dt * d_v)
-    return new, gamma
+    ws = _Workspace(state)
+    gamma = _rrk_advance(system, ws, dt, mode, tol)
+    return ws.state, gamma
 
 
 # ---------------------------------------------------------------------------
@@ -372,16 +436,30 @@ _SPLITTINGS = {
 }
 
 
-def _splitting_step(system: HamiltonianSystem, state: State, dt: float, drifts, kicks) -> State:
-    """One splitting step: drift, kick, drift, ..., kick, drift with the
-    given weights, each drift u += (a*dt)*f(u, v), each kick
-    v += (b*dt)*F(u, v) on the latest fields; then the boundary projection."""
-    u, v = state
+def _splitting_advance(system: HamiltonianSystem, ws: _Workspace, dt: float, drifts, kicks):
+    """One splitting step of ``ws.x`` in place: drift, kick, drift, ...,
+    kick, drift with the given weights, each drift u += (a*dt)*f(u, v), each
+    kick v += (b*dt)*F(u, v) on the latest fields, the rate formed in
+    ``ws.k[0]``; then the boundary projection."""
+    u, v = ws.state
+    rate_u, rate_v = ws.slopes[0]
     for a, b in zip(drifts, kicks):
-        u = u + (a * dt) * system.position_rate(u, v)
-        v = v + (b * dt) * system.velocity_rate(u, v)
-    u = u + (drifts[-1] * dt) * system.position_rate(u, v)
-    return system.apply_boundary(u, v)
+        system.position_rate(u, v, rate_u)
+        rate_u *= a * dt
+        u += rate_u
+        system.velocity_rate(u, v, rate_v)
+        rate_v *= b * dt
+        v += rate_v
+    system.position_rate(u, v, rate_u)
+    rate_u *= drifts[-1] * dt
+    u += rate_u
+    _project(system, u, v)
+
+
+def _splitting_step(system: HamiltonianSystem, state: State, dt: float, drifts, kicks) -> State:
+    ws = _Workspace(state)
+    _splitting_advance(system, ws, dt, drifts, kicks)
+    return ws.state
 
 
 def _splitting(kind: SchemeKind):
@@ -453,8 +531,10 @@ def integrate(
     time may exceed t_end by less than one step; the record keeps the true
     final time.  Raises ValueError when a field of ``state0`` does not have
     the length ``system.state_lengths`` gives for it (the one layout check of
-    a run), and NumericalFailure (tagged with the step index) when a step
-    aborts or the energy becomes non-finite.
+    a run), and NumericalFailure when the initial energy is not finite
+    (``step`` 0), or when a step aborts or the energy becomes non-finite
+    (its message then starts with the step number); the failure's
+    ``scheme``, ``step`` and ``t`` fields are set.
     """
     _require_positive_finite(dt=dt, t_end=t_end)
     if not math.isfinite(t_end / dt):
@@ -470,19 +550,22 @@ def integrate(
         if x.shape != (n,):
             raise ValueError(f"{system.name}: initial {name} must have length {n}, "
                              f"got shape {x.shape}")
-    u, v = system.apply_boundary(u, v)
+    ws = _Workspace((u, v))
+    u, v = ws.state
+    _project(system, u, v)
 
     times = [0.0]
-    energies = [system.energy(u, v)]
-    if not np.isfinite(energies[0]):
-        raise NumericalFailure(f"non-finite initial energy: {energies[0]!r}")
+    energies = []
     gammas = [] if kind.is_relaxation else None
 
     t = 0.0
     n_steps = 0
     tiny = 1e-12 * max(dt, t_end)
-    start = time.perf_counter()
     try:
+        energies.append(system.energy(u, v))
+        if not np.isfinite(energies[0]):
+            raise NumericalFailure(f"non-finite initial energy: {energies[0]!r}")
+        start = time.perf_counter()
         if kind.is_relaxation:
             mode = "analytic" if kind is SchemeKind.RRK_ANALYTIC else "bisection"
             # If the discrete energy is not an invariant of the semi-discrete
@@ -497,7 +580,7 @@ def integrate(
                         f"relaxation stalled: reached only t = {t:.6g} of "
                         f"{t_end:.6g} after {max_steps} steps (dt = {dt:.6g})"
                     )
-                (u, v), gamma = rrk_step(system, (u, v), dt, mode=mode, tol=rrk_tol)
+                gamma = _rrk_advance(system, ws, dt, mode, rrk_tol)
                 advance = gamma * dt if rrk_advance == "gamma_dt" else dt
                 if not advance > 0.0:
                     raise NumericalFailure(
@@ -510,20 +593,24 @@ def integrate(
             if times[-1] != t:
                 _record(system, u, v, t, times, energies, n_steps)
         else:
-            stepper = rk4_step if kind is SchemeKind.RK4 else _splitting(kind)
+            if kind is SchemeKind.RK4:
+                step = _rk4_advance
+            else:
+                drifts, kicks = _SPLITTINGS[kind]
+                step = partial(_splitting_advance, drifts=drifts, kicks=kicks)
             total = max(1, math.ceil(t_end / dt - 1e-9))
             for i in range(1, total + 1):
                 n_steps = i
                 target = t_end if i == total else i * dt
-                u, v = stepper(system, (u, v), target - t)
+                step(system, ws, target - t)
                 t = target
                 if i % record_every == 0 or i == total:
                     if times[-1] != t:
                         _record(system, u, v, t, times, energies, i)
     except NumericalFailure as exc:
-        if not getattr(exc, "step_index_attached", False):
-            exc.step_index_attached = True
-            exc.args = (f"step {max(n_steps, 1)}: {exc.args[0] if exc.args else ''}",)
+        exc.scheme, exc.step, exc.t = kind.value, n_steps, t
+        if n_steps:
+            exc.args = (f"step {n_steps}: {exc.args[0] if exc.args else ''}",)
         raise
     wall = time.perf_counter() - start
 

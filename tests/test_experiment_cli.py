@@ -168,8 +168,11 @@ def test_energy_isolates_failing_scheme(tmp_path, capsys):
     assert (out_dir / "energy_RK4.csv").exists()
     assert not (out_dir / "energy_ForestRuth.csv").exists()
     summary = json.loads((out_dir / "summary.json").read_text())
-    assert summary["schemes"]["ForestRuth"]["status"] == "failed"
-    assert "step" in summary["schemes"]["ForestRuth"]["error"]
+    failed = summary["schemes"]["ForestRuth"]
+    assert failed["status"] == "failed"
+    assert failed["scheme"] == "ForestRuth"
+    assert failed["error"].startswith(f"step {failed['step']}: ")
+    assert 0.0 < failed["t"] < 15.0
     assert summary["schemes"]["RK4"]["within_drift_threshold"] is True
     assert len(summary["failures"]) == 1
 

@@ -51,8 +51,8 @@ def test_wave_rhs_structure(wave64, rng):
 
 
 def test_integrate_rejects_wave_state_of_wrong_length(wave64):
-    """The rates do not check lengths; integrate checks each initial field
-    once against the extended length 66."""
+    """integrate checks each initial field once against the extended
+    length 66 and names it."""
     _, _, system = wave64
     good = np.zeros(66)
     for bad in (np.zeros(10), np.zeros(1)):
@@ -374,3 +374,90 @@ def test_shallow_water_energy_matches_continuum():
     ref, _ = quad(lambda x: 0.5 * (1.0 + 0.1 * np.exp(-(x ** 2))) ** 2,
                   -30.0, 30.0, limit=800)
     assert abs(H - ref) <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Rates into caller-owned arrays
+# ---------------------------------------------------------------------------
+
+
+def _random_case(problem, rng):
+    """(system, u, v) with a random state; shallow-water depth stays positive."""
+    if problem == "oscillator":
+        return HarmonicOscillator(), rng.standard_normal(1), rng.standard_normal(1)
+    grid = build_grid(-3.0, 3.0, 40)
+    ops = build_operator_set(4, grid)
+    if problem == "wave":
+        u, v = rng.standard_normal((2, grid.n_cells + 2))
+        v[3:6] = -0.0
+        return WaveSystem(ops), u, v
+    e = 0.3 * rng.standard_normal(grid.n_cells + 2)
+    u = rng.standard_normal(grid.n_cells + 1)
+    return ShallowWaterSystem(ops, d0=2.0, g=1.5), e, u
+
+
+@pytest.mark.parametrize("problem", ["wave", "shallow_water", "oscillator"])
+def test_rates_with_out_equal_allocating_calls(problem, rng):
+    """With ``out`` a rate writes the allocating call's bits into it and
+    returns it, whatever it held before; ``rhs`` does the same with a pair.
+    The inputs are left as they were."""
+    system, u, v = _random_case(problem, rng)
+    before = u.tobytes(), v.tobytes()
+    for rate in (system.position_rate, system.velocity_rate):
+        want = rate(u, v)
+        out = np.full(want.shape, np.nan)
+        assert rate(u, v, out) is out
+        assert out.tobytes() == want.tobytes()
+    want = system.rhs(u, v)
+    out = (np.full(want[0].shape, np.nan), np.full(want[1].shape, np.nan))
+    got = system.rhs(u, v, out)
+    assert got[0] is out[0] and got[1] is out[1]
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    assert (u.tobytes(), v.tobytes()) == before
+
+
+@pytest.mark.parametrize("problem", ["wave", "shallow_water"])
+def test_energy_with_scratch_equals_allocating_formula(problem, rng):
+    """Energies and the wave's quadratic parts form their products in
+    scratch arrays; the result is bitwise the allocating formula, also when
+    called twice in a row."""
+    system, u, v = _random_case(problem, rng)
+    ops = system.ops
+
+    def inner_q(f, g):
+        return float(np.dot(f * ops.q_diag, g))
+
+    def inner_p(f, g):
+        return float(np.dot(f * ops.p_diag, g))
+
+    if problem == "wave":
+        gu = ops.G @ u
+        want = 0.5 * (inner_q(v, v) + inner_p(gu, gu))
+        d_u, d_v = rng.standard_normal((2, u.size))
+        gdu = ops.G @ d_u
+        parts = (inner_q(v, d_v) + inner_p(gu, gdu),
+                 inner_q(d_v, d_v) + inner_p(gdu, gdu))
+        assert system.quadratic_parts(u, v, d_u, d_v) == parts
+    else:
+        depth = system.d0 + ops.I_G @ u
+        want = 0.5 * (system.g * inner_q(u, u) + inner_p(depth * v, v))
+    assert system.energy(u, v) == want
+    assert system.energy(u, v) == want
+
+
+@pytest.mark.parametrize("problem", ["wave", "shallow_water"])
+def test_rates_and_energy_reject_fields_of_wrong_length(problem, rng):
+    """Called directly, outside ``integrate``'s one layout check, a rate or
+    energy given a field it reads one entry short, or an ``out`` one entry
+    short, raises ValueError instead of reading or writing past an array's
+    end."""
+    system, u, v = _random_case(problem, rng)
+    for bad in ((u[:-1], v), (u, v[:-1])):
+        with pytest.raises(ValueError):
+            system.energy(*bad)
+    with pytest.raises(ValueError):
+        system.velocity_rate(u[:-1], v)
+    for rate, n in ((system.position_rate, len(u)), (system.velocity_rate, len(v))):
+        with pytest.raises(ValueError):
+            rate(u, v, np.empty(n - 1))

@@ -29,6 +29,7 @@ from mimkit import (
     rk4_step,
     rrk_gamma_analytic,
     rrk_gamma_bisection,
+    rrk_step,
     shallow_water_ic,
     symplecticity_residual,
 )
@@ -145,9 +146,9 @@ def test_declared_rhs_evals_match_actual_calls(name, expected):
         def __init__(self):
             self.calls = 0
 
-        def velocity_rate(self, u, v):
+        def velocity_rate(self, u, v, out=None):
             self.calls += 1
-            return super().velocity_rate(u, v)
+            return super().velocity_rate(u, v, out)
 
     system = Counting()
     integrate(system, name, STATE0, 1.0, 0.1)
@@ -281,11 +282,15 @@ def test_rk4_step_bitwise_equals_generic_tableau_loop(problem, rng):
 class _Growth(HarmonicOscillator):
     """u' = u, v' = v: every stage slope of a -0.0 state is -0.0."""
 
-    def position_rate(self, u, v):
-        return u.copy()
+    def position_rate(self, u, v, out=None):
+        out = np.empty_like(u) if out is None else out
+        out[...] = u
+        return out
 
-    def velocity_rate(self, u, v):
-        return v.copy()
+    def velocity_rate(self, u, v, out=None):
+        out = np.empty_like(v) if out is None else out
+        out[...] = v
+        return out
 
 
 def _int_wave_case():
@@ -295,10 +300,18 @@ def _int_wave_case():
     return WaveSystem(build_operator_set(2, build_grid(0.0, 1.0, 16))), (u, v)
 
 
+def _wave_case_off_boundary():
+    """A float state whose end values are not zero: every boundary
+    projection returns a copy, which the in-place steps write back."""
+    u, v = (np.linspace(1.0, 2.0, 18) for _ in range(2))
+    return WaveSystem(build_operator_set(2, build_grid(0.0, 1.0, 16))), (u, v)
+
+
 @pytest.mark.parametrize("case", [
     lambda: (_Growth(), (np.array([-0.0]), np.array([-0.0]))),
     _int_wave_case,
-], ids=["signed_zero", "integer_state"])
+    _wave_case_off_boundary,
+], ids=["signed_zero", "integer_state", "nonzero_ends"])
 def test_rk4_step_edge_states_match_generic_tableau_loop(case):
     system, state = case()
     got = rk4_step(system, state, 0.1)
@@ -306,6 +319,116 @@ def test_rk4_step_edge_states_match_generic_tableau_loop(case):
     for g, w in zip(got, want):
         assert g.dtype == np.float64
         assert g.tobytes() == w.tobytes()
+
+
+def _splitting_step_allocating(system, state, dt, drifts, kicks):
+    """The splitting step as it was before steps updated buffers in place:
+    every drift and kick allocates its result."""
+    u, v = state
+    for a, b in zip(drifts, kicks):
+        u = u + (a * dt) * system.position_rate(u, v)
+        v = v + (b * dt) * system.velocity_rate(u, v)
+    u = u + (drifts[-1] * dt) * system.position_rate(u, v)
+    return system.apply_boundary(u, v)
+
+
+def _field_case(problem):
+    """(system, state, dt) for a short run on a small wave or shallow-water
+    grid.  dt is not a power of two, so a regrouped product such as
+    (rate*a)*dt for rate*(a*dt) changes bits."""
+    if problem == "wave":
+        grid = build_grid(-3.0, 3.0, 50)
+        system = WaveSystem(build_operator_set(4, grid))
+        return system, gaussian_ic(grid, center=0.3, width=0.5).arrays(), cfl_dt(grid, 0.5)
+    grid = build_grid(-10.0, 10.0, 70)
+    system = ShallowWaterSystem(build_operator_set(4, grid))
+    return system, shallow_water_ic(grid).arrays(), cfl_dt(grid, 0.25, system.wave_speed)
+
+
+def _drive(step, system, state, dt, n_steps):
+    """Advance with ``step`` over integrate's time grid: step i lands on i*dt,
+    so its size is i*dt - (i - 1)*dt."""
+    t = 0.0
+    for i in range(1, n_steps + 1):
+        state = step(system, state, i * dt - t)
+        t = i * dt
+    return state
+
+
+_PUBLIC_STEPS = {
+    SchemeKind.RK4: rk4_step,
+    SchemeKind.RRK_ANALYTIC: lambda system, state, dt: rrk_step(system, state, dt)[0],
+    SchemeKind.RRK_BISECTION: lambda system, state, dt: rrk_step(
+        system, state, dt, mode="bisection")[0],
+    SchemeKind.FOREST_RUTH: forest_ruth_step,
+    SchemeKind.PEFRL: pefrl_step,
+    SchemeKind.LEAPFROG: leapfrog_synchronized_step,
+    SchemeKind.COMPOSITION4: composition4_step,
+}
+
+
+@pytest.mark.parametrize("problem", ["wave", "shallow_water"])
+@pytest.mark.parametrize("kind", list(_SPLITTINGS), ids=lambda kind: kind.value)
+def test_in_place_splitting_bitwise_equals_allocating_reference(kind, problem):
+    """Fifty in-place steps, through the public step function and through
+    integrate's own buffer, give bit for bit the allocating loop's state."""
+    system, state, dt = _field_case(problem)
+    drifts, kicks = _SPLITTINGS[kind]
+    step = _PUBLIC_STEPS[kind]
+
+    def reference(system, state, dt):
+        return _splitting_step_allocating(system, state, dt, drifts, kicks)
+
+    got, want = state, state
+    for _ in range(50):
+        got, want = step(system, got, dt), reference(system, want, dt)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    run = integrate(system, kind, state, 50 * dt, dt, record_every=10)
+    want = _drive(reference, system, state, dt, 50)
+    assert [a.tobytes() for a in run.final_state] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("problem", ["wave", "shallow_water"])
+def test_in_place_rk4_run_bitwise_equals_generic_tableau_loop(problem):
+    system, state, dt = _field_case(problem)
+    want = _drive(_rk4_step_generic, system, state, dt, 50)
+    run = integrate(system, "rk4", state, 50 * dt, dt, record_every=10)
+    assert [a.tobytes() for a in run.final_state] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+def test_caller_arrays_are_never_modified(name):
+    """Steps update buffers of their own: integrate copies state0 once, and
+    every public step copies its input, so the caller's arrays keep their
+    bits and the final state shares no memory with them."""
+    grid = build_grid(0.0, 1.0, 64)
+    system = WaveSystem(build_operator_set(4, grid))
+    state = gaussian_ic(grid, center=0.5, width=0.1).arrays()
+    before = [a.tobytes() for a in state]
+    record = integrate(system, name, state, 0.05, cfl_dt(grid, 0.5))
+    assert [a.tobytes() for a in state] == before
+    for final in record.final_state:
+        assert not any(np.shares_memory(final, a) for a in state)
+    new = _PUBLIC_STEPS[normalize_scheme(name)](system, state, cfl_dt(grid, 0.5))
+    assert [a.tobytes() for a in state] == before
+    for final in new:
+        assert not any(np.shares_memory(final, a) for a in state)
+
+
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+def test_public_steps_reject_wave_state_of_wrong_length(name):
+    """The public steps skip integrate's layout check; a wave field one
+    entry short or long still raises ValueError from the first product that
+    meets it, rather than running the kernel past an array's end."""
+    grid = build_grid(0.0, 1.0, 64)
+    system = WaveSystem(build_operator_set(4, grid))
+    u, v = gaussian_ic(grid, center=0.5, width=0.1).arrays()
+    step = _PUBLIC_STEPS[normalize_scheme(name)]
+    for state in ((u[:-1], v), (u, v[:-1]), (np.append(u, 0.0), np.append(v, 0.0))):
+        with pytest.raises(ValueError):
+            step(system, state, 1e-3)
+    with pytest.raises(ValueError):
+        rrk_gamma_bisection(system, (u[:-1], v[:-1]), u[:-1], v[:-1], 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +618,31 @@ def test_integrate_is_deterministic():
 
 def test_integrate_rejects_non_finite_initial_energy():
     bad = (np.array([np.inf]), np.array([0.0]))
-    with pytest.raises(NumericalFailure, match="non-finite initial energy"):
+    with pytest.raises(NumericalFailure, match="^non-finite initial energy") as info:
         integrate(OSC, "rk4", bad, 1.0, 0.1)
+    assert (info.value.scheme, info.value.step, info.value.t) == ("RK4", 0, 0.0)
+
+
+def test_failure_carries_scheme_step_and_time():
+    """A depression over an outflow runs dry: the failing step's depth check
+    aborts the run, and the failure names the scheme, the step and the last
+    time reached as fields as well as in the message.  The run up to that
+    time completes."""
+    grid = build_grid(-10.0, 10.0, 80)
+    system = ShallowWaterSystem(build_operator_set(4, grid))
+    state = (-0.9 * np.exp(-grid.extended ** 2), np.tanh(grid.nodes))
+    dt = cfl_dt(grid, 0.25, system.wave_speed)
+    with pytest.raises(NumericalFailure) as info:
+        integrate(system, "pefrl", state, 5.0, dt)
+    exc = info.value
+    assert exc.scheme == "PEFRL" and exc.step > 1
+    assert exc.t == (exc.step - 1) * dt
+    assert str(exc).startswith(f"step {exc.step}: non-positive total depth")
+    reached = integrate(system, "pefrl", state, exc.t, dt)
+    assert reached.n_steps == exc.step - 1
+    assert system.d0 + reached.final_state[0].min() > 0.0
+    plain = NumericalFailure("outside a run")
+    assert (plain.scheme, plain.step, plain.t) == (None, None, None)
 
 
 def test_integrate_reports_blowup_with_step_index():

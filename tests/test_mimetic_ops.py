@@ -22,6 +22,9 @@ from mimkit import (
     dump_operator,
     mimetic_identity_residual,
 )
+from mimkit.mimetic_ops import matvec
+
+OPERATORS = ("D", "G", "D_hat", "Q", "P", "B_hat", "L", "I_D", "I_G")
 
 from oracles import fd_weights_exact, fit_order, observed_orders
 
@@ -448,6 +451,60 @@ def test_interpolants_exact_through_degree_k_minus_one(order):
         assert np.abs(ops.I_D @ grid.nodes ** p - grid.extended ** p).max() <= 1e-12
     # degree k is genuinely beyond the interpolation order
     assert np.abs(ops.I_G @ grid.extended ** order - grid.nodes ** order).max() > 1e-9
+
+
+# ---------------------------------------------------------------------------
+# In-place products
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [8, 37, 600])
+def test_matvec_bitwise_equals_matmul(order, n, rng):
+    """``matvec`` runs the kernel ``M @ x`` runs, so it must give the same
+    bits for every operator: whatever ``out`` held before (NaN here) is
+    overwritten, and signed zeros in the input come out as ``@`` gives
+    them (an all -0.0 input, a random one with -0.0 entries)."""
+    ops = build_operator_set(order, build_grid(-1.0, 2.0, n))
+    for name in OPERATORS:
+        M = getattr(ops, name)
+        x = rng.standard_normal(M.shape[1])
+        x[::3] = -0.0
+        for xs in (x, np.full(M.shape[1], -0.0)):
+            out = np.full(M.shape[0], np.nan)
+            assert matvec(M, xs, out) is out
+            assert out.tobytes() == (M @ xs).tobytes(), name
+
+
+def test_matvec_rejects_wrong_lengths():
+    """The kernel does no bounds checks, so ``matvec`` checks the shapes
+    itself and raises ValueError, as ``M @ x`` does, rather than read or
+    write past an array's end."""
+    ops = build_operator_set(4, build_grid(0.0, 1.0, 40))
+    M = ops.G  # 41 x 42
+    for x, out in ((np.zeros(41), np.empty(41)), (np.zeros(1), np.empty(41)),
+                   (np.zeros(42), np.empty(40)), (np.zeros(42), np.empty(42)),
+                   (np.zeros((42, 1)), np.empty(41))):
+        with pytest.raises(ValueError, match="matvec"):
+            matvec(M, x, out)
+    with pytest.raises(ValueError):
+        matvec(M, np.zeros(42), np.empty(41, dtype=np.float32))
+
+
+@pytest.mark.parametrize("n", [8, 600])
+def test_inner_products_bitwise_equal_allocating_dots(order, n, rng):
+    """``inner_q``/``inner_p`` form ``f * weights`` in the set's scratch;
+    the result is bitwise the allocating dot, also called twice in a row,
+    and a wrong-length argument raises ValueError."""
+    ops = build_operator_set(order, build_grid(-1.0, 2.0, n))
+    f, g = rng.standard_normal((2, n + 2))
+    u, v = rng.standard_normal((2, n + 1))
+    for _ in range(2):
+        assert ops.inner_q(f, g) == float(np.dot(f * ops.q_diag, g))
+        assert ops.inner_p(u, v) == float(np.dot(u * ops.p_diag, v))
+    with pytest.raises(ValueError):
+        ops.inner_q(u, u)
+    with pytest.raises(ValueError):
+        ops.inner_p(f, f)
 
 
 # ---------------------------------------------------------------------------
