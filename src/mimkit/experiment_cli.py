@@ -19,12 +19,14 @@ scheme/step diagnostics on stderr).
 
 Configs are flat JSON objects (no nesting).  Keys: ``problem`` (wave |
 shallow_water), ``domain`` ([a, b], default [-30, 30]), ``n_cells``,
-``k`` (2 or 4, default 4), ``schemes`` (list, default: all), exactly one of
-``cfl`` (default 0.5) / ``dt``, ``t_end``, ``record_every`` (default 1),
-IC parameters ``ic_center``/``ic_width``/``ic_amplitude``/``ic_offset``
-(defaults depend on the problem; unprefixed aliases accepted), ``d0``, ``g``,
-``output_dir`` (default "results"), ``rrk_tol`` (default 1e-12),
-``rrk_advance`` ("gamma_dt" | "plain_dt").
+``k`` (2 or 4, default 4), ``schemes`` (list without repeats, default:
+all), exactly one of ``cfl`` (default 0.5) / ``dt``, ``t_end``,
+``record_every`` (default 1), IC parameters
+``ic_center``/``ic_width``/``ic_amplitude``/``ic_offset`` (defaults depend
+on the problem), ``d0``, ``g``, ``output_dir`` (default "results"),
+``rrk_tol`` (default 1e-12), ``rrk_advance`` ("gamma_dt" | "plain_dt").
+Aliases (``order``, ``scheme``, ``D`` and the unprefixed IC names) are
+accepted, but not together with the key they stand for.
 
 All numbers are written with 17 significant digits so identical runs produce
 byte-identical CSVs and round-trip exactly.
@@ -39,7 +41,7 @@ import math
 import os
 import statistics
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,17 +95,12 @@ _KEY_ALIASES = {
     "D": "d0",
 }
 
-_KNOWN_KEYS = {
-    "problem", "domain", "n_cells", "k", "schemes", "cfl", "dt", "t_end",
-    "record_every", "ic_center", "ic_width", "ic_amplitude", "ic_offset",
-    "d0", "g", "output_dir", "rrk_tol", "rrk_advance",
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated, fully-defaulted experiment description (deterministic:
-    no seeds anywhere)."""
+    no seeds anywhere).  Its fields are the config keys, in the order
+    ``summary.json`` echoes them; ``parse_config`` sets every one."""
 
     problem: str
     domain: Tuple[float, float]
@@ -113,16 +110,19 @@ class ExperimentConfig:
     cfl: Optional[float]
     dt: Optional[float]
     t_end: float
-    record_every: int = 1
-    ic_center: float = 0.5
-    ic_width: float = 0.1
-    ic_amplitude: float = 1.0
-    ic_offset: float = 0.0
-    d0: float = 1.0
-    g: float = 1.0
-    output_dir: str = "results"
-    rrk_tol: float = 1e-12
-    rrk_advance: str = "gamma_dt"
+    record_every: int
+    ic_center: float
+    ic_width: float
+    ic_amplitude: float
+    ic_offset: float
+    d0: float
+    g: float
+    output_dir: str
+    rrk_tol: float
+    rrk_advance: str
+
+
+_KNOWN_KEYS = {field.name for field in fields(ExperimentConfig)}
 
 
 @dataclass(frozen=True)
@@ -162,6 +162,10 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     _require(isinstance(raw, dict), f"{path}: config must be a flat JSON object")
 
+    for alias, key in _KEY_ALIASES.items():
+        _require(not (alias in raw and key in raw),
+                 f"{path}: config keys '{alias}' and '{key}' name the same setting; "
+                 "set only one")
     raw = {_KEY_ALIASES.get(key, key): value for key, value in raw.items()}
     unknown = sorted(set(raw) - _KNOWN_KEYS)
     _require(not unknown, f"{path}: unknown config key(s): {', '.join(unknown)}")
@@ -205,6 +209,8 @@ def parse_config(path: str) -> ExperimentConfig:
             schemes.append(normalize_scheme(name))
         except ValueError as exc:
             raise ConfigError(f"config key 'schemes': {exc}") from None
+        _require(schemes.count(schemes[-1]) == 1,
+                 f"config key 'schemes' lists {schemes[-1].value} twice (as {name!r})")
 
     _require(not ("cfl" in raw and "dt" in raw),
              "config keys 'cfl' and 'dt' are mutually exclusive; set exactly one")
@@ -294,25 +300,12 @@ def _write_text(path: str, text: str):
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
-    return {
-        "problem": config.problem,
-        "domain": list(config.domain),
-        "n_cells": config.n_cells,
-        "k": config.k,
-        "schemes": [kind.value for kind in config.schemes],
-        "cfl": config.cfl,
-        "dt": config.dt,
-        "t_end": config.t_end,
-        "record_every": config.record_every,
-        "ic_center": config.ic_center,
-        "ic_width": config.ic_width,
-        "ic_amplitude": config.ic_amplitude,
-        "ic_offset": config.ic_offset,
-        "d0": config.d0,
-        "g": config.g,
-        "rrk_tol": config.rrk_tol,
-        "rrk_advance": config.rrk_advance,
-    }
+    """Every config field but ``output_dir``, in field order, with the
+    schemes by name."""
+    echo = {field.name: getattr(config, field.name) for field in fields(config)
+            if field.name != "output_dir"}
+    echo["schemes"] = [kind.value for kind in config.schemes]
+    return echo
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ class HamiltonianSystem:
         """
         raise NumericalFailure(
             f"{self.name}: energy is not a quadratic form; "
-            "analytic relaxation is unavailable (use the bisection mode)"
+            "analytic relaxation is unavailable (use RRK_bisection)"
         )
 
 

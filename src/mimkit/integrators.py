@@ -11,7 +11,10 @@ Schemes (``SchemeKind``):
   RK4 increment d, the update ``state + gamma*dt*d`` uses the relaxation
   parameter gamma that restores the energy exactly, found in closed form for
   quadratic energies or by bisection in general.  Time advances by
-  ``gamma*dt`` (configurable to plain ``dt``).
+  ``gamma*dt`` (configurable to plain ``dt``).  Relaxation RK with gamma = 1
+  is its base method (Ketcheson, SIAM J. Numer. Anal. 57, 2019), so RK4 is
+  the same loop with gamma = 1, bitwise the plain RK4 step since
+  ``1.0*dt == dt``.
 * ``ForestRuth``, ``PEFRL``, ``Leapfrog``, ``Composition4`` — symplectic
   splittings.  Each is nothing but its coefficient table: drift weights
   (a_1, ..., a_{s+1}) and kick weights (b_1, ..., b_s), run by one loop as
@@ -38,14 +41,22 @@ land exactly, except relaxation schemes, whose accumulated ``gamma*dt`` may
 overshoot by less than one step; the record keeps the true final time) and
 records the energy trace.
 
+One table, ``_ADVANCE``, maps each scheme to the code that advances a
+state by one step: the RK loop with its gamma rule (constant 1, closed form
+or bisection), or the drift-kick loop bound to the scheme's coefficient
+table.  ``integrate`` and ``step`` both dispatch through it; nothing else
+decides which code runs which scheme.
+
 ``integrate`` owns one contiguous float buffer per run: it copies
 ``state0`` into it once, with u and v as views, and every RK4 stage,
 relaxation trial state, drift and kick updates buffers of that run in place
 (``_Workspace``), the rates writing into them through their ``out``
-argument, passed positionally.  A step allocates no array.  The public
-``*_step`` functions and ``rrk_step`` copy their input into a fresh
-workspace and run the same in-place code, so they never modify the caller's
-arrays; ``RunRecord.final_state`` are views of the run's own buffer.
+argument, passed positionally.  A step allocates no array.  ``step`` copies
+its input into a fresh workspace and runs the same in-place code, so it
+never modifies the caller's arrays; it returns the new state only, and a
+caller that wants gamma reads ``RunRecord.gammas``.  Both check each field's
+length against ``system.state_lengths`` as they copy the state in
+(``_load``); ``RunRecord.final_state`` are views of the run's own buffer.
 """
 
 from __future__ import annotations
@@ -72,14 +83,9 @@ __all__ = [
     "SchemeKind",
     "normalize_scheme",
     "RunRecord",
-    "rk4_step",
     "rrk_gamma_analytic",
     "rrk_gamma_bisection",
-    "rrk_step",
-    "forest_ruth_step",
-    "pefrl_step",
-    "leapfrog_synchronized_step",
-    "composition4_step",
+    "step",
     "integrate",
     "cfl_dt",
 ]
@@ -219,19 +225,34 @@ class _Workspace:
     stage slopes (row 0 doubles as the splitting schemes' rate buffer);
     ``y`` an RK4 stage or relaxation trial state; ``d`` the RK4 increment.
     ``state``, ``slopes``, ``stage`` and ``incr`` are their (u, v) views,
-    made once.
+    made once.  ``tol`` is the run's bisection tolerance on gamma.
     """
 
-    def __init__(self, state: State):
-        u, v = state
+    def __init__(self, u: np.ndarray, v: np.ndarray, tol: float):
         n = len(u)
-        self.x = np.concatenate((u, v)).astype(float, copy=False)
+        self.x = np.concatenate((u, v))
         self.k = np.empty((4, self.x.size))
         self.y = np.empty_like(self.x)
         self.d = np.empty_like(self.x)
+        self.tol = tol
         self.rows = tuple(self.k)
         self.state, self.stage, self.incr = ((a[:n], a[n:]) for a in (self.x, self.y, self.d))
         self.slopes = tuple((row[:n], row[n:]) for row in self.rows)
+
+
+def _load(system: HamiltonianSystem, state: State, tol: float = 1e-12) -> _Workspace:
+    """A fresh workspace holding a float copy of ``state``.
+
+    Raises ValueError when a field does not have the length
+    ``system.state_lengths`` gives for it: the one layout check of a run or
+    a step.
+    """
+    u, v = (np.asarray(x, dtype=float) for x in state)
+    for (name, n), x in zip(system.state_lengths.items(), (u, v)):
+        if x.shape != (n,):
+            raise ValueError(f"{system.name}: initial {name} must have length {n}, "
+                             f"got shape {x.shape}")
+    return _Workspace(u, v, tol)
 
 
 def _project(system: HamiltonianSystem, u, v):
@@ -270,23 +291,6 @@ def _rk4_increment(system: HamiltonianSystem, ws: _Workspace, dt: float):
     d += k[3]
 
 
-def _rk4_advance(system: HamiltonianSystem, ws: _Workspace, dt: float):
-    """One RK4 step of ``ws.x`` in place; dt = 0 leaves it unchanged."""
-    if dt == 0.0:
-        return
-    _rk4_increment(system, ws, dt)
-    ws.d *= dt
-    ws.x += ws.d
-    _project(system, *ws.state)
-
-
-def rk4_step(system: HamiltonianSystem, state: State, dt: float) -> State:
-    """One classical RK4 step; dt = 0 returns a copy of the state."""
-    ws = _Workspace(state)
-    _rk4_advance(system, ws, dt)
-    return ws.state
-
-
 def rrk_gamma_analytic(system: HamiltonianSystem, state: State, d_u, d_v, dt: float) -> float:
     """Closed-form relaxation parameter for quadratic energies.
 
@@ -315,15 +319,15 @@ def rrk_gamma_bisection(
     [0.1, 2.0] if the residual does not change sign; terminates when the
     bracket width drops below ``tol`` or after 200 iterations.
     """
-    ws = _Workspace(state)
+    ws = _load(system, state, tol)
     ws.incr[0][...] = d_u
     ws.incr[1][...] = d_v
-    return _gamma_bisection(system, ws, dt, tol)
+    return _gamma_bisection(system, ws, dt)
 
 
-def _gamma_bisection(system: HamiltonianSystem, ws: _Workspace, dt: float, tol: float) -> float:
-    """``rrk_gamma_bisection`` at state ``ws.x`` along ``ws.d``, each trial
-    state formed in ``ws.y``."""
+def _gamma_bisection(system: HamiltonianSystem, ws: _Workspace, dt: float) -> float:
+    """``rrk_gamma_bisection`` at state ``ws.x`` along ``ws.d`` to tolerance
+    ``ws.tol``, each trial state formed in ``ws.y``."""
     h0 = system.energy(*ws.state)
 
     def residual(g: float) -> float:
@@ -358,41 +362,21 @@ def _gamma_bisection(system: HamiltonianSystem, ws: _Workspace, dt: float, tol: 
             hi, r_hi = mid, r_mid
         else:
             lo, r_lo = mid, r_mid
-        if hi - lo <= tol:
+        if hi - lo <= ws.tol:
             break
     return 0.5 * (lo + hi)
 
 
-def _rrk_advance(system: HamiltonianSystem, ws: _Workspace, dt: float, mode: str,
-                 tol: float) -> float:
-    """One relaxation-RK4 step of ``ws.x`` in place; returns gamma."""
-    if mode not in ("analytic", "bisection"):
-        raise ValueError(f"unknown relaxation mode {mode!r}; expected 'analytic' or 'bisection'")
+def _rrk_advance(system: HamiltonianSystem, ws: _Workspace, dt: float, gamma_rule) -> float:
+    """One relaxation-RK4 step of ``ws.x`` in place: the RK4 increment d,
+    then x + (gamma*dt)*d with gamma = gamma_rule(system, ws, dt); returns
+    gamma."""
     _rk4_increment(system, ws, dt)
-    if mode == "analytic":
-        gamma = rrk_gamma_analytic(system, ws.state, *ws.incr, dt)
-    else:
-        gamma = _gamma_bisection(system, ws, dt, tol)
+    gamma = gamma_rule(system, ws, dt)
     ws.d *= gamma * dt
     ws.x += ws.d
     _project(system, *ws.state)
     return gamma
-
-
-def rrk_step(
-    system: HamiltonianSystem,
-    state: State,
-    dt: float,
-    mode: str = "analytic",
-    tol: float = 1e-12,
-):
-    """One relaxation-RK4 step: RK4 stages, then state + gamma*dt*d.
-
-    Returns (new_state, gamma).
-    """
-    ws = _Workspace(state)
-    gamma = _rrk_advance(system, ws, dt, mode, tol)
-    return ws.state, gamma
 
 
 # ---------------------------------------------------------------------------
@@ -456,21 +440,34 @@ def _splitting_advance(system: HamiltonianSystem, ws: _Workspace, dt: float, dri
     _project(system, u, v)
 
 
-def _splitting_step(system: HamiltonianSystem, state: State, dt: float, drifts, kicks) -> State:
-    ws = _Workspace(state)
-    _splitting_advance(system, ws, dt, drifts, kicks)
+# ---------------------------------------------------------------------------
+# the scheme table and the public step
+# ---------------------------------------------------------------------------
+
+# The one map from a scheme to its code: advance(system, ws, dt) takes one
+# step of ws.x in place; the RK loop returns gamma (1.0 for RK4, whose update
+# (1.0*dt)*d is then bitwise the plain dt*d).
+_ADVANCE = {
+    SchemeKind.RK4: partial(_rrk_advance, gamma_rule=lambda system, ws, dt: 1.0),
+    SchemeKind.RRK_ANALYTIC: partial(
+        _rrk_advance,
+        gamma_rule=lambda system, ws, dt: rrk_gamma_analytic(system, ws.state, *ws.incr, dt)),
+    SchemeKind.RRK_BISECTION: partial(_rrk_advance, gamma_rule=_gamma_bisection),
+    **{kind: partial(_splitting_advance, drifts=drifts, kicks=kicks)
+       for kind, (drifts, kicks) in _SPLITTINGS.items()},
+}
+
+
+def step(system: HamiltonianSystem, scheme, state: State, dt: float) -> State:
+    """One step of ``scheme`` (a SchemeKind or an alias) from ``state``, by
+    the code ``integrate`` runs, on a copy: the caller's arrays are never
+    modified.  Returns the new (u, v); a relaxation step's gamma is not
+    returned (``integrate`` records it in ``RunRecord.gammas``).  Raises
+    ValueError as ``integrate`` does when a field has the wrong length.
+    """
+    ws = _load(system, state)
+    _ADVANCE[normalize_scheme(scheme)](system, ws, dt)
     return ws.state
-
-
-def _splitting(kind: SchemeKind):
-    drifts, kicks = _SPLITTINGS[kind]
-    return partial(_splitting_step, drifts=drifts, kicks=kicks)
-
-
-forest_ruth_step = _splitting(SchemeKind.FOREST_RUTH)
-pefrl_step = _splitting(SchemeKind.PEFRL)
-leapfrog_synchronized_step = _splitting(SchemeKind.LEAPFROG)
-composition4_step = _splitting(SchemeKind.COMPOSITION4)
 
 
 # ---------------------------------------------------------------------------
@@ -544,13 +541,9 @@ def integrate(
     if rrk_advance not in ("gamma_dt", "plain_dt"):
         raise ValueError(f"rrk_advance must be 'gamma_dt' or 'plain_dt', got {rrk_advance!r}")
     kind = normalize_scheme(scheme)
+    advance = _ADVANCE[kind]
 
-    u, v = (np.asarray(x, dtype=float) for x in state0)
-    for (name, n), x in zip(system.state_lengths.items(), (u, v)):
-        if x.shape != (n,):
-            raise ValueError(f"{system.name}: initial {name} must have length {n}, "
-                             f"got shape {x.shape}")
-    ws = _Workspace((u, v))
+    ws = _load(system, state0, rrk_tol)
     u, v = ws.state
     _project(system, u, v)
 
@@ -567,7 +560,6 @@ def integrate(
             raise NumericalFailure(f"non-finite initial energy: {energies[0]!r}")
         start = time.perf_counter()
         if kind.is_relaxation:
-            mode = "analytic" if kind is SchemeKind.RRK_ANALYTIC else "bisection"
             # If the discrete energy is not an invariant of the semi-discrete
             # flow (boundary quadrature defect), gamma decays geometrically
             # and t stops advancing; cap the step count so that stall raises
@@ -580,29 +572,24 @@ def integrate(
                         f"relaxation stalled: reached only t = {t:.6g} of "
                         f"{t_end:.6g} after {max_steps} steps (dt = {dt:.6g})"
                     )
-                gamma = _rrk_advance(system, ws, dt, mode, rrk_tol)
-                advance = gamma * dt if rrk_advance == "gamma_dt" else dt
-                if not advance > 0.0:
+                gamma = advance(system, ws, dt)
+                t_step = gamma * dt if rrk_advance == "gamma_dt" else dt
+                if not t_step > 0.0:
                     raise NumericalFailure(
                         f"relaxation parameter collapsed: gamma = {gamma!r}"
                     )
-                t += advance
+                t += t_step
                 gammas.append(gamma)
                 if n_steps % record_every == 0:
                     _record(system, u, v, t, times, energies, n_steps)
             if times[-1] != t:
                 _record(system, u, v, t, times, energies, n_steps)
         else:
-            if kind is SchemeKind.RK4:
-                step = _rk4_advance
-            else:
-                drifts, kicks = _SPLITTINGS[kind]
-                step = partial(_splitting_advance, drifts=drifts, kicks=kicks)
             total = max(1, math.ceil(t_end / dt - 1e-9))
             for i in range(1, total + 1):
                 n_steps = i
                 target = t_end if i == total else i * dt
-                step(system, ws, target - t)
+                advance(system, ws, target - t)
                 t = target
                 if i % record_every == 0 or i == total:
                     if times[-1] != t:

@@ -85,6 +85,9 @@ def test_parse_config_key_aliases(tmp_path):
     ({"domain": [0.0, math.inf]}, "'domain' must be a list of two finite numbers"),
     ({"d0": math.inf}, "'d0' must be a finite number"),
     ({"ic_center": math.nan}, "'ic_center' must be a finite number"),
+    ({"order": 2}, "'order' and 'k' name the same setting"),
+    ({"ic_center": 0.3, "center": 0.7}, "'center' and 'ic_center' name the same setting"),
+    ({"schemes": ["rk4", "RK4", "lf"]}, "'schemes' lists RK4 twice"),
 ])
 def test_parse_config_rejects_bad_values(tmp_path, overrides, fragment):
     path = _write_config(tmp_path, **overrides)

@@ -19,18 +19,13 @@ from mimkit import (
     build_grid,
     build_operator_set,
     cfl_dt,
-    composition4_step,
-    forest_ruth_step,
     gaussian_ic,
     integrate,
-    leapfrog_synchronized_step,
     normalize_scheme,
-    pefrl_step,
-    rk4_step,
     rrk_gamma_analytic,
     rrk_gamma_bisection,
-    rrk_step,
     shallow_water_ic,
+    step,
     symplecticity_residual,
 )
 from mimkit.hamiltonian_systems import HarmonicOscillator
@@ -49,6 +44,7 @@ from oracles import (
 
 ALL_SCHEMES = ["rk4", "rrk_analytic", "rrk_bisection", "fr", "pefrl", "lf", "comp4"]
 FOURTH_ORDER = ["rk4", "rrk_analytic", "rrk_bisection", "fr", "pefrl", "comp4"]
+SPLITTINGS = ["lf", "fr", "pefrl", "comp4"]
 
 OSC = HarmonicOscillator()
 STATE0 = HarmonicOscillator.initial_state(0.8, -0.6)
@@ -135,7 +131,8 @@ def test_splitting_tables_are_consistent_palindromes(kind):
 
 
 @pytest.mark.parametrize("name,expected", [
-    ("rk4", 4), ("rrk_analytic", 4), ("fr", 3), ("pefrl", 4), ("lf", 1), ("comp4", 5),
+    ("rk4", 4), ("rrk_analytic", 4), ("rrk_bisection", 4), ("fr", 3), ("pefrl", 4),
+    ("lf", 1), ("comp4", 5),
 ])
 def test_declared_rhs_evals_match_actual_calls(name, expected):
     """The per-step work read from the coefficient tables is honest: count
@@ -190,12 +187,10 @@ def test_convergence_order_on_oscillator(name):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("step", [
-    leapfrog_synchronized_step, forest_ruth_step, pefrl_step, composition4_step,
-], ids=["lf_sync", "fr", "pefrl", "comp4"])
-def test_splitting_maps_are_symplectic(step):
+@pytest.mark.parametrize("name", SPLITTINGS, ids=["lf_sync", "fr", "pefrl", "comp4"])
+def test_splitting_maps_are_symplectic(name):
     def phase_map(q, p):
-        (u, v) = step(OSC, (np.array([q]), np.array([p])), 0.3)
+        (u, v) = step(OSC, name, (np.array([q]), np.array([p])), 0.3)
         return u[0], v[0]
 
     J = map_jacobian(phase_map, 0.8, -0.6)
@@ -208,7 +203,7 @@ def test_rk4_map_defect_matches_truncated_rotation():
     dt = 0.3
 
     def phase_map(q, p):
-        (u, v) = rk4_step(OSC, (np.array([q]), np.array([p])), dt)
+        (u, v) = step(OSC, "rk4", (np.array([q]), np.array([p])), dt)
         return u[0], v[0]
 
     J = map_jacobian(phase_map, 0.8, -0.6)
@@ -222,7 +217,7 @@ def test_rk4_step_equals_truncated_rotation_matrix(rng):
     M = rk4_amplification(dt)
     for _ in range(5):
         q, p = rng.standard_normal(2)
-        u, v = rk4_step(OSC, (np.array([q]), np.array([p])), dt)
+        u, v = step(OSC, "rk4", (np.array([q]), np.array([p])), dt)
         expected = M @ np.array([q, p])
         assert u[0] == pytest.approx(expected[0], abs=1e-14)
         assert v[0] == pytest.approx(expected[1], abs=1e-14)
@@ -251,9 +246,9 @@ def _rk4_step_generic(system, state, dt):
 
 @pytest.mark.parametrize("problem", ["wave", "shallow_water"])
 def test_rk4_step_bitwise_equals_generic_tableau_loop(problem, rng):
-    """rk4_step keeps its stage slopes in one buffer over both fields; every
-    entry must come out bit for bit as in the generic tableau loop (signed
-    zeros included), also when the two fields differ in length (shallow
+    """The RK4 step keeps its stage slopes in one buffer over both fields;
+    every entry must come out bit for bit as in the generic tableau loop
+    (signed zeros included), also when the two fields differ in length (shallow
     water: centers and nodes).  A changed summation order, a dropped stage
     coefficient or a sum that no longer starts from 0 turns this red."""
     grid = build_grid(-3.0, 3.0, 48)
@@ -271,7 +266,7 @@ def test_rk4_step_bitwise_equals_generic_tableau_loop(problem, rng):
     dt = cfl_dt(grid, 0.4)
     state = (u, v)
     for _ in range(3):
-        got = rk4_step(system, state, dt)
+        got = step(system, "rk4", state, dt)
         want = _rk4_step_generic(system, state, dt)
         for g, w in zip(got, want):
             assert g.shape == w.shape
@@ -314,7 +309,7 @@ def _wave_case_off_boundary():
 ], ids=["signed_zero", "integer_state", "nonzero_ends"])
 def test_rk4_step_edge_states_match_generic_tableau_loop(case):
     system, state = case()
-    got = rk4_step(system, state, 0.1)
+    got = step(system, "rk4", state, 0.1)
     want = _rk4_step_generic(system, state, 0.1)
     for g, w in zip(got, want):
         assert g.dtype == np.float64
@@ -345,43 +340,30 @@ def _field_case(problem):
     return system, shallow_water_ic(grid).arrays(), cfl_dt(grid, 0.25, system.wave_speed)
 
 
-def _drive(step, system, state, dt, n_steps):
-    """Advance with ``step`` over integrate's time grid: step i lands on i*dt,
-    so its size is i*dt - (i - 1)*dt."""
+def _drive(one_step, system, state, dt, n_steps):
+    """Advance with ``one_step`` over integrate's time grid: step i lands on
+    i*dt, so its size is i*dt - (i - 1)*dt."""
     t = 0.0
     for i in range(1, n_steps + 1):
-        state = step(system, state, i * dt - t)
+        state = one_step(system, state, i * dt - t)
         t = i * dt
     return state
-
-
-_PUBLIC_STEPS = {
-    SchemeKind.RK4: rk4_step,
-    SchemeKind.RRK_ANALYTIC: lambda system, state, dt: rrk_step(system, state, dt)[0],
-    SchemeKind.RRK_BISECTION: lambda system, state, dt: rrk_step(
-        system, state, dt, mode="bisection")[0],
-    SchemeKind.FOREST_RUTH: forest_ruth_step,
-    SchemeKind.PEFRL: pefrl_step,
-    SchemeKind.LEAPFROG: leapfrog_synchronized_step,
-    SchemeKind.COMPOSITION4: composition4_step,
-}
 
 
 @pytest.mark.parametrize("problem", ["wave", "shallow_water"])
 @pytest.mark.parametrize("kind", list(_SPLITTINGS), ids=lambda kind: kind.value)
 def test_in_place_splitting_bitwise_equals_allocating_reference(kind, problem):
-    """Fifty in-place steps, through the public step function and through
+    """Fifty in-place steps, through the public ``step`` and through
     integrate's own buffer, give bit for bit the allocating loop's state."""
     system, state, dt = _field_case(problem)
     drifts, kicks = _SPLITTINGS[kind]
-    step = _PUBLIC_STEPS[kind]
 
     def reference(system, state, dt):
         return _splitting_step_allocating(system, state, dt, drifts, kicks)
 
     got, want = state, state
     for _ in range(50):
-        got, want = step(system, got, dt), reference(system, want, dt)
+        got, want = step(system, kind, got, dt), reference(system, want, dt)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     run = integrate(system, kind, state, 50 * dt, dt, record_every=10)
     want = _drive(reference, system, state, dt, 50)
@@ -399,7 +381,7 @@ def test_in_place_rk4_run_bitwise_equals_generic_tableau_loop(problem):
 @pytest.mark.parametrize("name", ALL_SCHEMES)
 def test_caller_arrays_are_never_modified(name):
     """Steps update buffers of their own: integrate copies state0 once, and
-    every public step copies its input, so the caller's arrays keep their
+    the public ``step`` copies its input, so the caller's arrays keep their
     bits and the final state shares no memory with them."""
     grid = build_grid(0.0, 1.0, 64)
     system = WaveSystem(build_operator_set(4, grid))
@@ -409,7 +391,7 @@ def test_caller_arrays_are_never_modified(name):
     assert [a.tobytes() for a in state] == before
     for final in record.final_state:
         assert not any(np.shares_memory(final, a) for a in state)
-    new = _PUBLIC_STEPS[normalize_scheme(name)](system, state, cfl_dt(grid, 0.5))
+    new = step(system, name, state, cfl_dt(grid, 0.5))
     assert [a.tobytes() for a in state] == before
     for final in new:
         assert not any(np.shares_memory(final, a) for a in state)
@@ -417,17 +399,17 @@ def test_caller_arrays_are_never_modified(name):
 
 @pytest.mark.parametrize("name", ALL_SCHEMES)
 def test_public_steps_reject_wave_state_of_wrong_length(name):
-    """The public steps skip integrate's layout check; a wave field one
-    entry short or long still raises ValueError from the first product that
-    meets it, rather than running the kernel past an array's end."""
+    """``step`` and ``rrk_gamma_bisection`` make integrate's layout check: a
+    wave field one entry short or long raises integrate's ValueError, naming
+    the field and its length, before any product meets it."""
     grid = build_grid(0.0, 1.0, 64)
     system = WaveSystem(build_operator_set(4, grid))
     u, v = gaussian_ic(grid, center=0.5, width=0.1).arrays()
-    step = _PUBLIC_STEPS[normalize_scheme(name)]
-    for state in ((u[:-1], v), (u, v[:-1]), (np.append(u, 0.0), np.append(v, 0.0))):
-        with pytest.raises(ValueError):
-            step(system, state, 1e-3)
-    with pytest.raises(ValueError):
+    for state, field in (((u[:-1], v), "u"), ((u, v[:-1]), "v"),
+                         ((np.append(u, 0.0), np.append(v, 0.0)), "u")):
+        with pytest.raises(ValueError, match=f"^wave: initial {field} must have length 66"):
+            step(system, name, state, 1e-3)
+    with pytest.raises(ValueError, match="^wave: initial u must have length 66"):
         rrk_gamma_bisection(system, (u[:-1], v[:-1]), u[:-1], v[:-1], 1e-3)
 
 
@@ -436,15 +418,13 @@ def test_public_steps_reject_wave_state_of_wrong_length(name):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("step", [
-    leapfrog_synchronized_step, forest_ruth_step, pefrl_step, composition4_step,
-], ids=["lf_sync", "fr", "pefrl", "comp4"])
-def test_symmetric_schemes_reverse_exactly(step):
+@pytest.mark.parametrize("name", SPLITTINGS, ids=["lf_sync", "fr", "pefrl", "comp4"])
+def test_symmetric_schemes_reverse_exactly(name):
     state = (STATE0[0].copy(), STATE0[1].copy())
     for _ in range(20):
-        state = step(OSC, state, 0.05)
+        state = step(OSC, name, state, 0.05)
     for _ in range(20):
-        state = step(OSC, state, -0.05)
+        state = step(OSC, name, state, -0.05)
     assert abs(state[0][0] - 0.8) <= 1e-12
     assert abs(state[1][0] + 0.6) <= 1e-12
 
@@ -452,9 +432,9 @@ def test_symmetric_schemes_reverse_exactly(step):
 def test_rk4_is_not_time_symmetric():
     state = (STATE0[0].copy(), STATE0[1].copy())
     for _ in range(20):
-        state = rk4_step(OSC, state, 0.05)
+        state = step(OSC, "rk4", state, 0.05)
     for _ in range(20):
-        state = rk4_step(OSC, state, -0.05)
+        state = step(OSC, "rk4", state, -0.05)
     assert abs(state[0][0] - 0.8) > 1e-10
 
 
@@ -484,7 +464,7 @@ def test_leapfrog_energy_bounded_rk4_energy_decays():
 
 def _rk4_direction(system, state, dt):
     """Recover the RK4 increment direction d = (step(state) - state)/dt."""
-    u1, v1 = rk4_step(system, state, dt)
+    u1, v1 = step(system, "rk4", state, dt)
     return (u1 - state[0]) / dt, (v1 - state[1]) / dt
 
 

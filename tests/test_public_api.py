@@ -29,25 +29,20 @@ PUBLIC_NAMES = [
     "build_grid",
     "build_operator_set",
     "cfl_dt",
-    "composition4_step",
     "dump_operator",
-    "forest_ruth_step",
     "gaussian_ic",
     "integrate",
-    "leapfrog_synchronized_step",
     "main",
     "mimetic_identity_residual",
     "normalize_scheme",
     "parse_config",
-    "pefrl_step",
-    "rk4_step",
     "rrk_gamma_analytic",
     "rrk_gamma_bisection",
-    "rrk_step",
     "run_convergence_study",
     "run_energy_experiment",
     "run_timing_benchmark",
     "shallow_water_ic",
+    "step",
     "symplecticity_residual",
     "wave_standing_exact",
 ]
