@@ -17,10 +17,12 @@ Each system is autonomous: it defines the rates ``position_rate(u, v)``
   ``H = (u^2 + v^2)/2`` and a closed-form rotation solution, used to pin
   integrator orders and sign conventions.
 
-Boundary handling: the field systems force the boundary entries of their
-rates to zero, so explicit updates never move boundary values; systems also
-expose ``apply_boundary`` (a projection for the Dirichlet wave system, the
-identity elsewhere) which integrators apply after stages/steps.
+Boundary handling: ``apply_boundary(u, v)`` projects a state onto the
+boundary conditions in place (the wave system zeroes the Dirichlet end
+values of both fields; the other systems have none to impose), and the
+integrators call it once, on the state they load.  The rates keep the
+boundary conditions (the wave rates are zero at the ends), so explicit
+updates never move a projected state off them.
 
 Each system states the lengths of its two fields (``state_lengths``, from
 its grid), which ``integrate`` checks once against the initial state, naming
@@ -100,9 +102,10 @@ class HamiltonianSystem:
         """{field name: length} of the two state fields, in (u, v) order."""
         raise NotImplementedError
 
-    def apply_boundary(self, u: np.ndarray, v: np.ndarray):
-        """Project a state onto the boundary conditions (default: identity)."""
-        return u, v
+    def apply_boundary(self, u: np.ndarray, v: np.ndarray) -> None:
+        """Project the float arrays u, v onto the boundary conditions, in
+        place (default: none to impose).  Integrators call it once, on the
+        state they load; the rates must keep what it imposes."""
 
     def quadratic_parts(self, u, v, d_u, d_v):
         """(E, T) with H(state + s*d) - H(state) = s*E + (1/2)s^2*T.
@@ -139,10 +142,6 @@ class ShallowWaterState:
 
     def arrays(self):
         return self.e, self.u
-
-
-def _dirichlet_zero(a) -> bool:
-    return type(a) is np.ndarray and a.dtype == np.float64 and a[0] == 0.0 and a[-1] == 0.0
 
 
 def _out(out, n):
@@ -186,17 +185,8 @@ class WaveSystem(HamiltonianSystem):
         return 0.5 * (ops.inner_q(v, v) + ops.inner_p(gu, gu))
 
     def apply_boundary(self, u, v):
-        """Zero the end values of both fields.  Float arrays whose ends are
-        already zero (every stage and step of the integrators, since the
-        rates vanish there) are returned as they are; anything else comes
-        back as a projected float copy, leaving the inputs untouched."""
-        if _dirichlet_zero(u) and _dirichlet_zero(v):
-            return u, v
-        u = np.array(u, dtype=float)
-        v = np.array(v, dtype=float)
-        u[0] = u[-1] = 0.0
-        v[0] = v[-1] = 0.0
-        return u, v
+        """Zero the end values of both fields in place (+0.0)."""
+        u[0] = u[-1] = v[0] = v[-1] = 0.0
 
     def quadratic_parts(self, u, v, d_u, d_v):
         ops = self.ops

@@ -47,16 +47,20 @@ or bisection), or the drift-kick loop bound to the scheme's coefficient
 table.  ``integrate`` and ``step`` both dispatch through it; nothing else
 decides which code runs which scheme.
 
-``integrate`` owns one contiguous float buffer per run: it copies
-``state0`` into it once, with u and v as views, and every RK4 stage,
-relaxation trial state, drift and kick updates buffers of that run in place
-(``_Workspace``), the rates writing into them through their ``out``
-argument, passed positionally.  A step allocates no array.  ``step`` copies
-its input into a fresh workspace and runs the same in-place code, so it
-never modifies the caller's arrays; it returns the new state only, and a
-caller that wants gamma reads ``RunRecord.gammas``.  Both check each field's
-length against ``system.state_lengths`` as they copy the state in
-(``_load``); ``RunRecord.final_state`` are views of the run's own buffer.
+``integrate`` owns one contiguous float buffer per run: ``_load`` copies
+``state0`` into it once, with u and v as views, checking each field's
+length against ``system.state_lengths``, and projects the copy onto the
+boundary conditions (``system.apply_boundary``), the one projection of the
+run: a system's rates keep its boundary conditions (the wave rates are
+±0.0 at the Dirichlet ends, and +0.0 + ±0.0 = +0.0), so no stage, trial or
+step projects again.  Every RK4 stage, relaxation trial state, drift and
+kick then updates buffers of that run in place (``_Workspace``), the rates
+writing into them through their ``out`` argument, passed positionally.  A
+step allocates no array.  ``step`` loads its input the same way into a
+fresh workspace and runs the same in-place code, so it never modifies the
+caller's arrays and is bitwise ``integrate``'s first step; it returns the
+new state only, and a caller that wants gamma reads ``RunRecord.gammas``.
+``RunRecord.final_state`` are views of the run's own buffer.
 """
 
 from __future__ import annotations
@@ -219,7 +223,8 @@ _RK4_A = tuple(TABLEAU_RK4.a[i][i - 1] for i in range(1, 4))
 
 
 class _Workspace:
-    """The buffers of one run, each holding both fields back to back.
+    """The buffers of one run, each holding both fields (lengths ``n_u`` and
+    ``n_v``) back to back.
 
     ``x`` is the state, updated in place by every step; ``k`` the four RK4
     stage slopes (row 0 doubles as the splitting schemes' rate buffer);
@@ -228,40 +233,38 @@ class _Workspace:
     made once.  ``tol`` is the run's bisection tolerance on gamma.
     """
 
-    def __init__(self, u: np.ndarray, v: np.ndarray, tol: float):
-        n = len(u)
-        self.x = np.concatenate((u, v))
-        self.k = np.empty((4, self.x.size))
-        self.y = np.empty_like(self.x)
-        self.d = np.empty_like(self.x)
+    def __init__(self, n_u: int, n_v: int, tol: float):
+        self.x, self.y, self.d = (np.empty(n_u + n_v) for _ in range(3))
+        self.k = np.empty((4, n_u + n_v))
         self.tol = tol
         self.rows = tuple(self.k)
-        self.state, self.stage, self.incr = ((a[:n], a[n:]) for a in (self.x, self.y, self.d))
-        self.slopes = tuple((row[:n], row[n:]) for row in self.rows)
+        self.state, self.stage, self.incr = ((a[:n_u], a[n_u:]) for a in (self.x, self.y, self.d))
+        self.slopes = tuple((row[:n_u], row[n_u:]) for row in self.rows)
 
 
-def _load(system: HamiltonianSystem, state: State, tol: float = 1e-12) -> _Workspace:
-    """A fresh workspace holding a float copy of ``state``.
+def _load(system: HamiltonianSystem, state: State, tol: float = 1e-12,
+          direction: Optional[State] = None) -> _Workspace:
+    """A fresh workspace holding float copies of ``state`` (in ``ws.x``) and
+    of ``direction`` when given (in ``ws.d``), each projected onto the
+    boundary conditions in place: the one projection of a run or a step.
 
     Raises ValueError when a field does not have the length
     ``system.state_lengths`` gives for it: the one layout check of a run or
     a step.
     """
-    u, v = (np.asarray(x, dtype=float) for x in state)
-    for (name, n), x in zip(system.state_lengths.items(), (u, v)):
-        if x.shape != (n,):
-            raise ValueError(f"{system.name}: initial {name} must have length {n}, "
-                             f"got shape {x.shape}")
-    return _Workspace(u, v, tol)
-
-
-def _project(system: HamiltonianSystem, u, v):
-    """Apply the boundary projection to the views u, v in place."""
-    pu, pv = system.apply_boundary(u, v)
-    if pu is not u:
-        u[...] = pu
-    if pv is not v:
-        v[...] = pv
+    lengths = system.state_lengths
+    ws = _Workspace(*lengths.values(), tol)
+    for what, fields, views in (("initial", state, ws.state), ("direction", direction, ws.incr)):
+        if fields is None:
+            continue
+        for (name, n), x, view in zip(lengths.items(), fields, views, strict=True):
+            x = np.asarray(x, dtype=float)
+            if x.shape != (n,):
+                raise ValueError(f"{system.name}: {what} {name} must have length {n}, "
+                                 f"got shape {x.shape}")
+            view[...] = x
+        system.apply_boundary(*views)
+    return ws
 
 
 def _rk4_increment(system: HamiltonianSystem, ws: _Workspace, dt: float):
@@ -281,7 +284,6 @@ def _rk4_increment(system: HamiltonianSystem, ws: _Workspace, dt: float):
     for i in range(1, 4):
         np.multiply(k[i - 1], dt * _RK4_A[i - 1], out=y)
         y += ws.x
-        _project(system, *ws.stage)
         system.rhs(*ws.stage, ws.slopes[i])
     for row, b in zip(k, TABLEAU_RK4.b):
         row *= b  # row by row: numpy forms k *= b[:, None] in a temporary
@@ -317,11 +319,11 @@ def rrk_gamma_bisection(
 
     Starts from the bracket [0.5, 1.5], expanding geometrically up to
     [0.1, 2.0] if the residual does not change sign; terminates when the
-    bracket width drops below ``tol`` or after 200 iterations.
+    bracket width drops below ``tol`` or after 200 iterations.  The state
+    and the direction d are loaded as ``integrate`` loads a state: a field
+    of the wrong length raises ValueError, and both are projected.
     """
-    ws = _load(system, state, tol)
-    ws.incr[0][...] = d_u
-    ws.incr[1][...] = d_v
+    ws = _load(system, state, tol, direction=(d_u, d_v))
     return _gamma_bisection(system, ws, dt)
 
 
@@ -333,7 +335,6 @@ def _gamma_bisection(system: HamiltonianSystem, ws: _Workspace, dt: float) -> fl
     def residual(g: float) -> float:
         np.multiply(ws.d, g * dt, out=ws.y)
         ws.y += ws.x
-        _project(system, *ws.stage)
         return system.energy(*ws.stage) - h0
 
     if residual(1.0) == 0.0:
@@ -375,7 +376,6 @@ def _rrk_advance(system: HamiltonianSystem, ws: _Workspace, dt: float, gamma_rul
     gamma = gamma_rule(system, ws, dt)
     ws.d *= gamma * dt
     ws.x += ws.d
-    _project(system, *ws.state)
     return gamma
 
 
@@ -424,7 +424,8 @@ def _splitting_advance(system: HamiltonianSystem, ws: _Workspace, dt: float, dri
     """One splitting step of ``ws.x`` in place: drift, kick, drift, ...,
     kick, drift with the given weights, each drift u += (a*dt)*f(u, v), each
     kick v += (b*dt)*F(u, v) on the latest fields, the rate formed in
-    ``ws.k[0]``; then the boundary projection."""
+    ``ws.k[0]``.  The rates keep the boundary conditions, so the state
+    stays as ``_load`` projected it there."""
     u, v = ws.state
     rate_u, rate_v = ws.slopes[0]
     for a, b in zip(drifts, kicks):
@@ -437,7 +438,6 @@ def _splitting_advance(system: HamiltonianSystem, ws: _Workspace, dt: float, dri
     system.position_rate(u, v, rate_u)
     rate_u *= drifts[-1] * dt
     u += rate_u
-    _project(system, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +459,16 @@ _ADVANCE = {
 
 
 def step(system: HamiltonianSystem, scheme, state: State, dt: float) -> State:
-    """One step of ``scheme`` (a SchemeKind or an alias) from ``state``, by
-    the code ``integrate`` runs, on a copy: the caller's arrays are never
-    modified.  Returns the new (u, v); a relaxation step's gamma is not
+    """One step of ``scheme`` (a SchemeKind or an alias) from ``state``:
+    bitwise the first step ``integrate`` takes from ``state`` with step dt,
+    loaded and projected the same way, on a copy: the caller's arrays are
+    never modified.  Returns the new (u, v); a relaxation step's gamma is not
     returned (``integrate`` records it in ``RunRecord.gammas``).  Raises
-    ValueError as ``integrate`` does when a field has the wrong length.
+    ValueError as ``integrate`` does when a field has the wrong length or
+    ``dt`` is not finite; a negative ``dt`` steps backwards.
     """
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt!r}")
     ws = _load(system, state)
     _ADVANCE[normalize_scheme(scheme)](system, ws, dt)
     return ws.state
@@ -545,7 +549,6 @@ def integrate(
 
     ws = _load(system, state0, rrk_tol)
     u, v = ws.state
-    _project(system, u, v)
 
     times = [0.0]
     energies = []

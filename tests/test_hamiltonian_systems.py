@@ -70,23 +70,17 @@ def test_wave_energy_matches_manual_quadratic_form(wave64, rng):
 
 
 def test_wave_apply_boundary_projects_dirichlet(wave64, rng):
+    """The projection zeroes the four end values in place, to +0.0, and
+    leaves every interior value as it was."""
     _, _, system = wave64
     u, v = rng.standard_normal((2, 66))
-    pu, pv = system.apply_boundary(u, v)
-    assert pu[0] == pu[-1] == pv[0] == pv[-1] == 0.0
-    np.testing.assert_array_equal(pu[1:-1], u[1:-1])
-
-
-def test_wave_apply_boundary_returns_projected_state_as_is(wave64, rng):
-    _, _, system = wave64
-    u, v = rng.standard_normal((2, 66))
-    u[0] = u[-1] = v[0] = v[-1] = 0.0
-    pu, pv = system.apply_boundary(u, v)
-    assert pu is u and pv is v
-    # an unprojected state is copied, never zeroed in place
-    v[-1] = 1.0
-    pu, pv = system.apply_boundary(u, v)
-    assert pv is not v and pv[-1] == 0.0 and v[-1] == 1.0
+    u[0] = -0.0
+    before = u.copy(), v.copy()
+    assert system.apply_boundary(u, v) is None
+    for after, was in zip((u, v), before):
+        ends = after[[0, -1]]
+        assert np.all(ends == 0.0) and not np.signbit(ends).any()
+        np.testing.assert_array_equal(after[1:-1], was[1:-1])
 
 
 def test_wave_standing_exact_matches_closed_form():

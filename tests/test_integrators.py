@@ -225,8 +225,12 @@ def test_rk4_step_equals_truncated_rotation_matrix(rng):
 
 def _rk4_step_generic(system, state, dt):
     """RK4 as a loop over every entry of TABLEAU_RK4, field by field, with
-    the b-weighted sums formed by ``sum`` (which starts from 0)."""
-    u, v = state
+    the b-weighted sums formed by ``sum`` (which starts from 0).  It projects
+    a float copy of its input onto the boundary conditions, as ``integrate``
+    loads a state, and then projects again after every stage and the step,
+    which the in-place steps no longer do."""
+    u, v = (np.array(x, dtype=float) for x in state)
+    system.apply_boundary(u, v)
     a, b = TABLEAU_RK4.a, TABLEAU_RK4.b
     ks = []
     for i in range(4):
@@ -237,11 +241,13 @@ def _rk4_step_generic(system, state, dt):
                 ui = ui + dt * a[i][j] * ku
                 vi = vi + dt * a[i][j] * kv
         if i > 0:
-            ui, vi = system.apply_boundary(ui, vi)
+            system.apply_boundary(ui, vi)
         ks.append(system.rhs(ui, vi))
     d_u = sum(bi * ku for bi, (ku, kv) in zip(b, ks))
     d_v = sum(bi * kv for bi, (ku, kv) in zip(b, ks))
-    return system.apply_boundary(u + dt * d_u, v + dt * d_v)
+    u, v = u + dt * d_u, v + dt * d_v
+    system.apply_boundary(u, v)
+    return u, v
 
 
 @pytest.mark.parametrize("problem", ["wave", "shallow_water"])
@@ -296,8 +302,8 @@ def _int_wave_case():
 
 
 def _wave_case_off_boundary():
-    """A float state whose end values are not zero: every boundary
-    projection returns a copy, which the in-place steps write back."""
+    """A float state whose end values are not zero: ``step`` projects it
+    once as it loads it, as ``integrate`` does, before the first stage."""
     u, v = (np.linspace(1.0, 2.0, 18) for _ in range(2))
     return WaveSystem(build_operator_set(2, build_grid(0.0, 1.0, 16))), (u, v)
 
@@ -318,13 +324,17 @@ def test_rk4_step_edge_states_match_generic_tableau_loop(case):
 
 def _splitting_step_allocating(system, state, dt, drifts, kicks):
     """The splitting step as it was before steps updated buffers in place:
-    every drift and kick allocates its result."""
-    u, v = state
+    every drift and kick allocates its result.  It projects a float copy of
+    its input onto the boundary conditions first and the state after the
+    step, which the in-place step no longer does."""
+    u, v = (np.array(x, dtype=float) for x in state)
+    system.apply_boundary(u, v)
     for a, b in zip(drifts, kicks):
         u = u + (a * dt) * system.position_rate(u, v)
         v = v + (b * dt) * system.velocity_rate(u, v)
     u = u + (drifts[-1] * dt) * system.position_rate(u, v)
-    return system.apply_boundary(u, v)
+    system.apply_boundary(u, v)
+    return u, v
 
 
 def _field_case(problem):
@@ -411,6 +421,89 @@ def test_public_steps_reject_wave_state_of_wrong_length(name):
             step(system, name, state, 1e-3)
     with pytest.raises(ValueError, match="^wave: initial u must have length 66"):
         rrk_gamma_bisection(system, (u[:-1], v[:-1]), u[:-1], v[:-1], 1e-3)
+
+
+def test_rrk_gamma_bisection_loads_its_direction_as_the_state():
+    """The direction goes through the state's length check, naming its
+    field, and is projected once: a length-1 field is refused rather than
+    broadcast, and the end values of d do not change gamma."""
+    grid = build_grid(0.0, 1.0, 32)
+    system = WaveSystem(build_operator_set(4, grid))
+    u, v = gaussian_ic(grid, center=0.5, width=0.1).arrays()
+    for d, field in (((np.array([1e-3]), np.array([0.0])), "u"),
+                     ((u, v[:-1]), "v")):
+        with pytest.raises(ValueError, match=f"^wave: direction {field} must have length 34"):
+            rrk_gamma_bisection(system, (u, v), *d, 1e-3)
+    d_u, d_v = _rk4_direction(system, (u, v), 1e-3)
+    gamma = rrk_gamma_bisection(system, (u, v), d_u, d_v, 1e-3)
+    d_u[0], d_v[-1] = 5.0, -3.0
+    assert rrk_gamma_bisection(system, (u, v), d_u, d_v, 1e-3) == gamma
+
+
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+def test_step_is_integrates_first_step(name):
+    """``step`` loads and projects a state as ``integrate`` does, so from a
+    state whose end values are not zero it gives bit for bit the state of a
+    one-step run (with plain_dt a relaxation run to t_end = dt takes one
+    step)."""
+    system, state = _wave_case_off_boundary()
+    run = integrate(system, name, state, 0.01, 0.01, rrk_advance="plain_dt")
+    assert run.n_steps == 1
+    got = step(system, name, state, 0.01)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in run.final_state]
+
+
+class _BoundaryWatch(WaveSystem):
+    """A wave system that counts its projections and checks that every
+    state a rate or the energy is evaluated at has +0.0 end values."""
+
+    def __init__(self, ops):
+        super().__init__(ops)
+        self.projections = 0
+        self.checked = 0
+
+    def apply_boundary(self, u, v):
+        self.projections += 1
+        super().apply_boundary(u, v)
+
+    def _assert_ends(self, *fields):
+        ends = np.array([x[i] for x in fields for i in (0, -1)])
+        assert np.all(ends == 0.0) and not np.signbit(ends).any(), ends
+        self.checked += 1
+
+    def position_rate(self, u, v, out=None):
+        self._assert_ends(u, v)
+        return super().position_rate(u, v, out)
+
+    def velocity_rate(self, u, v, out=None):
+        self._assert_ends(u, v)
+        return super().velocity_rate(u, v, out)
+
+    def energy(self, u, v):
+        self._assert_ends(u, v)
+        return super().energy(u, v)
+
+
+def _watched_wave_case():
+    """A k=4 wave whose initial end values are -0.0 and 1.0, and a dt that
+    is not a power of two."""
+    grid = build_grid(-5.0, 5.0, 100)
+    system = _BoundaryWatch(build_operator_set(4, grid))
+    u, v = gaussian_ic(grid, center=0.3, width=0.5).arrays()
+    u[0], v[-1] = -0.0, 1.0
+    return system, (u, v), cfl_dt(grid, 0.08)
+
+
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+def test_integrate_projects_once_and_ends_stay_positive_zero(name):
+    """``integrate`` projects its state once, at load, and the four end
+    values then stay +0.0 (zero, sign bit clear) at every stage, relaxation
+    trial and step of 200 steps."""
+    system, state, dt = _watched_wave_case()
+    run = integrate(system, name, state, 200 * dt, dt, rrk_advance="plain_dt")
+    assert system.projections == 1
+    assert run.n_steps >= 200 and system.checked > 200
+    system._assert_ends(*run.final_state)
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +651,12 @@ def test_integrate_validates_arguments():
     for dt in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="^dt must be positive and finite"):
             integrate(OSC, "rk4", STATE0, 1.0, dt)
+    # step refuses a non-finite dt too, instead of returning a NaN state; a
+    # negative dt is legal there (it steps backwards)
+    for dt in (float("nan"), float("inf"), -float("inf")):
+        for scheme in ("rk4", "rrk_bisection", "pefrl"):
+            with pytest.raises(ValueError, match="^dt must be finite"):
+                step(OSC, scheme, STATE0, dt)
     for t_end in (float("inf"), float("nan")):
         for scheme in ("rk4", "rrk"):
             with pytest.raises(ValueError, match="t_end must be positive and finite"):
