@@ -25,11 +25,11 @@ all), exactly one of ``cfl`` (default 0.5) / ``dt``, ``t_end``,
 ``ic_center``/``ic_width``/``ic_amplitude``/``ic_offset`` (defaults depend
 on the problem), ``d0``, ``g``, ``output_dir`` (default "results"),
 ``rrk_tol`` (default 1e-12), ``rrk_advance`` ("gamma_dt" | "plain_dt").
-Aliases (``order``, ``scheme``, ``D`` and the unprefixed IC names) are
-accepted, but not together with the key they stand for.
+Each setting has exactly one key; any other key is an error.
 
-All numbers are written with 17 significant digits so identical runs produce
-byte-identical CSVs and round-trip exactly.
+CSV numbers are written with 17 significant digits so identical runs produce
+byte-identical CSVs and round-trip exactly; ``summary.json`` is written by
+``json.dumps`` (shortest round-tripping floats).
 """
 
 from __future__ import annotations
@@ -84,17 +84,6 @@ _PROBLEM_IC_DEFAULTS = {
     "wave": {"ic_center": 0.5, "ic_width": 0.1, "ic_amplitude": 1.0, "ic_offset": 0.0},
     "shallow_water": {"ic_center": 0.0, "ic_width": 1.0, "ic_amplitude": 0.1, "ic_offset": 1.0},
 }
-
-_KEY_ALIASES = {
-    "center": "ic_center",
-    "width": "ic_width",
-    "amplitude": "ic_amplitude",
-    "offset": "ic_offset",
-    "order": "k",
-    "scheme": "schemes",
-    "D": "d0",
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -162,11 +151,6 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     _require(isinstance(raw, dict), f"{path}: config must be a flat JSON object")
 
-    for alias, key in _KEY_ALIASES.items():
-        _require(not (alias in raw and key in raw),
-                 f"{path}: config keys '{alias}' and '{key}' name the same setting; "
-                 "set only one")
-    raw = {_KEY_ALIASES.get(key, key): value for key, value in raw.items()}
     unknown = sorted(set(raw) - _KNOWN_KEYS)
     _require(not unknown, f"{path}: unknown config key(s): {', '.join(unknown)}")
 
@@ -199,8 +183,6 @@ def parse_config(path: str) -> ExperimentConfig:
     _require(b > a, f"config key 'domain' must satisfy a < b, got [{a}, {b}]")
 
     schemes_raw = raw.get("schemes", [kind.value for kind in _ALL_SCHEMES])
-    if isinstance(schemes_raw, str):
-        schemes_raw = [schemes_raw]
     _require(isinstance(schemes_raw, list) and schemes_raw,
              "config key 'schemes' must be a non-empty list of scheme names")
     schemes = []
@@ -261,37 +243,12 @@ def parse_config(path: str) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# serialization helpers (17 significant digits everywhere)
+# serialization helpers
 # ---------------------------------------------------------------------------
 
 def _fmt(x: float) -> str:
+    """A CSV number: 17 significant digits (round-trip exact)."""
     return format(float(x), ".17g")
-
-
-def _to_json(obj, indent: int = 0) -> str:
-    """JSON with floats at 17 significant digits (round-trip exact)."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}{json.dumps(str(key))}: {_to_json(val, indent + 1)}'
-                 for key, val in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{_to_json(val, indent + 1)}" for val in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
-    if obj is None:
-        return "null"
-    return json.dumps(str(obj))
 
 
 def _write_text(path: str, text: str):
@@ -300,10 +257,11 @@ def _write_text(path: str, text: str):
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
-    """Every config field but ``output_dir``, in field order, with the
-    schemes by name."""
+    """Every config field but ``output_dir``, in field order, as JSON holds
+    it: the domain as a list, the schemes by name."""
     echo = {field.name: getattr(config, field.name) for field in fields(config)
             if field.name != "output_dir"}
+    echo["domain"] = list(config.domain)
     echo["schemes"] = [kind.value for kind in config.schemes]
     return echo
 
@@ -352,23 +310,16 @@ def _record_summary(record: RunRecord) -> dict:
     return summary
 
 
-def _recorded_step_indices(record: RunRecord, record_every: int) -> List[int]:
-    """Step index that produced each recorded row past t=0."""
-    rows = len(record.times) - 1
-    return [min(r * record_every, record.n_steps) for r in range(1, rows + 1)]
-
-
-def _energy_csv(record: RunRecord, record_every: int) -> str:
+def _energy_csv(record: RunRecord) -> str:
     h0 = float(record.energies[0])
     denom = abs(h0) if h0 != 0.0 else 1.0
     with_gamma = record.gammas is not None
     lines = ["t,H,rel_drift,gamma" if with_gamma else "t,H,rel_drift"]
-    steps = [0] + _recorded_step_indices(record, record_every)
-    for idx, (t, h_val) in enumerate(zip(record.times, record.energies)):
+    for t, h_val, step_index in zip(record.times, record.energies, record.steps):
         rel = (float(h_val) - h0) / denom
         row = f"{_fmt(t)},{_fmt(h_val)},{_fmt(rel)}"
         if with_gamma:
-            gamma = "" if idx == 0 else _fmt(record.gammas[steps[idx] - 1])
+            gamma = "" if step_index == 0 else _fmt(record.gammas[step_index - 1])
             row += f",{gamma}"
         lines.append(row)
     return "\n".join(lines) + "\n"
@@ -406,7 +357,7 @@ def run_energy_experiment(config: ExperimentConfig) -> dict:
             failures.append(f"{kind.value}: {exc}")
             continue
         path = os.path.join(config.output_dir, f"energy_{kind.value}.csv")
-        _write_text(path, _energy_csv(record, config.record_every))
+        _write_text(path, _energy_csv(record))
         files.append(path)
         scheme_summaries[kind.value] = _record_summary(record)
 
@@ -420,7 +371,7 @@ def run_energy_experiment(config: ExperimentConfig) -> dict:
         "failures": failures,
     }
     summary_path = os.path.join(config.output_dir, "summary.json")
-    _write_text(summary_path, _to_json(summary) + "\n")
+    _write_text(summary_path, json.dumps(summary, indent=2) + "\n")
     summary["summary_path"] = summary_path
     return summary
 

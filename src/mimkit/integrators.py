@@ -39,13 +39,17 @@ as the wave equation.
 ``integrate`` drives any scheme to ``t_end`` (shortening the final step to
 land exactly, except relaxation schemes, whose accumulated ``gamma*dt`` may
 overshoot by less than one step; the record keeps the true final time) and
-records the energy trace.
+records the energy trace: ``RunRecord.times`` and ``energies`` per recorded
+row, ``steps`` the step count behind each row (so a relaxation row at step
+s > 0 has gamma ``gammas[s - 1]``), ``gammas`` one entry per step.
 
 One table, ``_ADVANCE``, maps each scheme to the code that advances a
 state by one step: the RK loop with its gamma rule (constant 1, closed form
 or bisection), or the drift-kick loop bound to the scheme's coefficient
 table.  ``integrate`` and ``step`` both dispatch through it; nothing else
-decides which code runs which scheme.
+decides which code runs which scheme.  The public ``rrk_gamma_analytic`` and
+``rrk_gamma_bisection`` are the same gamma rules over a state and a
+direction loaded as ``integrate`` loads a state.
 
 ``integrate`` owns one contiguous float buffer per run: ``_load`` copies
 ``state0`` into it once, with u and v as views, checking each field's
@@ -293,16 +297,32 @@ def _rk4_increment(system: HamiltonianSystem, ws: _Workspace, dt: float):
     d += k[3]
 
 
+def _require_finite_dt(dt: float):
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt!r}")
+
+
 def rrk_gamma_analytic(system: HamiltonianSystem, state: State, d_u, d_v, dt: float) -> float:
     """Closed-form relaxation parameter for quadratic energies.
 
     With E = <v, d_v>_Q + <G u, G d_u>_P and T = <d_v, d_v>_Q +
     <G d_u, G d_u>_P, the energy change of ``state + gamma*dt*d`` is
     ``gamma*dt*E + (1/2)(gamma*dt)^2*T``; its nontrivial root is
-    gamma = -2E/(dt*T).  Returns 1 when d vanishes (E = T = 0).
+    gamma = -2E/(dt*T).  Returns 1 when d vanishes (E = T = 0) or dt = 0
+    (every gamma then leaves the state as it is).  The state and the
+    direction d are loaded as ``integrate`` loads a state: a field of the
+    wrong length raises ValueError, and both are projected; a non-finite
+    ``dt`` raises ValueError as ``step`` does.
     """
-    u, v = state
-    E, T = system.quadratic_parts(u, v, d_u, d_v)
+    _require_finite_dt(dt)
+    return _gamma_analytic(system, _load(system, state, direction=(d_u, d_v)), dt)
+
+
+def _gamma_analytic(system: HamiltonianSystem, ws: _Workspace, dt: float) -> float:
+    """``rrk_gamma_analytic`` at state ``ws.x`` along ``ws.d``."""
+    if dt == 0.0:
+        return 1.0
+    E, T = system.quadratic_parts(*ws.state, *ws.incr)
     if T == 0.0:
         if E == 0.0:
             return 1.0
@@ -319,12 +339,14 @@ def rrk_gamma_bisection(
 
     Starts from the bracket [0.5, 1.5], expanding geometrically up to
     [0.1, 2.0] if the residual does not change sign; terminates when the
-    bracket width drops below ``tol`` or after 200 iterations.  The state
-    and the direction d are loaded as ``integrate`` loads a state: a field
-    of the wrong length raises ValueError, and both are projected.
+    bracket width drops below ``tol`` or after 200 iterations.  A residual
+    that is not finite raises NumericalFailure.  The state and the direction
+    d are loaded as ``integrate`` loads a state: a field of the wrong length
+    raises ValueError, and both are projected; a non-finite ``dt`` raises
+    ValueError as ``step`` does.
     """
-    ws = _load(system, state, tol, direction=(d_u, d_v))
-    return _gamma_bisection(system, ws, dt)
+    _require_finite_dt(dt)
+    return _gamma_bisection(system, _load(system, state, tol, direction=(d_u, d_v)), dt)
 
 
 def _gamma_bisection(system: HamiltonianSystem, ws: _Workspace, dt: float) -> float:
@@ -335,7 +357,10 @@ def _gamma_bisection(system: HamiltonianSystem, ws: _Workspace, dt: float) -> fl
     def residual(g: float) -> float:
         np.multiply(ws.d, g * dt, out=ws.y)
         ws.y += ws.x
-        return system.energy(*ws.stage) - h0
+        r = system.energy(*ws.stage) - h0
+        if not math.isfinite(r):
+            raise NumericalFailure(f"relaxation residual is not finite at gamma = {g!r}: {r!r}")
+        return r
 
     if residual(1.0) == 0.0:
         return 1.0
@@ -366,7 +391,6 @@ def _gamma_bisection(system: HamiltonianSystem, ws: _Workspace, dt: float) -> fl
         if hi - lo <= ws.tol:
             break
     return 0.5 * (lo + hi)
-
 
 def _rrk_advance(system: HamiltonianSystem, ws: _Workspace, dt: float, gamma_rule) -> float:
     """One relaxation-RK4 step of ``ws.x`` in place: the RK4 increment d,
@@ -449,9 +473,7 @@ def _splitting_advance(system: HamiltonianSystem, ws: _Workspace, dt: float, dri
 # (1.0*dt)*d is then bitwise the plain dt*d).
 _ADVANCE = {
     SchemeKind.RK4: partial(_rrk_advance, gamma_rule=lambda system, ws, dt: 1.0),
-    SchemeKind.RRK_ANALYTIC: partial(
-        _rrk_advance,
-        gamma_rule=lambda system, ws, dt: rrk_gamma_analytic(system, ws.state, *ws.incr, dt)),
+    SchemeKind.RRK_ANALYTIC: partial(_rrk_advance, gamma_rule=_gamma_analytic),
     SchemeKind.RRK_BISECTION: partial(_rrk_advance, gamma_rule=_gamma_bisection),
     **{kind: partial(_splitting_advance, drifts=drifts, kicks=kicks)
        for kind, (drifts, kicks) in _SPLITTINGS.items()},
@@ -467,8 +489,7 @@ def step(system: HamiltonianSystem, scheme, state: State, dt: float) -> State:
     ValueError as ``integrate`` does when a field has the wrong length or
     ``dt`` is not finite; a negative ``dt`` steps backwards.
     """
-    if not math.isfinite(dt):
-        raise ValueError(f"dt must be finite, got {dt!r}")
+    _require_finite_dt(dt)
     ws = _load(system, state)
     _ADVANCE[normalize_scheme(scheme)](system, ws, dt)
     return ws.state
@@ -483,8 +504,11 @@ class RunRecord:
     """Energy trace of one integration run.
 
     ``times`` are the recorded instants (strictly increasing, starting at 0);
-    ``energies`` the matching H values; ``gammas`` the per-step relaxation
-    parameters (relaxation schemes only, one entry per step, not subsampled);
+    ``energies`` the matching H values; ``steps`` the number of steps taken
+    at each recorded instant (0 for the initial row, then r, 2r, ..., and
+    ``n_steps`` for ``record_every`` = r); ``gammas`` the per-step relaxation
+    parameters (relaxation schemes only, one entry per step, not subsampled,
+    so the row at step s > 0 has gamma ``gammas[s - 1]``);
     ``final_state`` the end state; ``final_time`` the true end time (equal to
     t_end except for relaxation schemes).
     """
@@ -492,6 +516,7 @@ class RunRecord:
     scheme: SchemeKind
     times: np.ndarray
     energies: np.ndarray
+    steps: np.ndarray
     gammas: Optional[np.ndarray]
     final_state: State
     final_time: float
@@ -552,6 +577,7 @@ def integrate(
 
     times = [0.0]
     energies = []
+    steps = [0]
     gammas = [] if kind.is_relaxation else None
 
     t = 0.0
@@ -584,9 +610,9 @@ def integrate(
                 t += t_step
                 gammas.append(gamma)
                 if n_steps % record_every == 0:
-                    _record(system, u, v, t, times, energies, n_steps)
+                    _record(system, u, v, t, n_steps, times, energies, steps)
             if times[-1] != t:
-                _record(system, u, v, t, times, energies, n_steps)
+                _record(system, u, v, t, n_steps, times, energies, steps)
         else:
             total = max(1, math.ceil(t_end / dt - 1e-9))
             for i in range(1, total + 1):
@@ -596,7 +622,7 @@ def integrate(
                 t = target
                 if i % record_every == 0 or i == total:
                     if times[-1] != t:
-                        _record(system, u, v, t, times, energies, i)
+                        _record(system, u, v, t, i, times, energies, steps)
     except NumericalFailure as exc:
         exc.scheme, exc.step, exc.t = kind.value, n_steps, t
         if n_steps:
@@ -608,6 +634,7 @@ def integrate(
         scheme=kind,
         times=np.array(times),
         energies=np.array(energies),
+        steps=np.array(steps),
         gammas=None if gammas is None else np.array(gammas),
         final_state=(u, v),
         final_time=t,
@@ -618,9 +645,10 @@ def integrate(
     )
 
 
-def _record(system, u, v, t, times, energies, step_index):
+def _record(system, u, v, t, step_index, times, energies, steps):
     h_val = system.energy(u, v)
     if not np.isfinite(h_val):
-        raise NumericalFailure(f"non-finite energy {h_val!r} at t = {t:.6g} (step {step_index})")
+        raise NumericalFailure(f"non-finite energy {h_val!r} at t = {t:.6g}")
     times.append(t)
     energies.append(h_val)
+    steps.append(step_index)

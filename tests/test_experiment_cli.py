@@ -19,6 +19,7 @@ from mimkit import (
     main,
     parse_config,
     run_convergence_study,
+    run_energy_experiment,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,11 +65,6 @@ def test_parse_shipped_configs():
     assert conv.domain == (0.0, 1.0) and conv.cfl == 0.5
 
 
-def test_parse_config_key_aliases(tmp_path):
-    path = _write_config(tmp_path, order=4, k=None)
-    assert parse_config(path).k == 4
-
-
 @pytest.mark.parametrize("overrides,fragment", [
     ({"problem": "heat"}, "problem"),
     ({"n_cells": None}, "n_cells"),
@@ -85,8 +81,8 @@ def test_parse_config_key_aliases(tmp_path):
     ({"domain": [0.0, math.inf]}, "'domain' must be a list of two finite numbers"),
     ({"d0": math.inf}, "'d0' must be a finite number"),
     ({"ic_center": math.nan}, "'ic_center' must be a finite number"),
-    ({"order": 2}, "'order' and 'k' name the same setting"),
-    ({"ic_center": 0.3, "center": 0.7}, "'center' and 'ic_center' name the same setting"),
+    ({"order": 2}, "unknown config key"),
+    ({"schemes": "rk4"}, "'schemes' must be a non-empty list"),
     ({"schemes": ["rk4", "RK4", "lf"]}, "'schemes' lists RK4 twice"),
 ])
 def test_parse_config_rejects_bad_values(tmp_path, overrides, fragment):
@@ -178,6 +174,20 @@ def test_energy_isolates_failing_scheme(tmp_path, capsys):
     assert 0.0 < failed["t"] < 15.0
     assert summary["schemes"]["RK4"]["within_drift_threshold"] is True
     assert len(summary["failures"]) == 1
+
+
+def test_summary_json_holds_the_returned_summary(tmp_path):
+    """summary.json is the summary run_energy_experiment returns (less the
+    path it was written to), value for value, for finished, relaxation and
+    failed schemes alike."""
+    path = _write_config(tmp_path, problem="shallow_water", domain=None,
+                         n_cells=128, schemes=["rrk_bisection", "fr"], t_end=15.0,
+                         ic_offset=1.0, ic_width=1.0, ic_amplitude=0.1)
+    summary = run_energy_experiment(parse_config(path))
+    assert summary["schemes"]["ForestRuth"]["status"] == "failed"
+    assert "gamma_min" in summary["schemes"]["RRK_bisection"]
+    written = json.loads(Path(summary.pop("summary_path")).read_text())
+    assert written == summary
 
 
 def test_energy_values_round_trip_17_digits(tmp_path):

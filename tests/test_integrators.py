@@ -440,6 +440,22 @@ def test_rrk_gamma_bisection_loads_its_direction_as_the_state():
     assert rrk_gamma_bisection(system, (u, v), d_u, d_v, 1e-3) == gamma
 
 
+def test_rrk_gamma_analytic_loads_its_inputs_as_bisection_does():
+    """The closed-form gamma makes the same length check and projection as
+    the bisection: a short direction field is refused by name, the end
+    values of d do not change gamma, and the two rules agree."""
+    grid = build_grid(0.0, 1.0, 32)
+    system = WaveSystem(build_operator_set(4, grid))
+    u, v = gaussian_ic(grid, center=0.5, width=0.1).arrays()
+    with pytest.raises(ValueError, match="^wave: direction u must have length 34"):
+        rrk_gamma_analytic(system, (u, v), np.array([1e-3]), v, 1e-3)
+    d_u, d_v = _rk4_direction(system, (u, v), 1e-3)
+    gamma = rrk_gamma_analytic(system, (u, v), d_u, d_v, 1e-3)
+    d_u[0], d_v[-1] = 5.0, -3.0
+    assert rrk_gamma_analytic(system, (u, v), d_u, d_v, 1e-3) == gamma
+    assert rrk_gamma_bisection(system, (u, v), d_u, d_v, 1e-3) == pytest.approx(gamma, abs=1e-9)
+
+
 @pytest.mark.parametrize("name", ALL_SCHEMES)
 def test_step_is_integrates_first_step(name):
     """``step`` loads and projects a state as ``integrate`` does, so from a
@@ -589,6 +605,34 @@ def test_gamma_is_one_for_energy_preserving_direction():
     assert rrk_gamma_analytic(OSC, state, np.array([0.0]), np.array([0.0]), 0.1) == 1.0
 
 
+def test_bisection_rejects_non_finite_residual():
+    """Every comparison with NaN is false, so a NaN residual would walk the
+    bracket to a made-up gamma; it raises instead."""
+    state = (np.array([1.0]), np.array([0.0]))
+    with pytest.raises(NumericalFailure, match="residual is not finite"):
+        rrk_gamma_bisection(OSC, state, np.array([np.nan]), np.array([0.0]), 0.1)
+
+
+@pytest.mark.parametrize("gamma_of", [rrk_gamma_analytic, rrk_gamma_bisection])
+def test_gamma_functions_at_zero_and_non_finite_dt(gamma_of):
+    """At dt = 0 every gamma leaves the state as it is, so both rules give
+    1; a non-finite dt is refused with step's ValueError."""
+    d_u, d_v = _rk4_direction(OSC, STATE0, 0.3)
+    assert gamma_of(OSC, STATE0, d_u, d_v, 0.0) == 1.0
+    for dt in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^dt must be finite"):
+            gamma_of(OSC, STATE0, d_u, d_v, dt)
+
+
+@pytest.mark.parametrize("name", ["rrk_analytic", "rrk_bisection"])
+def test_relaxation_step_of_zero_dt_keeps_the_state(name):
+    grid = build_grid(0.0, 1.0, 32)
+    system = WaveSystem(build_operator_set(4, grid))
+    state = gaussian_ic(grid, center=0.5, width=0.1).arrays()
+    for new, old in zip(step(system, name, state, 0.0), state):
+        assert np.array_equal(new, old)
+
+
 @pytest.mark.parametrize("name", ["rrk_analytic", "rrk_bisection"])
 def test_relaxation_conserves_energy_every_step(name):
     record = integrate(OSC, name, STATE0, 5.0, 0.1)
@@ -687,6 +731,19 @@ def test_integrate_record_every_subsamples():
     assert record.energies.size == record.times.size
 
 
+@pytest.mark.parametrize("record_every", [1, 3, 10**9])
+@pytest.mark.parametrize("name", ["rk4", "pefrl", "rrk_analytic", "rrk_bisection"])
+def test_record_steps_name_the_step_of_each_row(name, record_every):
+    """``steps`` holds the step count behind each recorded row: 0, then
+    every record_every-th step, then the last step."""
+    record = integrate(OSC, name, STATE0, 1.0, 0.1, record_every=record_every)
+    expected = list(range(0, record.n_steps + 1, record_every))
+    if expected[-1] != record.n_steps:
+        expected.append(record.n_steps)
+    assert record.steps.tolist() == expected
+    assert len(record.steps) == len(record.times)
+
+
 def test_integrate_is_deterministic():
     a = integrate(OSC, "pefrl", STATE0, 3.0, 0.01)
     b = integrate(OSC, "pefrl", STATE0, 3.0, 0.01)
@@ -731,9 +788,13 @@ def test_integrate_reports_blowup_with_step_index():
     ops = build_operator_set(4, grid)
     u = np.sin(np.pi * grid.extended)
     u[0] = u[-1] = 0.0
-    with pytest.raises(NumericalFailure, match="step"):
+    with pytest.raises(NumericalFailure, match="step") as info:
         integrate(WaveSystem(ops), "rk4", (u, np.zeros_like(u)), 20.0,
                   cfl_dt(grid, 1.5))
+    # the step is named once, by integrate's prefix
+    message = str(info.value)
+    assert message.startswith(f"step {info.value.step}: non-finite energy")
+    assert message.count("step") == 1
 
 
 # ---------------------------------------------------------------------------
