@@ -31,19 +31,25 @@ length check of their own; called directly with a wrong-length field, they
 raise ValueError from the first product that meets it (``matvec`` checks
 its shapes, numpy its broadcasts).
 
-The ``out`` contract: ``position_rate(u, v, out)`` and
-``velocity_rate(u, v, out)`` write their rate into the float array ``out``
-and return it; ``rhs(u, v, out)`` takes a pair ``(out_u, out_v)`` and
-returns it.  ``out`` is positional, so a delegating proxy that forwards
-``*args`` passes it on, and it must not overlap the inputs.  With ``out``
-left out a rate allocates a fresh array and then runs the same code, so the
-two calls give bitwise the same values.  Energies, ``quadratic_parts`` and
-the intermediate products of the field systems' rates go through scratch
-arrays each system allocates once from its grid, and their inner products
-through the operator set's own scratch (``MimeticOperatorSet.inner_q``), so
-a step allocates nothing.  It also means one system instance must not be
-used from two threads at once; nor may two systems built on the same
-cached operator set.
+The ``out`` and ``scale`` contract: ``position_rate(u, v, out, scale)`` and
+``velocity_rate(u, v, out, scale)`` write their rate into the float array
+``out`` and return it; ``rhs(u, v, out)`` takes a pair ``(out_u, out_v)``
+and returns it.  With ``scale`` given (a splitting step's drift or kick
+coefficient, a 0-d float64 array), a rate writes ``scale * rate`` instead,
+bitwise the rate multiplied by ``scale`` afterwards, end values included:
+the wave and oscillator drifts multiply ``v`` by it straight into ``out``,
+saving the copy of ``v``, and every other rate multiplies ``out`` in place
+after zeroing its end values.  ``rhs`` and the Runge-Kutta stages leave it
+out.  ``out`` and ``scale`` are positional, so a delegating proxy that
+forwards ``*args`` passes them on, and ``out`` must not overlap the inputs.
+With ``out`` left out a rate allocates a fresh array and then runs the same
+code, so the two calls give bitwise the same values.  Energies,
+``quadratic_parts`` and the intermediate products of the field systems'
+rates go through scratch arrays each system allocates once from its grid,
+and their inner products through the operator set's own scratch
+(``MimeticOperatorSet.inner_q``), so a step allocates nothing.  It also
+means one system instance must not be used from two threads at once; nor
+may two systems built on the same cached operator set.
 """
 
 from __future__ import annotations
@@ -86,12 +92,14 @@ class HamiltonianSystem:
         out_u, out_v = (None, None) if out is None else out
         return self.position_rate(u, v, out_u), self.velocity_rate(u, v, out_v)
 
-    def position_rate(self, u: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
-        """du/dt (splitting schemes' drift), written into ``out``."""
+    def position_rate(self, u: np.ndarray, v: np.ndarray, out=None, scale=None) -> np.ndarray:
+        """du/dt (splitting schemes' drift), times ``scale`` when given,
+        written into ``out``."""
         raise NotImplementedError
 
-    def velocity_rate(self, u: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
-        """dv/dt (splitting schemes' kick), written into ``out``."""
+    def velocity_rate(self, u: np.ndarray, v: np.ndarray, out=None, scale=None) -> np.ndarray:
+        """dv/dt (splitting schemes' kick), times ``scale`` when given,
+        written into ``out``."""
         raise NotImplementedError
 
     def energy(self, u: np.ndarray, v: np.ndarray) -> float:
@@ -149,11 +157,22 @@ def _out(out, n):
     return np.empty(n) if out is None else out
 
 
-def _copy(a, out):
-    """``a`` copied into the rate buffer ``_out(out, len(a))``."""
+def _scaled_copy(a, out, scale):
+    """``a``, times ``scale`` when given, written into the rate buffer
+    ``_out(out, len(a))``."""
     out = _out(out, len(a))
-    np.copyto(out, a)
+    if scale is None:
+        out[...] = a
+    else:
+        np.multiply(a, scale, out=out)
     return out
+
+
+def _scaled(rate, scale):
+    """``rate`` multiplied by ``scale`` in place, when it is given."""
+    if scale is not None:
+        rate *= scale
+    return rate
 
 
 class WaveSystem(HamiltonianSystem):
@@ -171,13 +190,13 @@ class WaveSystem(HamiltonianSystem):
         n = self.ops.grid.n_cells + 2
         return {"u": n, "v": n}
 
-    def position_rate(self, u, v, out=None):
-        return _copy(v, out)
+    def position_rate(self, u, v, out=None, scale=None):
+        return _scaled_copy(v, out, scale)
 
-    def velocity_rate(self, u, v, out=None):
+    def velocity_rate(self, u, v, out=None, scale=None):
         dv = matvec(self.ops.L, u, _out(out, len(u)))
         dv[0] = dv[-1] = 0.0
-        return dv
+        return _scaled(dv, scale)
 
     def energy(self, u, v):
         ops = self.ops
@@ -207,6 +226,9 @@ class ShallowWaterSystem(HamiltonianSystem):
         self.d0 = float(d0)
         self.g = float(g)
         self.wave_speed = float(np.sqrt(self.g * self.d0))
+        # d0 and -g as 0-d arrays for the in-place updates, which take
+        # numpy's slower path for a Python float; the values are the same
+        self._d0, self._minus_g = np.array(self.d0), np.array(-self.g)
         n = ops.grid.n_cells
         self._ext = np.empty(n + 2)
         self._node = np.empty(n + 1)
@@ -228,36 +250,36 @@ class ShallowWaterSystem(HamiltonianSystem):
         non-positive depth."""
         self._check_depth(e)
         depth = matvec(self.ops.I_G, e, out)
-        depth += self.d0
+        depth += self._d0
         if depth.min() <= 0.0:
             raise NumericalFailure(
                 f"non-positive total depth at nodes: min = {float(depth.min()):.3e}"
             )
         return depth
 
-    def position_rate(self, e, u, out=None):
+    def position_rate(self, e, u, out=None, scale=None):
         flux = self._depth_nodes(e, self._node)
         flux *= u
         de = matvec(self.ops.D_hat, flux, _out(out, len(e)))
         np.negative(de, out=de)
         de[0] = de[-1] = 0.0
-        return de
+        return _scaled(de, scale)
 
-    def velocity_rate(self, e, u, out=None):
+    def velocity_rate(self, e, u, out=None, scale=None):
         self._check_depth(e)
         ops = self.ops
         du = matvec(ops.G, e, _out(out, len(u)))
-        du *= -self.g
+        du *= self._minus_g
         advection = matvec(ops.G, matvec(ops.I_D, u, self._ext), self._node)
         advection *= u
         du -= advection
         du[0] = du[-1] = 0.0
-        return du
+        return _scaled(du, scale)
 
     def energy(self, e, u):
         ops, depth_u = self.ops, self._node
         matvec(ops.I_G, e, depth_u)
-        depth_u += self.d0
+        depth_u += self._d0
         depth_u *= u
         return 0.5 * (self.g * ops.inner_q(e, e) + ops.inner_p(depth_u, u))
 
@@ -276,11 +298,11 @@ class HarmonicOscillator(HamiltonianSystem):
     def state_lengths(self):
         return {"u": 1, "v": 1}
 
-    def position_rate(self, u, v, out=None):
-        return _copy(v, out)
+    def position_rate(self, u, v, out=None, scale=None):
+        return _scaled_copy(v, out, scale)
 
-    def velocity_rate(self, u, v, out=None):
-        return np.negative(u, out=_out(out, len(u)))
+    def velocity_rate(self, u, v, out=None, scale=None):
+        return _scaled(np.negative(u, out=_out(out, len(u))), scale)
 
     def energy(self, u, v):
         return 0.5 * float(u @ u + v @ v)

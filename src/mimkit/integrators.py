@@ -59,8 +59,13 @@ run: a system's rates keep its boundary conditions (the wave rates are
 ±0.0 at the Dirichlet ends, and +0.0 + ±0.0 = +0.0), so no stage, trial or
 step projects again.  Every RK4 stage, relaxation trial state, drift and
 kick then updates buffers of that run in place (``_Workspace``), the rates
-writing into them through their ``out`` argument, passed positionally.  A
-step allocates no array.  ``step`` loads its input the same way into a
+writing into them through their ``out`` argument, passed positionally.
+Each drift and kick passes its coefficient (``a*dt`` or ``b*dt``) to the
+rate as its ``scale``, so the rate writes the scaled rate in one pass and
+the step only adds it.  Every scalar an array is updated by is a 0-d
+float64 array (``_Workspace.c``, ``_RK4_B``, ``_ZERO``), never a Python
+float, which takes numpy's slower scalar path; the results are the same.
+A step allocates no array.  ``step`` loads its input the same way into a
 fresh workspace and runs the same in-place code, so it never modifies the
 caller's arrays and is bitwise ``integrate``'s first step; it returns the
 new state only, and a caller that wants gamma reads ``RunRecord.gammas``.
@@ -224,6 +229,11 @@ def normalize_scheme(name) -> SchemeKind:
 # TABLEAU_RK4 is explicit with one nonzero a[i][i-1] per stage, so stage i
 # reads only stage i - 1.
 _RK4_A = tuple(TABLEAU_RK4.a[i][i - 1] for i in range(1, 4))
+# The b-weights, and the zero the increment's sum starts from, as 0-d
+# float64 arrays: an in-place update by one skips numpy's slower path for a
+# Python float, with the same result.
+_RK4_B = tuple(np.array(b) for b in TABLEAU_RK4.b)
+_ZERO = np.array(0.0)
 
 
 class _Workspace:
@@ -234,12 +244,16 @@ class _Workspace:
     stage slopes (row 0 doubles as the splitting schemes' rate buffer);
     ``y`` an RK4 stage or relaxation trial state; ``d`` the RK4 increment.
     ``state``, ``slopes``, ``stage`` and ``incr`` are their (u, v) views,
-    made once.  ``tol`` is the run's bisection tolerance on gamma.
+    made once.  ``c`` is a 0-d float64 array that holds each step
+    coefficient (``a*dt``, ``gamma*dt``) just before an array is multiplied
+    by it: the product is the same as by the Python float, without numpy's
+    slower path for one.  ``tol`` is the run's bisection tolerance on gamma.
     """
 
     def __init__(self, n_u: int, n_v: int, tol: float):
         self.x, self.y, self.d = (np.empty(n_u + n_v) for _ in range(3))
         self.k = np.empty((4, n_u + n_v))
+        self.c = np.empty(())
         self.tol = tol
         self.rows = tuple(self.k)
         self.state, self.stage, self.incr = ((a[:n_u], a[n_u:]) for a in (self.x, self.y, self.d))
@@ -283,15 +297,16 @@ def _rk4_increment(system: HamiltonianSystem, ws: _Workspace, dt: float):
     floating-point operations as the term-by-term loop over the tableau, so
     the results are bitwise the same.
     """
-    k, y = ws.rows, ws.y
+    k, y, c = ws.rows, ws.y, ws.c
     system.rhs(*ws.state, ws.slopes[0])
     for i in range(1, 4):
-        np.multiply(k[i - 1], dt * _RK4_A[i - 1], out=y)
+        c[...] = dt * _RK4_A[i - 1]
+        np.multiply(k[i - 1], c, out=y)
         y += ws.x
         system.rhs(*ws.stage, ws.slopes[i])
-    for row, b in zip(k, TABLEAU_RK4.b):
+    for row, b in zip(k, _RK4_B):
         row *= b  # row by row: numpy forms k *= b[:, None] in a temporary
-    d = np.add(k[0], 0.0, out=ws.d)  # a sum starting from 0: -0.0 becomes +0.0
+    d = np.add(k[0], _ZERO, out=ws.d)  # a sum starting from 0: -0.0 becomes +0.0
     d += k[1]
     d += k[2]
     d += k[3]
@@ -355,14 +370,16 @@ def _gamma_bisection(system: HamiltonianSystem, ws: _Workspace, dt: float) -> fl
     h0 = system.energy(*ws.state)
 
     def residual(g: float) -> float:
-        np.multiply(ws.d, g * dt, out=ws.y)
+        ws.c[...] = g * dt
+        np.multiply(ws.d, ws.c, out=ws.y)
         ws.y += ws.x
         r = system.energy(*ws.stage) - h0
         if not math.isfinite(r):
             raise NumericalFailure(f"relaxation residual is not finite at gamma = {g!r}: {r!r}")
         return r
 
-    if residual(1.0) == 0.0:
+    r_one = residual(1.0)
+    if r_one == 0.0:
         return 1.0
     lo, hi = 0.5, 1.5
     r_lo, r_hi = residual(lo), residual(hi)
@@ -381,7 +398,8 @@ def _gamma_bisection(system: HamiltonianSystem, ws: _Workspace, dt: float) -> fl
         )
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        r_mid = residual(mid)
+        # the first midpoint of the unexpanded bracket is 1.0, known already
+        r_mid = r_one if mid == 1.0 else residual(mid)
         if r_mid == 0.0:
             return mid
         if r_lo * r_mid < 0.0:
@@ -398,7 +416,8 @@ def _rrk_advance(system: HamiltonianSystem, ws: _Workspace, dt: float, gamma_rul
     gamma."""
     _rk4_increment(system, ws, dt)
     gamma = gamma_rule(system, ws, dt)
-    ws.d *= gamma * dt
+    ws.c[...] = gamma * dt
+    ws.d *= ws.c
     ws.x += ws.d
     return gamma
 
@@ -447,21 +466,21 @@ _SPLITTINGS = {
 def _splitting_advance(system: HamiltonianSystem, ws: _Workspace, dt: float, drifts, kicks):
     """One splitting step of ``ws.x`` in place: drift, kick, drift, ...,
     kick, drift with the given weights, each drift u += (a*dt)*f(u, v), each
-    kick v += (b*dt)*F(u, v) on the latest fields, the rate formed in
-    ``ws.k[0]``.  The rates keep the boundary conditions, so the state
-    stays as ``_load`` projected it there."""
+    kick v += (b*dt)*F(u, v) on the latest fields.  Each drift and kick
+    passes its coefficient to the rate as ``scale`` (held in ``ws.c``), so
+    the scaled rate is formed in ``ws.k[0]`` by the rate itself.  The rates
+    keep the boundary conditions, so the state stays as ``_load`` projected
+    it there."""
     u, v = ws.state
     rate_u, rate_v = ws.slopes[0]
+    c = ws.c
     for a, b in zip(drifts, kicks):
-        system.position_rate(u, v, rate_u)
-        rate_u *= a * dt
-        u += rate_u
-        system.velocity_rate(u, v, rate_v)
-        rate_v *= b * dt
-        v += rate_v
-    system.position_rate(u, v, rate_u)
-    rate_u *= drifts[-1] * dt
-    u += rate_u
+        c[...] = a * dt
+        u += system.position_rate(u, v, rate_u, c)
+        c[...] = b * dt
+        v += system.velocity_rate(u, v, rate_v, c)
+    c[...] = drifts[-1] * dt
+    u += system.position_rate(u, v, rate_u, c)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +604,7 @@ def integrate(
     tiny = 1e-12 * max(dt, t_end)
     try:
         energies.append(system.energy(u, v))
-        if not np.isfinite(energies[0]):
+        if not math.isfinite(energies[0]):
             raise NumericalFailure(f"non-finite initial energy: {energies[0]!r}")
         start = time.perf_counter()
         if kind.is_relaxation:
@@ -647,7 +666,7 @@ def integrate(
 
 def _record(system, u, v, t, step_index, times, energies, steps):
     h_val = system.energy(u, v)
-    if not np.isfinite(h_val):
+    if not math.isfinite(h_val):
         raise NumericalFailure(f"non-finite energy {h_val!r} at t = {t:.6g}")
     times.append(t)
     energies.append(h_val)

@@ -372,9 +372,14 @@ class MimeticOperatorSet:
     own (numpy refuses a product that does not fit the weights);
     ``integrate`` checks a run's state once, at entry.
     They form ``f * weights`` in a scratch array the set allocates once, so
-    they allocate nothing.  ``build_operator_set`` caches sets, so every
-    system built on the same (order, grid) shares that scratch: an operator
-    set, like a system, must not be used from two threads at once."""
+    they allocate nothing, and take its dot product with ``ndarray.dot``:
+    the same BLAS ``ddot`` call as ``np.dot``, so the same value, without
+    ``np.dot``'s ``__array_function__`` dispatch, which costs about as much
+    as the product itself at a few hundred cells (1.49 against 0.69 us per
+    call on 602 floats, numpy 2.4, a shared 2-core Intel Xeon VM).
+    ``build_operator_set`` caches sets, so every system built on the same
+    (order, grid) shares that scratch: an operator set, like a system, must
+    not be used from two threads at once."""
 
     order: int
     grid: StaggeredGrid1D
@@ -396,11 +401,11 @@ class MimeticOperatorSet:
 
     def inner_q(self, f, g) -> float:
         """<f, g>_Q over extended-center fields."""
-        return float(np.dot(np.multiply(f, self.q_diag, out=self._q_scratch), g))
+        return float(np.multiply(f, self.q_diag, out=self._q_scratch).dot(g))
 
     def inner_p(self, u, v) -> float:
         """<u, v>_P over node fields."""
-        return float(np.dot(np.multiply(u, self.p_diag, out=self._p_scratch), v))
+        return float(np.multiply(u, self.p_diag, out=self._p_scratch).dot(v))
 
 
 def matvec(M: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:

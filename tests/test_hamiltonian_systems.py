@@ -411,6 +411,34 @@ def test_rates_with_out_equal_allocating_calls(problem, rng):
     assert (u.tobytes(), v.tobytes()) == before
 
 
+# A drift weight and Forest-Ruth's negative middle kick weight, times a dt,
+# as the 0-d arrays a splitting step passes.
+_SCALES = [np.array(0.6756035959798289 * 0.05), np.array(-1.7024143839193153 * 0.05)]
+
+
+@pytest.mark.parametrize("scale", _SCALES, ids=["positive", "negative"])
+@pytest.mark.parametrize("problem", ["wave", "shallow_water", "oscillator"])
+def test_scaled_rates_equal_scale_times_rate(problem, scale, rng):
+    """``rate(u, v, out, s)`` writes bitwise ``s * rate(u, v)`` into
+    ``out``, signed zeros included: a negative ``s`` turns the +0.0 end
+    values of a rate into -0.0, as multiplying afterwards does.  Leaving
+    ``scale`` out, or passing None, gives the unscaled rate."""
+    system, u, v = _random_case(problem, rng)
+    system.apply_boundary(u, v)  # the wave drift's ends are then +0.0 too
+    before = u.tobytes(), v.tobytes()
+    for rate in (system.position_rate, system.velocity_rate):
+        plain = rate(u, v)
+        want = scale * plain
+        out = np.full(want.shape, np.nan)
+        assert rate(u, v, out, scale) is out
+        np.testing.assert_array_equal(out.view(np.int64), want.view(np.int64))
+        if problem != "oscillator":
+            assert np.signbit(out[[0, -1]]).all() == (scale < 0)
+        np.testing.assert_array_equal(rate(u, v, out, None).view(np.int64),
+                                      plain.view(np.int64))
+    assert (u.tobytes(), v.tobytes()) == before
+
+
 @pytest.mark.parametrize("problem", ["wave", "shallow_water"])
 def test_energy_with_scratch_equals_allocating_formula(problem, rng):
     """Energies and the wave's quadratic parts form their products in

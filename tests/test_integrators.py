@@ -143,9 +143,9 @@ def test_declared_rhs_evals_match_actual_calls(name, expected):
         def __init__(self):
             self.calls = 0
 
-        def velocity_rate(self, u, v, out=None):
+        def velocity_rate(self, u, v, out=None, scale=None):
             self.calls += 1
-            return super().velocity_rate(u, v, out)
+            return super().velocity_rate(u, v, out, scale)
 
     system = Counting()
     integrate(system, name, STATE0, 1.0, 0.1)
@@ -283,14 +283,18 @@ def test_rk4_step_bitwise_equals_generic_tableau_loop(problem, rng):
 class _Growth(HarmonicOscillator):
     """u' = u, v' = v: every stage slope of a -0.0 state is -0.0."""
 
-    def position_rate(self, u, v, out=None):
+    def position_rate(self, u, v, out=None, scale=None):
         out = np.empty_like(u) if out is None else out
         out[...] = u
+        if scale is not None:
+            out *= scale
         return out
 
-    def velocity_rate(self, u, v, out=None):
+    def velocity_rate(self, u, v, out=None, scale=None):
         out = np.empty_like(v) if out is None else out
         out[...] = v
+        if scale is not None:
+            out *= scale
         return out
 
 
@@ -487,13 +491,13 @@ class _BoundaryWatch(WaveSystem):
         assert np.all(ends == 0.0) and not np.signbit(ends).any(), ends
         self.checked += 1
 
-    def position_rate(self, u, v, out=None):
+    def position_rate(self, u, v, out=None, scale=None):
         self._assert_ends(u, v)
-        return super().position_rate(u, v, out)
+        return super().position_rate(u, v, out, scale)
 
-    def velocity_rate(self, u, v, out=None):
+    def velocity_rate(self, u, v, out=None, scale=None):
         self._assert_ends(u, v)
-        return super().velocity_rate(u, v, out)
+        return super().velocity_rate(u, v, out, scale)
 
     def energy(self, u, v):
         self._assert_ends(u, v)
@@ -611,6 +615,27 @@ def test_bisection_rejects_non_finite_residual():
     state = (np.array([1.0]), np.array([0.0]))
     with pytest.raises(NumericalFailure, match="residual is not finite"):
         rrk_gamma_bisection(OSC, state, np.array([np.nan]), np.array([0.0]), 0.1)
+
+
+def test_bisection_evaluates_each_trial_state_once():
+    """The first midpoint of the bracket [0.5, 1.5] is gamma = 1, whose
+    residual the bisection has already formed; no state reaches ``energy``
+    twice within one step."""
+
+    class EnergyLog(WaveSystem):
+        def __init__(self, ops):
+            super().__init__(ops)
+            self.states = []
+
+        def energy(self, u, v):
+            self.states.append(u.tobytes() + v.tobytes())
+            return super().energy(u, v)
+
+    grid = build_grid(-5.0, 5.0, 100)
+    system = EnergyLog(build_operator_set(4, grid))
+    step(system, "rrk_bisection", gaussian_ic(grid, width=0.5).arrays(), cfl_dt(grid, 0.5))
+    assert len(system.states) > 10
+    assert len(set(system.states)) == len(system.states)
 
 
 @pytest.mark.parametrize("gamma_of", [rrk_gamma_analytic, rrk_gamma_bisection])
