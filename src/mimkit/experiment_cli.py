@@ -5,11 +5,15 @@ Subcommands:
 * ``energy <config>`` — integrate the configured problem with every
   configured scheme; write one CSV per scheme (``energy_<Scheme>.csv``,
   header ``t,H,rel_drift`` plus a ``gamma`` column for relaxation schemes)
-  and a combined ``summary.json``.
+  and a combined ``summary.json``.  The schemes run side by side in up to
+  one forked worker process per usable CPU (``"processes"`` in the
+  summary), or in-process where there is one CPU or no fork; the outputs
+  are identical either way, and each scheme's ``wall_seconds`` is its time
+  in its own process.
 * ``converge <config> --n 16,32,64,128`` — standing-wave convergence study
   on [0, 1]; writes ``convergence.csv`` with observed orders.
-* ``bench <config> --repeats 5`` — sequential timing benchmark (repeats
-  interleaved across schemes); writes
+* ``bench <config> --repeats 5`` — timing benchmark, strictly sequential
+  in one process (repeats interleaved across schemes); writes
   ``timing.csv`` with median wall time and per-evaluation cost.
 * ``dump-ops --order k --cells N [--domain a,b]`` — print every operator as
   ``row col value`` triples for debugging/diffing.
@@ -42,6 +46,7 @@ import os
 import statistics
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -329,43 +334,95 @@ def _energy_csv(record: RunRecord) -> str:
 # experiments
 # ---------------------------------------------------------------------------
 
-def run_energy_experiment(config: ExperimentConfig) -> dict:
+def _energy_run(config: ExperimentConfig, kind: SchemeKind) -> Tuple[dict, Optional[str]]:
+    """One scheme of an energy experiment: integrate, then write its CSV.
+    Returns (summary entry, CSV path), or (failure entry, None) when the
+    scheme fails numerically.  The setup is rebuilt from ``config``; its
+    operator set comes from ``build_operator_set``'s cache."""
+    _, system, state0, dt = _build_setup(config)
+    try:
+        record = integrate(system, kind, state0, config.t_end, dt,
+                           record_every=config.record_every,
+                           rrk_tol=config.rrk_tol, rrk_advance=config.rrk_advance)
+    except NumericalFailure as exc:
+        return {
+            "status": "failed",
+            "error": str(exc),
+            "scheme": exc.scheme,
+            "step": exc.step,
+            "t": exc.t,
+            "within_drift_threshold": False,
+        }, None
+    path = os.path.join(config.output_dir, f"energy_{kind.value}.csv")
+    _write_text(path, _energy_csv(record))
+    return _record_summary(record), path
+
+
+def _start_on_own_cpu(cpus) -> None:
+    """Worker initializer: move this worker onto the next CPU in the queue
+    ``cpus``, then let it run on any usable CPU again.  A forked worker
+    starts on its parent's CPU, and the scheduler can leave all the workers
+    sharing that one CPU for hundreds of milliseconds."""
+    usable = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {cpus.get()})
+    os.sched_setaffinity(0, usable)
+
+
+def run_energy_experiment(config: ExperimentConfig, processes: int = 1) -> dict:
     """Integrate every configured scheme; write per-scheme energy CSVs and a
     combined summary.json.  A scheme that fails numerically is recorded in
     the summary and does not stop the others.  Returns the summary dict
-    (with the written file paths under "files")."""
-    grid, system, state0, dt = _build_setup(config)
+    (with the written file paths under "files").
+
+    With ``processes`` = 1 every scheme runs in this process, one after
+    another.  With ``processes`` > 1 the schemes run side by side in that
+    many worker processes started by fork (``"fork"`` must be among
+    ``multiprocessing.get_all_start_methods()``); the operator set is built
+    here first, so the workers inherit it, and each worker starts on its own
+    usable CPU where the platform can set CPU affinity.  The outputs are
+    identical either way, apart from each scheme's ``wall_seconds``, which
+    is its time in its own process; ``processes`` is recorded in the
+    summary.  A worker that dies raises
+    ``concurrent.futures.process.BrokenProcessPool``.
+    """
+    if processes < 1:
+        raise ValueError(f"processes must be >= 1, got {processes!r}")
+    _, _, _, dt = _build_setup(config)
     os.makedirs(config.output_dir, exist_ok=True)
+
+    run = partial(_energy_run, config)
+    if processes == 1:
+        results = list(map(run, config.schemes))
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        context = multiprocessing.get_context("fork")
+        spread = {}
+        if hasattr(os, "sched_setaffinity"):
+            cpus = context.SimpleQueue()
+            usable = sorted(os.sched_getaffinity(0))
+            for i in range(processes):
+                cpus.put(usable[i % len(usable)])
+            spread = {"initializer": _start_on_own_cpu, "initargs": (cpus,)}
+        with ProcessPoolExecutor(processes, mp_context=context, **spread) as pool:
+            results = list(pool.map(run, config.schemes))
 
     scheme_summaries: Dict[str, dict] = {}
     files: List[str] = []
     failures: List[str] = []
-    for kind in config.schemes:
-        try:
-            record = integrate(system, kind, state0, config.t_end, dt,
-                               record_every=config.record_every,
-                               rrk_tol=config.rrk_tol, rrk_advance=config.rrk_advance)
-        except NumericalFailure as exc:
-            scheme_summaries[kind.value] = {
-                "status": "failed",
-                "error": str(exc),
-                "scheme": exc.scheme,
-                "step": exc.step,
-                "t": exc.t,
-                "within_drift_threshold": False,
-            }
-            failures.append(f"{kind.value}: {exc}")
-            continue
-        path = os.path.join(config.output_dir, f"energy_{kind.value}.csv")
-        _write_text(path, _energy_csv(record))
-        files.append(path)
-        scheme_summaries[kind.value] = _record_summary(record)
+    for kind, (entry, path) in zip(config.schemes, results):
+        scheme_summaries[kind.value] = entry
+        if path is None:
+            failures.append(f"{kind.value}: {entry['error']}")
+        else:
+            files.append(path)
 
     summary = {
         "experiment": "energy",
         "drift_threshold": DRIFT_THRESHOLD,
         "config": _config_echo(config),
         "dt": dt,
+        "processes": processes,
         "schemes": scheme_summaries,
         "files": files,
         "failures": failures,
@@ -514,8 +571,24 @@ def _parse_domain(text: str) -> Tuple[float, float]:
     return parts[0], parts[1]
 
 
+def _energy_processes(n_schemes: int) -> int:
+    """Worker processes for ``energy``: one per usable CPU, at most one per
+    scheme; 1 where only one CPU is usable or fork is unavailable."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    processes = min(cpus, n_schemes)
+    if processes > 1:
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return 1
+    return processes
+
+
 def _cmd_energy(args) -> int:
-    summary = run_energy_experiment(parse_config(args.config))
+    config = parse_config(args.config)
+    summary = run_energy_experiment(config, _energy_processes(len(config.schemes)))
     for path in summary["files"]:
         print(f"wrote {path}")
     print(f"wrote {summary['summary_path']}")

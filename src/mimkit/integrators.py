@@ -248,6 +248,10 @@ class _Workspace:
     coefficient (``a*dt``, ``gamma*dt``) just before an array is multiplied
     by it: the product is the same as by the Python float, without numpy's
     slower path for one.  ``tol`` is the run's bisection tolerance on gamma.
+    ``h`` is H(x) when ``integrate`` has just evaluated it (the initial
+    energy and each recorded row), else None; every step that changes ``x``
+    clears it, so the bisection reuses it as H(x) only for the state it was
+    taken at.
     """
 
     def __init__(self, n_u: int, n_v: int, tol: float):
@@ -255,6 +259,7 @@ class _Workspace:
         self.k = np.empty((4, n_u + n_v))
         self.c = np.empty(())
         self.tol = tol
+        self.h = None
         self.rows = tuple(self.k)
         self.state, self.stage, self.incr = ((a[:n_u], a[n_u:]) for a in (self.x, self.y, self.d))
         self.slopes = tuple((row[:n_u], row[n_u:]) for row in self.rows)
@@ -366,8 +371,9 @@ def rrk_gamma_bisection(
 
 def _gamma_bisection(system: HamiltonianSystem, ws: _Workspace, dt: float) -> float:
     """``rrk_gamma_bisection`` at state ``ws.x`` along ``ws.d`` to tolerance
-    ``ws.tol``, each trial state formed in ``ws.y``."""
-    h0 = system.energy(*ws.state)
+    ``ws.tol``, each trial state formed in ``ws.y``; H(x) is ``ws.h`` when
+    ``integrate`` has it already."""
+    h0 = system.energy(*ws.state) if ws.h is None else ws.h
 
     def residual(g: float) -> float:
         ws.c[...] = g * dt
@@ -419,6 +425,7 @@ def _rrk_advance(system: HamiltonianSystem, ws: _Workspace, dt: float, gamma_rul
     ws.c[...] = gamma * dt
     ws.d *= ws.c
     ws.x += ws.d
+    ws.h = None
     return gamma
 
 
@@ -481,6 +488,7 @@ def _splitting_advance(system: HamiltonianSystem, ws: _Workspace, dt: float, dri
         v += system.velocity_rate(u, v, rate_v, c)
     c[...] = drifts[-1] * dt
     u += system.position_rate(u, v, rate_u, c)
+    ws.h = None
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +611,8 @@ def integrate(
     n_steps = 0
     tiny = 1e-12 * max(dt, t_end)
     try:
-        energies.append(system.energy(u, v))
+        ws.h = system.energy(u, v)
+        energies.append(ws.h)
         if not math.isfinite(energies[0]):
             raise NumericalFailure(f"non-finite initial energy: {energies[0]!r}")
         start = time.perf_counter()
@@ -629,9 +638,9 @@ def integrate(
                 t += t_step
                 gammas.append(gamma)
                 if n_steps % record_every == 0:
-                    _record(system, u, v, t, n_steps, times, energies, steps)
+                    _record(system, ws, t, n_steps, times, energies, steps)
             if times[-1] != t:
-                _record(system, u, v, t, n_steps, times, energies, steps)
+                _record(system, ws, t, n_steps, times, energies, steps)
         else:
             total = max(1, math.ceil(t_end / dt - 1e-9))
             for i in range(1, total + 1):
@@ -641,7 +650,7 @@ def integrate(
                 t = target
                 if i % record_every == 0 or i == total:
                     if times[-1] != t:
-                        _record(system, u, v, t, i, times, energies, steps)
+                        _record(system, ws, t, i, times, energies, steps)
     except NumericalFailure as exc:
         exc.scheme, exc.step, exc.t = kind.value, n_steps, t
         if n_steps:
@@ -664,10 +673,11 @@ def integrate(
     )
 
 
-def _record(system, u, v, t, step_index, times, energies, steps):
-    h_val = system.energy(u, v)
+def _record(system, ws, t, step_index, times, energies, steps):
+    h_val = system.energy(*ws.state)
     if not math.isfinite(h_val):
         raise NumericalFailure(f"non-finite energy {h_val!r} at t = {t:.6g}")
+    ws.h = h_val
     times.append(t)
     energies.append(h_val)
     steps.append(step_index)

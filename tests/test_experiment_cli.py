@@ -2,11 +2,15 @@
 formats, exit codes, and run-to-run determinism."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
 import math
 import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +25,7 @@ from mimkit import (
     run_convergence_study,
     run_energy_experiment,
 )
+from mimkit import experiment_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -188,6 +193,137 @@ def test_summary_json_holds_the_returned_summary(tmp_path):
     assert "gamma_min" in summary["schemes"]["RRK_bisection"]
     written = json.loads(Path(summary.pop("summary_path")).read_text())
     assert written == summary
+
+
+def _bore_config(tmp_path, name, schemes):
+    """The shallow-water bore of test_energy_isolates_failing_scheme, on
+    which ForestRuth fails, written to tmp_path/<name>."""
+    return parse_config(_write_config(
+        tmp_path, name=f"{name}.json", output_dir=str(tmp_path / name),
+        problem="shallow_water", domain=None, n_cells=128, schemes=schemes,
+        t_end=15.0, ic_offset=1.0, ic_width=1.0, ic_amplitude=0.1))
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail with TimeoutError, rather than stall the suite, if the block is
+    still running after ``seconds`` (forked children do not inherit the
+    alarm)."""
+
+    def hung(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_energy_in_worker_processes_matches_in_process(tmp_path):
+    """Schemes run side by side in forked workers give the same CSVs, byte
+    for byte, and the same summary in the same order (apart from wall
+    time), failure included."""
+    schemes = ["rk4", "fr", "rrk_bisection", "lf"]
+    serial = run_energy_experiment(_bore_config(tmp_path, "serial", schemes), processes=1)
+    with _deadline(60):
+        parallel = run_energy_experiment(_bore_config(tmp_path, "parallel", schemes),
+                                         processes=2)
+    assert (serial["processes"], parallel["processes"]) == (1, 2)
+
+    names = [Path(p).name for p in serial["files"]]
+    assert names == ["energy_RK4.csv", "energy_RRK_bisection.csv", "energy_Leapfrog.csv"]
+    assert [Path(p).name for p in parallel["files"]] == names
+    for name in names:
+        assert (tmp_path / "parallel" / name).read_bytes() == \
+            (tmp_path / "serial" / name).read_bytes(), name
+    assert parallel["failures"] == serial["failures"]
+    assert len(serial["failures"]) == 1
+
+    def without_wall(summary):
+        return [(scheme, {k: v for k, v in entry.items() if k != "wall_seconds"})
+                for scheme, entry in summary["schemes"].items()]
+
+    assert without_wall(parallel) == without_wall(serial)
+    assert list(parallel["schemes"]) == ["RK4", "ForestRuth", "RRK_bisection", "Leapfrog"]
+    failed = parallel["schemes"]["ForestRuth"]
+    assert failed["status"] == "failed" and failed["scheme"] == "ForestRuth"
+    assert failed["error"].startswith(f"step {failed['step']}: ")
+    assert 0.0 < failed["t"] < 15.0
+
+
+def test_energy_dead_worker_raises(tmp_path, monkeypatch):
+    """A worker process that dies mid-run makes run_energy_experiment raise
+    BrokenProcessPool promptly instead of waiting for its result; an alarm
+    fails the test if it hangs."""
+    real_integrate = experiment_cli.integrate
+
+    def dying_integrate(system, kind, *args, **kwargs):
+        if kind.value == "Leapfrog":
+            os._exit(1)  # the forked worker inherits this patch
+        return real_integrate(system, kind, *args, **kwargs)
+
+    monkeypatch.setattr(experiment_cli, "integrate", dying_integrate)
+    config = parse_config(_write_config(tmp_path))
+    start = time.perf_counter()
+    with _deadline(30), pytest.raises(BrokenProcessPool):
+        run_energy_experiment(config, processes=2)
+    assert time.perf_counter() - start < 10.0
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_energy_worker_start_leaves_every_usable_cpu_allowed():
+    """A worker's start takes its CPU from the queue and then restores its
+    affinity: no worker stays pinned to one CPU."""
+    import multiprocessing
+
+    usable = os.sched_getaffinity(0)
+    cpus = multiprocessing.get_context("fork").SimpleQueue()
+    cpus.put(max(usable))
+    experiment_cli._start_on_own_cpu(cpus)
+    assert cpus.empty()
+    assert os.sched_getaffinity(0) == usable
+
+
+def test_energy_library_default_runs_in_process(tmp_path, monkeypatch):
+    """run_energy_experiment's default runs every scheme in the calling
+    process, so a patched integrate sees every call (in-process timing of
+    the writes relies on this)."""
+    real_integrate = experiment_cli.integrate
+    calls = []
+
+    def counting_integrate(system, kind, *args, **kwargs):
+        calls.append(kind.value)
+        return real_integrate(system, kind, *args, **kwargs)
+
+    monkeypatch.setattr(experiment_cli, "integrate", counting_integrate)
+    config = parse_config(_write_config(tmp_path))
+    summary = run_energy_experiment(config)
+    assert calls == ["RK4", "PEFRL", "Leapfrog"]
+    assert summary["processes"] == 1
+    with pytest.raises(ValueError, match="processes must be >= 1"):
+        run_energy_experiment(config, processes=0)
+
+
+def test_energy_cli_uses_one_process_per_usable_cpu(monkeypatch):
+    """``mimkit energy`` runs one worker per usable CPU, at most one per
+    scheme, and runs in-process on one CPU or without fork."""
+    import multiprocessing
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert experiment_cli._energy_processes(7) == 4
+    assert experiment_cli._energy_processes(3) == 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert experiment_cli._energy_processes(7) == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert experiment_cli._energy_processes(7) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert experiment_cli._energy_processes(7) == 2
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert experiment_cli._energy_processes(7) == 1
 
 
 def test_energy_values_round_trip_17_digits(tmp_path):

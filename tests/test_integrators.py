@@ -617,24 +617,39 @@ def test_bisection_rejects_non_finite_residual():
         rrk_gamma_bisection(OSC, state, np.array([np.nan]), np.array([0.0]), 0.1)
 
 
+class _EnergyLog(WaveSystem):
+    """A wave system that logs the bytes of every state it evaluates H at."""
+
+    def __init__(self, ops):
+        super().__init__(ops)
+        self.states = []
+
+    def energy(self, u, v):
+        self.states.append(u.tobytes() + v.tobytes())
+        return super().energy(u, v)
+
+
 def test_bisection_evaluates_each_trial_state_once():
     """The first midpoint of the bracket [0.5, 1.5] is gamma = 1, whose
     residual the bisection has already formed; no state reaches ``energy``
     twice within one step."""
-
-    class EnergyLog(WaveSystem):
-        def __init__(self, ops):
-            super().__init__(ops)
-            self.states = []
-
-        def energy(self, u, v):
-            self.states.append(u.tobytes() + v.tobytes())
-            return super().energy(u, v)
-
     grid = build_grid(-5.0, 5.0, 100)
-    system = EnergyLog(build_operator_set(4, grid))
+    system = _EnergyLog(build_operator_set(4, grid))
     step(system, "rrk_bisection", gaussian_ic(grid, width=0.5).arrays(), cfl_dt(grid, 0.5))
     assert len(system.states) > 10
+    assert len(set(system.states)) == len(system.states)
+
+
+def test_bisection_reuses_the_recorded_energy():
+    """With record_every = 1, ``integrate`` evaluates H at every accepted
+    state for its record, and the next bisection takes that value as
+    H(x_n) rather than evaluating it again: no state reaches ``energy``
+    twice in a run."""
+    grid = build_grid(-5.0, 5.0, 100)
+    system = _EnergyLog(build_operator_set(4, grid))
+    record = integrate(system, "rrk_bisection", gaussian_ic(grid, width=0.5).arrays(),
+                       20 * cfl_dt(grid, 0.5), cfl_dt(grid, 0.5))
+    assert record.n_steps >= 20 and len(record.energies) == record.n_steps + 1
     assert len(set(system.states)) == len(system.states)
 
 
