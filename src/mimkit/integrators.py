@@ -47,9 +47,7 @@ One table, ``_ADVANCE``, maps each scheme to the code that advances a
 state by one step: the RK loop with its gamma rule (constant 1, closed form
 or bisection), or the drift-kick loop bound to the scheme's coefficient
 table.  ``integrate`` and ``step`` both dispatch through it; nothing else
-decides which code runs which scheme.  The public ``rrk_gamma_analytic`` and
-``rrk_gamma_bisection`` are the same gamma rules over a state and a
-direction loaded as ``integrate`` loads a state.
+decides which code runs which scheme.
 
 ``integrate`` owns one contiguous float buffer per run: ``_load`` copies
 ``state0`` into it once, with u and v as views, checking each field's
@@ -96,8 +94,6 @@ __all__ = [
     "SchemeKind",
     "normalize_scheme",
     "RunRecord",
-    "rrk_gamma_analytic",
-    "rrk_gamma_bisection",
     "step",
     "integrate",
     "cfl_dt",
@@ -112,12 +108,7 @@ State = Tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True)
 class ButcherTableau:
-    """Runge-Kutta coefficients (a, b, c); sum(b) must equal 1.
-
-    The explicit schemes used here have strictly lower-triangular ``a``;
-    implicit tableaus (e.g. the midpoint rule) may still be constructed for
-    the symplecticity-residual check — query ``is_explicit``.
-    """
+    """Runge-Kutta coefficients (a, b, c); sum(b) must equal 1."""
 
     a: Tuple[Tuple[float, ...], ...]
     b: Tuple[float, ...]
@@ -133,12 +124,6 @@ class ButcherTableau:
     @property
     def stages(self) -> int:
         return len(self.b)
-
-    @property
-    def is_explicit(self) -> bool:
-        return all(
-            self.a[i][j] == 0.0 for i in range(self.stages) for j in range(i, self.stages)
-        )
 
 
 TABLEAU_RK4 = ButcherTableau(
@@ -191,32 +176,22 @@ class SchemeKind(str, Enum):
         return 2 if self is SchemeKind.LEAPFROG else 4
 
 
-_SCHEME_ALIASES = {
-    "rk4": SchemeKind.RK4,
+_SCHEME_NAMES = {
+    **{kind.value.lower(): kind for kind in SchemeKind},
     "rrk": SchemeKind.RRK_ANALYTIC,
-    "rrk_analytic": SchemeKind.RRK_ANALYTIC,
-    "rrk_bisection": SchemeKind.RRK_BISECTION,
-    "rrk-root": SchemeKind.RRK_BISECTION,
-    "rrk_root": SchemeKind.RRK_BISECTION,
-    "forestruth": SchemeKind.FOREST_RUTH,
-    "forest_ruth": SchemeKind.FOREST_RUTH,
-    "fruth": SchemeKind.FOREST_RUTH,
     "fr": SchemeKind.FOREST_RUTH,
-    "pefrl": SchemeKind.PEFRL,
-    "leapfrog": SchemeKind.LEAPFROG,
     "lf": SchemeKind.LEAPFROG,
-    "composition4": SchemeKind.COMPOSITION4,
     "comp4": SchemeKind.COMPOSITION4,
 }
 
 
 def normalize_scheme(name) -> SchemeKind:
-    """Resolve a scheme name or alias (case-insensitive) to a SchemeKind."""
+    """Resolve a scheme's name in any case, or one of the short names
+    ``rrk``, ``fr``, ``lf``, ``comp4``, to a SchemeKind."""
     if isinstance(name, SchemeKind):
         return name
-    key = str(name).strip().lower()
     try:
-        return _SCHEME_ALIASES[key]
+        return _SCHEME_NAMES[str(name).strip().lower()]
     except KeyError:
         valid = ", ".join(kind.value for kind in SchemeKind)
         raise ValueError(f"unknown scheme {name!r}; expected one of: {valid}") from None
@@ -265,11 +240,10 @@ class _Workspace:
         self.slopes = tuple((row[:n_u], row[n_u:]) for row in self.rows)
 
 
-def _load(system: HamiltonianSystem, state: State, tol: float = 1e-12,
-          direction: Optional[State] = None) -> _Workspace:
-    """A fresh workspace holding float copies of ``state`` (in ``ws.x``) and
-    of ``direction`` when given (in ``ws.d``), each projected onto the
-    boundary conditions in place: the one projection of a run or a step.
+def _load(system: HamiltonianSystem, state: State, tol: float = 1e-12) -> _Workspace:
+    """A fresh workspace holding a float copy of ``state`` in ``ws.x``,
+    projected onto the boundary conditions in place: the one projection of
+    a run or a step.
 
     Raises ValueError when a field does not have the length
     ``system.state_lengths`` gives for it: the one layout check of a run or
@@ -277,16 +251,13 @@ def _load(system: HamiltonianSystem, state: State, tol: float = 1e-12,
     """
     lengths = system.state_lengths
     ws = _Workspace(*lengths.values(), tol)
-    for what, fields, views in (("initial", state, ws.state), ("direction", direction, ws.incr)):
-        if fields is None:
-            continue
-        for (name, n), x, view in zip(lengths.items(), fields, views, strict=True):
-            x = np.asarray(x, dtype=float)
-            if x.shape != (n,):
-                raise ValueError(f"{system.name}: {what} {name} must have length {n}, "
-                                 f"got shape {x.shape}")
-            view[...] = x
-        system.apply_boundary(*views)
+    for (name, n), x, view in zip(lengths.items(), state, ws.state, strict=True):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (n,):
+            raise ValueError(f"{system.name}: initial {name} must have length {n}, "
+                             f"got shape {x.shape}")
+        view[...] = x
+    system.apply_boundary(*ws.state)
     return ws
 
 
@@ -317,29 +288,16 @@ def _rk4_increment(system: HamiltonianSystem, ws: _Workspace, dt: float):
     d += k[3]
 
 
-def _require_finite_dt(dt: float):
-    if not math.isfinite(dt):
-        raise ValueError(f"dt must be finite, got {dt!r}")
-
-
-def rrk_gamma_analytic(system: HamiltonianSystem, state: State, d_u, d_v, dt: float) -> float:
-    """Closed-form relaxation parameter for quadratic energies.
+def _gamma_analytic(system: HamiltonianSystem, ws: _Workspace, dt: float) -> float:
+    """Closed-form relaxation parameter for quadratic energies, at state
+    ``ws.x`` along ``ws.d``.
 
     With E = <v, d_v>_Q + <G u, G d_u>_P and T = <d_v, d_v>_Q +
-    <G d_u, G d_u>_P, the energy change of ``state + gamma*dt*d`` is
+    <G d_u, G d_u>_P, the energy change of ``x + gamma*dt*d`` is
     ``gamma*dt*E + (1/2)(gamma*dt)^2*T``; its nontrivial root is
     gamma = -2E/(dt*T).  Returns 1 when d vanishes (E = T = 0) or dt = 0
-    (every gamma then leaves the state as it is).  The state and the
-    direction d are loaded as ``integrate`` loads a state: a field of the
-    wrong length raises ValueError, and both are projected; a non-finite
-    ``dt`` raises ValueError as ``step`` does.
+    (every gamma then leaves the state as it is).
     """
-    _require_finite_dt(dt)
-    return _gamma_analytic(system, _load(system, state, direction=(d_u, d_v)), dt)
-
-
-def _gamma_analytic(system: HamiltonianSystem, ws: _Workspace, dt: float) -> float:
-    """``rrk_gamma_analytic`` at state ``ws.x`` along ``ws.d``."""
     if dt == 0.0:
         return 1.0
     E, T = system.quadratic_parts(*ws.state, *ws.incr)
@@ -352,27 +310,16 @@ def _gamma_analytic(system: HamiltonianSystem, ws: _Workspace, dt: float) -> flo
     return -2.0 * E / (dt * T)
 
 
-def rrk_gamma_bisection(
-    system: HamiltonianSystem, state: State, d_u, d_v, dt: float, tol: float = 1e-12
-) -> float:
-    """Relaxation parameter by bisection on r(g) = H(state + g*dt*d) - H(state).
+def _gamma_bisection(system: HamiltonianSystem, ws: _Workspace, dt: float) -> float:
+    """Relaxation parameter by bisection on r(g) = H(x + g*dt*d) - H(x), at
+    state ``ws.x`` along ``ws.d``, each trial state formed in ``ws.y``; H(x)
+    is ``ws.h`` when ``integrate`` has it already.
 
     Starts from the bracket [0.5, 1.5], expanding geometrically up to
     [0.1, 2.0] if the residual does not change sign; terminates when the
-    bracket width drops below ``tol`` or after 200 iterations.  A residual
-    that is not finite raises NumericalFailure.  The state and the direction
-    d are loaded as ``integrate`` loads a state: a field of the wrong length
-    raises ValueError, and both are projected; a non-finite ``dt`` raises
-    ValueError as ``step`` does.
+    bracket width drops below ``ws.tol`` or after 200 iterations.  A
+    residual that is not finite raises NumericalFailure.
     """
-    _require_finite_dt(dt)
-    return _gamma_bisection(system, _load(system, state, tol, direction=(d_u, d_v)), dt)
-
-
-def _gamma_bisection(system: HamiltonianSystem, ws: _Workspace, dt: float) -> float:
-    """``rrk_gamma_bisection`` at state ``ws.x`` along ``ws.d`` to tolerance
-    ``ws.tol``, each trial state formed in ``ws.y``; H(x) is ``ws.h`` when
-    ``integrate`` has it already."""
     h0 = system.energy(*ws.state) if ws.h is None else ws.h
 
     def residual(g: float) -> float:
@@ -508,15 +455,18 @@ _ADVANCE = {
 
 
 def step(system: HamiltonianSystem, scheme, state: State, dt: float) -> State:
-    """One step of ``scheme`` (a SchemeKind or an alias) from ``state``:
-    bitwise the first step ``integrate`` takes from ``state`` with step dt,
-    loaded and projected the same way, on a copy: the caller's arrays are
-    never modified.  Returns the new (u, v); a relaxation step's gamma is not
-    returned (``integrate`` records it in ``RunRecord.gammas``).  Raises
-    ValueError as ``integrate`` does when a field has the wrong length or
-    ``dt`` is not finite; a negative ``dt`` steps backwards.
+    """One step of ``scheme`` from ``state``: bitwise the first step
+    ``integrate`` takes from ``state`` with step dt, loaded and projected
+    the same way, on a copy: the caller's arrays are never modified.
+    ``scheme`` is a SchemeKind, a scheme's name in any case, or one of the
+    short names ``rrk``, ``fr``, ``lf``, ``comp4``.  Returns the new (u, v);
+    a relaxation step's gamma is not returned (``integrate`` records it in
+    ``RunRecord.gammas``).  Raises ValueError as ``integrate`` does when a
+    field has the wrong length or ``dt`` is not finite; a negative ``dt``
+    steps backwards.
     """
-    _require_finite_dt(dt)
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt!r}")
     ws = _load(system, state)
     _ADVANCE[normalize_scheme(scheme)](system, ws, dt)
     return ws.state

@@ -89,6 +89,7 @@ def test_parse_shipped_configs():
     ({"order": 2}, "unknown config key"),
     ({"schemes": "rk4"}, "'schemes' must be a non-empty list"),
     ({"schemes": ["rk4", "RK4", "lf"]}, "'schemes' lists RK4 twice"),
+    ({"schemes": ["forest_ruth"]}, "'schemes': unknown scheme 'forest_ruth'"),
 ])
 def test_parse_config_rejects_bad_values(tmp_path, overrides, fragment):
     path = _write_config(tmp_path, **overrides)

@@ -22,14 +22,12 @@ from mimkit import (
     gaussian_ic,
     integrate,
     normalize_scheme,
-    rrk_gamma_analytic,
-    rrk_gamma_bisection,
     shallow_water_ic,
     step,
     symplecticity_residual,
 )
 from mimkit.hamiltonian_systems import HarmonicOscillator
-from mimkit.integrators import _SPLITTINGS
+from mimkit.integrators import _SPLITTINGS, _gamma_bisection, _load
 
 from oracles import (
     forest_ruth_drift_kick,
@@ -58,8 +56,6 @@ STATE0 = HarmonicOscillator.initial_state(0.8, -0.6)
 def test_rk4_tableau_coefficients():
     assert TABLEAU_RK4.b == (1 / 6, 1 / 3, 1 / 3, 1 / 6)
     assert TABLEAU_RK4.c == (0.0, 0.5, 0.5, 1.0)
-    assert TABLEAU_RK4.is_explicit
-    assert not TABLEAU_IMPLICIT_MIDPOINT.is_explicit
     assert TABLEAU_IMPLICIT_MIDPOINT.b == (1.0,)
 
 
@@ -83,25 +79,20 @@ def test_symplecticity_residual_matches_algebraic_oracle():
 
 
 def test_scheme_alias_resolution():
-    expected = {
-        "rk4": SchemeKind.RK4,
-        "RRK": SchemeKind.RRK_ANALYTIC,
-        "rrk_analytic": SchemeKind.RRK_ANALYTIC,
-        "rrk_bisection": SchemeKind.RRK_BISECTION,
-        "rrk-root": SchemeKind.RRK_BISECTION,
-        "ForestRuth": SchemeKind.FOREST_RUTH,
-        "fr": SchemeKind.FOREST_RUTH,
-        "PEFRL": SchemeKind.PEFRL,
-        "LeapFrog": SchemeKind.LEAPFROG,
-        "lf": SchemeKind.LEAPFROG,
-        "Composition4": SchemeKind.COMPOSITION4,
-        "comp4": SchemeKind.COMPOSITION4,
-    }
-    for name, kind in expected.items():
-        assert normalize_scheme(name) is kind
+    """A scheme is named by its value in any case or by one of four short
+    names; no other spelling resolves, and the refusal lists the schemes."""
+    for kind in SchemeKind:
+        for name in (kind.value, kind.value.upper(), kind.value.lower()):
+            assert normalize_scheme(name) is kind
         assert normalize_scheme(kind) is kind  # pass-through
-    with pytest.raises(ValueError, match="unknown scheme"):
-        normalize_scheme("rk45")
+    short = {"rrk": SchemeKind.RRK_ANALYTIC, "fr": SchemeKind.FOREST_RUTH,
+             "lf": SchemeKind.LEAPFROG, "comp4": SchemeKind.COMPOSITION4}
+    for name, kind in short.items():
+        assert normalize_scheme(name) is kind
+    valid = ", ".join(kind.value for kind in SchemeKind)
+    for name in ("rrk-root", "rrk_root", "forest_ruth", "fruth", "rk45"):
+        with pytest.raises(ValueError, match=f"^unknown scheme {name!r}; expected one of: {valid}$"):
+            normalize_scheme(name)
 
 
 def test_scheme_properties():
@@ -413,9 +404,9 @@ def test_caller_arrays_are_never_modified(name):
 
 @pytest.mark.parametrize("name", ALL_SCHEMES)
 def test_public_steps_reject_wave_state_of_wrong_length(name):
-    """``step`` and ``rrk_gamma_bisection`` make integrate's layout check: a
-    wave field one entry short or long raises integrate's ValueError, naming
-    the field and its length, before any product meets it."""
+    """``step`` makes integrate's layout check: a wave field one entry
+    short or long raises integrate's ValueError, naming the field and its
+    length, before any product meets it."""
     grid = build_grid(0.0, 1.0, 64)
     system = WaveSystem(build_operator_set(4, grid))
     u, v = gaussian_ic(grid, center=0.5, width=0.1).arrays()
@@ -423,41 +414,6 @@ def test_public_steps_reject_wave_state_of_wrong_length(name):
                          ((np.append(u, 0.0), np.append(v, 0.0)), "u")):
         with pytest.raises(ValueError, match=f"^wave: initial {field} must have length 66"):
             step(system, name, state, 1e-3)
-    with pytest.raises(ValueError, match="^wave: initial u must have length 66"):
-        rrk_gamma_bisection(system, (u[:-1], v[:-1]), u[:-1], v[:-1], 1e-3)
-
-
-def test_rrk_gamma_bisection_loads_its_direction_as_the_state():
-    """The direction goes through the state's length check, naming its
-    field, and is projected once: a length-1 field is refused rather than
-    broadcast, and the end values of d do not change gamma."""
-    grid = build_grid(0.0, 1.0, 32)
-    system = WaveSystem(build_operator_set(4, grid))
-    u, v = gaussian_ic(grid, center=0.5, width=0.1).arrays()
-    for d, field in (((np.array([1e-3]), np.array([0.0])), "u"),
-                     ((u, v[:-1]), "v")):
-        with pytest.raises(ValueError, match=f"^wave: direction {field} must have length 34"):
-            rrk_gamma_bisection(system, (u, v), *d, 1e-3)
-    d_u, d_v = _rk4_direction(system, (u, v), 1e-3)
-    gamma = rrk_gamma_bisection(system, (u, v), d_u, d_v, 1e-3)
-    d_u[0], d_v[-1] = 5.0, -3.0
-    assert rrk_gamma_bisection(system, (u, v), d_u, d_v, 1e-3) == gamma
-
-
-def test_rrk_gamma_analytic_loads_its_inputs_as_bisection_does():
-    """The closed-form gamma makes the same length check and projection as
-    the bisection: a short direction field is refused by name, the end
-    values of d do not change gamma, and the two rules agree."""
-    grid = build_grid(0.0, 1.0, 32)
-    system = WaveSystem(build_operator_set(4, grid))
-    u, v = gaussian_ic(grid, center=0.5, width=0.1).arrays()
-    with pytest.raises(ValueError, match="^wave: direction u must have length 34"):
-        rrk_gamma_analytic(system, (u, v), np.array([1e-3]), v, 1e-3)
-    d_u, d_v = _rk4_direction(system, (u, v), 1e-3)
-    gamma = rrk_gamma_analytic(system, (u, v), d_u, d_v, 1e-3)
-    d_u[0], d_v[-1] = 5.0, -3.0
-    assert rrk_gamma_analytic(system, (u, v), d_u, d_v, 1e-3) == gamma
-    assert rrk_gamma_bisection(system, (u, v), d_u, d_v, 1e-3) == pytest.approx(gamma, abs=1e-9)
 
 
 @pytest.mark.parametrize("name", ALL_SCHEMES)
@@ -584,7 +540,7 @@ def _rk4_direction(system, state, dt):
 def test_analytic_gamma_matches_sampling_oracle():
     dt = 0.3
     d_u, d_v = _rk4_direction(OSC, STATE0, dt)
-    gamma = rrk_gamma_analytic(OSC, STATE0, d_u, d_v, dt)
+    (gamma,) = integrate(OSC, "rrk_analytic", STATE0, dt, dt, rrk_advance="plain_dt").gammas
     h0 = OSC.energy(*STATE0)
     oracle = relaxation_gamma_from_samples(
         lambda g: OSC.energy(STATE0[0] + g * dt * d_u, STATE0[1] + g * dt * d_v), h0)
@@ -596,25 +552,29 @@ def test_analytic_gamma_matches_sampling_oracle():
 
 def test_bisection_gamma_agrees_with_analytic():
     dt = 0.3
-    d_u, d_v = _rk4_direction(OSC, STATE0, dt)
-    g_ana = rrk_gamma_analytic(OSC, STATE0, d_u, d_v, dt)
-    g_bis = rrk_gamma_bisection(OSC, STATE0, d_u, d_v, dt)
-    assert g_bis == pytest.approx(g_ana, abs=1e-9)
+    g_ana, g_bis = (integrate(OSC, name, STATE0, 10 * dt, dt, rrk_advance="plain_dt").gammas
+                    for name in ("rrk_analytic", "rrk_bisection"))
+    assert len(g_ana) == len(g_bis) == 10
+    np.testing.assert_allclose(g_bis, g_ana, rtol=0, atol=1e-9)
 
 
 def test_gamma_is_one_for_energy_preserving_direction():
-    """A direction with E = T = 0 leaves the energy flat; gamma defaults
-    to 1 rather than dividing by zero."""
-    state = (np.array([1.0]), np.array([0.0]))
-    assert rrk_gamma_analytic(OSC, state, np.array([0.0]), np.array([0.0]), 0.1) == 1.0
+    """From the zero state the RK4 increment vanishes (E = T = 0) and
+    leaves the energy flat; both rules give gamma = 1 rather than dividing
+    by zero."""
+    for name in ("rrk_analytic", "rrk_bisection"):
+        record = integrate(OSC, name, HarmonicOscillator.initial_state(0.0, 0.0), 1.0, 0.1)
+        assert record.n_steps >= 10
+        assert np.all(record.gammas == 1.0)
 
 
 def test_bisection_rejects_non_finite_residual():
     """Every comparison with NaN is false, so a NaN residual would walk the
     bracket to a made-up gamma; it raises instead."""
-    state = (np.array([1.0]), np.array([0.0]))
+    ws = _load(OSC, (np.array([1.0]), np.array([0.0])))
+    ws.d[...] = np.nan
     with pytest.raises(NumericalFailure, match="residual is not finite"):
-        rrk_gamma_bisection(OSC, state, np.array([np.nan]), np.array([0.0]), 0.1)
+        _gamma_bisection(OSC, ws, 0.1)
 
 
 class _EnergyLog(WaveSystem):
@@ -651,17 +611,6 @@ def test_bisection_reuses_the_recorded_energy():
                        20 * cfl_dt(grid, 0.5), cfl_dt(grid, 0.5))
     assert record.n_steps >= 20 and len(record.energies) == record.n_steps + 1
     assert len(set(system.states)) == len(system.states)
-
-
-@pytest.mark.parametrize("gamma_of", [rrk_gamma_analytic, rrk_gamma_bisection])
-def test_gamma_functions_at_zero_and_non_finite_dt(gamma_of):
-    """At dt = 0 every gamma leaves the state as it is, so both rules give
-    1; a non-finite dt is refused with step's ValueError."""
-    d_u, d_v = _rk4_direction(OSC, STATE0, 0.3)
-    assert gamma_of(OSC, STATE0, d_u, d_v, 0.0) == 1.0
-    for dt in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="^dt must be finite"):
-            gamma_of(OSC, STATE0, d_u, d_v, dt)
 
 
 @pytest.mark.parametrize("name", ["rrk_analytic", "rrk_bisection"])

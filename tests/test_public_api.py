@@ -36,8 +36,6 @@ PUBLIC_NAMES = [
     "mimetic_identity_residual",
     "normalize_scheme",
     "parse_config",
-    "rrk_gamma_analytic",
-    "rrk_gamma_bisection",
     "run_convergence_study",
     "run_energy_experiment",
     "run_timing_benchmark",
