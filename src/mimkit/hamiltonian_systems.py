@@ -183,6 +183,7 @@ class WaveSystem(HamiltonianSystem):
 
     def __init__(self, ops: MimeticOperatorSet):
         self.ops = ops
+        self._L, self._G = ops.kernels["L"], ops.kernels["G"]
         self._gu, self._gd = np.empty((2, ops.grid.n_cells + 1))
 
     @property
@@ -194,13 +195,13 @@ class WaveSystem(HamiltonianSystem):
         return _scaled_copy(v, out, scale)
 
     def velocity_rate(self, u, v, out=None, scale=None):
-        dv = matvec(self.ops.L, u, _out(out, len(u)))
+        dv = matvec(self._L, u, _out(out, len(u)))
         dv[0] = dv[-1] = 0.0
         return _scaled(dv, scale)
 
     def energy(self, u, v):
         ops = self.ops
-        gu = matvec(ops.G, u, self._gu)
+        gu = matvec(self._G, u, self._gu)
         return 0.5 * (ops.inner_q(v, v) + ops.inner_p(gu, gu))
 
     def apply_boundary(self, u, v):
@@ -209,7 +210,7 @@ class WaveSystem(HamiltonianSystem):
 
     def quadratic_parts(self, u, v, d_u, d_v):
         ops = self.ops
-        gu, gdu = matvec(ops.G, u, self._gu), matvec(ops.G, d_u, self._gd)
+        gu, gdu = matvec(self._G, u, self._gu), matvec(self._G, d_u, self._gd)
         E = ops.inner_q(v, d_v) + ops.inner_p(gu, gdu)
         T = ops.inner_q(d_v, d_v) + ops.inner_p(gdu, gdu)
         return E, T
@@ -223,6 +224,9 @@ class ShallowWaterSystem(HamiltonianSystem):
 
     def __init__(self, ops: MimeticOperatorSet, d0: float = 1.0, g: float = 1.0):
         self.ops = ops
+        kernels = ops.kernels
+        self._G, self._D_hat = kernels["G"], kernels["D_hat"]
+        self._I_D, self._I_G = kernels["I_D"], kernels["I_G"]
         self.d0 = float(d0)
         self.g = float(g)
         self.wave_speed = float(np.sqrt(self.g * self.d0))
@@ -249,7 +253,7 @@ class ShallowWaterSystem(HamiltonianSystem):
         """Total depth d0 + I_G e at nodes, written into ``out``; aborts on
         non-positive depth."""
         self._check_depth(e)
-        depth = matvec(self.ops.I_G, e, out)
+        depth = matvec(self._I_G, e, out)
         depth += self._d0
         if depth.min() <= 0.0:
             raise NumericalFailure(
@@ -260,17 +264,16 @@ class ShallowWaterSystem(HamiltonianSystem):
     def position_rate(self, e, u, out=None, scale=None):
         flux = self._depth_nodes(e, self._node)
         flux *= u
-        de = matvec(self.ops.D_hat, flux, _out(out, len(e)))
+        de = matvec(self._D_hat, flux, _out(out, len(e)))
         np.negative(de, out=de)
         de[0] = de[-1] = 0.0
         return _scaled(de, scale)
 
     def velocity_rate(self, e, u, out=None, scale=None):
         self._check_depth(e)
-        ops = self.ops
-        du = matvec(ops.G, e, _out(out, len(u)))
+        du = matvec(self._G, e, _out(out, len(u)))
         du *= self._minus_g
-        advection = matvec(ops.G, matvec(ops.I_D, u, self._ext), self._node)
+        advection = matvec(self._G, matvec(self._I_D, u, self._ext), self._node)
         advection *= u
         du -= advection
         du[0] = du[-1] = 0.0
@@ -278,7 +281,7 @@ class ShallowWaterSystem(HamiltonianSystem):
 
     def energy(self, e, u):
         ops, depth_u = self.ops, self._node
-        matvec(ops.I_G, e, depth_u)
+        matvec(self._I_G, e, depth_u)
         depth_u += self._d0
         depth_u *= u
         return 0.5 * (self.g * ops.inner_q(e, e) + ops.inner_p(depth_u, u))

@@ -33,6 +33,16 @@ sparse floats (scaled by powers of h) the closure and mirror rows are
 written entry by entry and the interior rows are tiled from the template
 with numpy; construction results are cached.
 
+The float operators live as kernel arrays: the ``data``, ``indices``,
+``indptr`` and ``shape`` that scipy's compiled CSR kernel reads
+(``MimeticOperatorSet.kernels``).  The time-stepping path multiplies with
+them through ``matvec``, which runs that kernel, loaded by file from scipy's
+install when this module loads, without importing the ``scipy.sparse``
+package (most of ``import mimkit``'s time when it did).  The public
+``scipy.sparse`` matrices (``ops.D``, ``ops.L``, ...) are built on first
+access, over the same arrays, and cached; only they and ``dump_operator``
+import ``scipy.sparse``.
+
 Structure of ``B_hat``: the corner entries are exactly ``B_hat[0,0] = -1``
 and ``B_hat[N+1,N] = +1``.  For k=2 they are the only entries of the first
 and last rows; for k=4 both one-sided gradient rows touch the boundary
@@ -55,15 +65,16 @@ weights are truncated to h beyond ``_Q_ZONE`` cells (conservation residual
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import io
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .errors import ConstructionError
 from .grid_fields import StaggeredGrid1D
@@ -156,6 +167,16 @@ def _interp_row(points, x0):
     return _solve_exact(A, b)
 
 
+class _CSR(NamedTuple):
+    """An operator as the four things scipy's CSR kernel reads: float64
+    ``data``, int32 ``indices`` and ``indptr``, and ``(n_rows, n_cols)``."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+
 class _Operator(NamedTuple):
     """An exact n x m operator with unit spacing.
 
@@ -180,9 +201,9 @@ class _Operator(NamedTuple):
             return self.closure[i]
         return {i + off: v for off, v in self.template.items()}
 
-    def to_csr(self, scale=1.0) -> sp.csr_matrix:
-        """Float CSR matrix times ``scale``: closure and mirror rows entry by
-        entry, interior rows tiled from the template."""
+    def to_csr(self, scale=1.0) -> _CSR:
+        """Float CSR kernel arrays times ``scale``: closure and mirror rows
+        entry by entry, interior rows tiled from the template."""
         n, m = self.shape
         c = len(self.closure)
         top = [sorted(row.items()) for row in self.closure[:n - c]]
@@ -200,8 +221,7 @@ class _Operator(NamedTuple):
         counts = np.concatenate(([len(row) for row in top], np.full(n_mid, len(tpl)),
                                  [len(row) for row in bottom]))
         indptr = np.concatenate(([0], np.cumsum(counts)))
-        return sp.csr_matrix(
-            (data, indices.astype(np.int32), indptr.astype(np.int32)), shape=self.shape)
+        return _CSR(data, indices.astype(np.int32), indptr.astype(np.int32), self.shape)
 
 
 def _build_g(k, N):
@@ -364,9 +384,29 @@ def _weights(zone, n, h) -> np.ndarray:
     return w
 
 
+def _kernel_matrix(name):
+    """A cached property: kernel operator ``name`` as a ``scipy.sparse``
+    ``csr_matrix`` over the same arrays (no copy)."""
+
+    def matrix(self):
+        import scipy.sparse as sp
+
+        data, indices, indptr, shape = self.kernels[name]
+        return sp.csr_matrix((data, indices, indptr), shape=shape, copy=False)
+
+    return cached_property(matrix)
+
+
 @dataclass(frozen=True, eq=False)
 class MimeticOperatorSet:
     """All order-k operators for one grid, plus the weighted inner products.
+
+    ``kernels`` maps each of D, G, D_hat, B_hat, I_D, I_G and L to its
+    kernel arrays (data, indices, indptr, shape), which ``matvec`` takes.
+    The attributes of those names, and the diagonal Q and P, are
+    ``scipy.sparse.csr_matrix`` objects built on first access (importing
+    ``scipy.sparse`` then) and cached; the seven share their arrays with
+    ``kernels``, so writing to one writes to the other.
 
     The inner products are bare weighted dots with no length check of their
     own (numpy refuses a product that does not fit the weights);
@@ -383,17 +423,31 @@ class MimeticOperatorSet:
 
     order: int
     grid: StaggeredGrid1D
-    D: sp.csr_matrix
-    G: sp.csr_matrix
-    D_hat: sp.csr_matrix
-    Q: sp.csr_matrix
-    P: sp.csr_matrix
-    B_hat: sp.csr_matrix
-    I_D: sp.csr_matrix
-    I_G: sp.csr_matrix
-    L: sp.csr_matrix
+    kernels: dict
     q_diag: np.ndarray
     p_diag: np.ndarray
+
+    D = _kernel_matrix("D")
+    G = _kernel_matrix("G")
+    D_hat = _kernel_matrix("D_hat")
+    B_hat = _kernel_matrix("B_hat")
+    I_D = _kernel_matrix("I_D")
+    I_G = _kernel_matrix("I_G")
+    L = _kernel_matrix("L")
+
+    @cached_property
+    def Q(self):
+        """``q_diag`` on the diagonal, as a ``scipy.sparse`` ``csr_matrix``."""
+        import scipy.sparse as sp
+
+        return sp.diags(self.q_diag, format="csr")
+
+    @cached_property
+    def P(self):
+        """``p_diag`` on the diagonal, as a ``scipy.sparse`` ``csr_matrix``."""
+        import scipy.sparse as sp
+
+        return sp.diags(self.p_diag, format="csr")
 
     def __post_init__(self):
         object.__setattr__(self, "_q_scratch", np.empty_like(self.q_diag))
@@ -408,9 +462,32 @@ class MimeticOperatorSet:
         return float(np.multiply(u, self.p_diag, out=self._p_scratch).dot(v))
 
 
-def matvec(M: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _load_csr_matvec():
+    """scipy's compiled ``csr_matvec``, loaded from the ``_sparsetools``
+    extension file in scipy's install without importing scipy or
+    ``scipy.sparse`` (finding the spec of a top-level package does not
+    import it)."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or scipy_spec.origin is None:
+        raise ImportError("mimkit needs scipy's compiled CSR kernel, and scipy is not installed")
+    sparse_dir = os.path.join(os.path.dirname(scipy_spec.origin), "sparse")
+    spec = importlib.machinery.PathFinder.find_spec("_sparsetools", [sparse_dir])
+    if spec is None:
+        raise ImportError(f"scipy's compiled CSR kernel {sparse_dir}/_sparsetools.* is missing")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.csr_matvec
+
+
+_csr_matvec = _load_csr_matvec()
+
+
+def matvec(M, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the CSR product ``M @ x`` into the float array ``out`` and
-    return it; ``out`` must not overlap ``x``.
+    return it; ``out`` must not overlap ``x``.  ``M`` is anything with CSR
+    ``data``, ``indices``, ``indptr`` and ``shape``: an operator's kernel
+    arrays (``MimeticOperatorSet.kernels``), which the time-stepping path
+    uses, or a ``scipy.sparse`` CSR matrix.
 
     This is the kernel ``M @ x`` itself runs (scipy's ``csr_matvec``, which
     adds each row's products to the row's entry of a zero-filled result), so
@@ -423,9 +500,10 @@ def matvec(M: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     makes five matvecs.
     Writing ``M @ x`` into ``out`` instead keeps both costs; on the wave
     that left the splitting steps as slow as allocating ones.  The kernel is
-    a private scipy name, imported when this module loads, so a scipy
-    without it fails at ``import mimkit`` rather than inside a run; this is
-    the only place the package uses it.
+    loaded from its extension file in scipy's install when this module
+    loads, without importing ``scipy.sparse``, so a scipy without it fails
+    at ``import mimkit`` rather than inside a run; this is the only place
+    the package uses it.
 
     The kernel does no bounds checks, so the shapes are checked here, as
     ``@`` does, and a wrong-length ``x`` or ``out`` raises ValueError; an
@@ -451,16 +529,13 @@ def build_operator_set(k: int, grid: StaggeredGrid1D) -> MimeticOperatorSet:
     """
     N = grid.n_cells
     exact = _rational_construction(k, N)
-    D, G, D_hat = (exact[name].to_csr(1.0 / grid.h) for name in ("D", "G", "D_hat"))
-    q_diag = _weights(exact["q_hat"], N + 2, grid.h)
-    p_diag = _weights(exact["p"], N + 1, grid.h)
-    Q = sp.diags(q_diag, format="csr")
-    P = sp.diags(p_diag, format="csr")
-    B_hat, I_D, I_G = (exact[name].to_csr() for name in ("B_hat", "I_D", "I_G"))
-    L = exact["L"].to_csr(1.0 / grid.h**2)
+    scales = {"D": 1.0 / grid.h, "G": 1.0 / grid.h, "D_hat": 1.0 / grid.h,
+              "B_hat": 1.0, "I_D": 1.0, "I_G": 1.0, "L": 1.0 / grid.h**2}
     return MimeticOperatorSet(
-        order=k, grid=grid, D=D, G=G, D_hat=D_hat, Q=Q, P=P, B_hat=B_hat,
-        I_D=I_D, I_G=I_G, L=L, q_diag=q_diag, p_diag=p_diag,
+        order=k, grid=grid,
+        kernels={name: exact[name].to_csr(scale) for name, scale in scales.items()},
+        q_diag=_weights(exact["q_hat"], N + 2, grid.h),
+        p_diag=_weights(exact["p"], N + 1, grid.h),
     )
 
 
@@ -478,7 +553,9 @@ def mimetic_identity_residual(ops: MimeticOperatorSet, v, f_hat) -> float:
             f"mimetic_identity_residual expects v of length {N + 1} and f_hat of "
             f"length {N + 2}, got shapes {v.shape} and {f_hat.shape}"
         )
-    lhs = ops.inner_q(ops.D_hat @ v, f_hat) + ops.inner_p(v, ops.G @ f_hat)
+    d_hat_v = matvec(ops.kernels["D_hat"], v, np.empty(N + 2))
+    g_f = matvec(ops.kernels["G"], f_hat, np.empty(N + 1))
+    lhs = ops.inner_q(d_hat_v, f_hat) + ops.inner_p(v, g_f)
     boundary = v[-1] * f_hat[-1] - v[0] * f_hat[0]
     return abs(lhs - boundary)
 
@@ -489,6 +566,8 @@ def dump_operator(matrix, file=None) -> str:
     One line per stored entry: ``row col value`` with 17 significant digits,
     sorted row-major.  Returns the text; also writes to ``file`` if given.
     """
+    import scipy.sparse as sp
+
     coo = sp.coo_matrix(matrix)
     order = np.lexsort((coo.col, coo.row))
     buf = io.StringIO()

@@ -7,7 +7,11 @@ end of the run, whether or not the backing test passed.
 """
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from collections import defaultdict
+from pathlib import Path
 from typing import Dict, Tuple
 
 import numpy as np
@@ -52,6 +56,22 @@ def ops(grid01, order):
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260814)
+
+
+@pytest.fixture
+def fresh_python():
+    """Run a code string in a fresh interpreter that imports mimkit from
+    this checkout; a failed assertion in it fails the test with its
+    traceback.  For facts about what a process has imported."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+    def run(code: str) -> None:
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert result.returncode == 0, result.stderr
+
+    return run
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,29 @@ def test_energy_cli_uses_one_process_per_usable_cpu(monkeypatch):
     assert experiment_cli._energy_processes(7) == 1
 
 
+@pytest.mark.parametrize("processes", [1, 2])
+def test_energy_run_leaves_scipy_sparse_unloaded(tmp_path, fresh_python, processes):
+    """An energy run imports no ``scipy.sparse`` module, in its own process
+    or in a forked worker: an import hook refusing them, which the workers
+    inherit, would make the run fail."""
+    fresh_python(f"""
+import sys
+import mimkit
+assert not [m for m in sys.modules if m.startswith("scipy.sparse")]
+
+class RefuseScipySparse:
+    def find_spec(self, name, path=None, target=None):
+        if name.startswith("scipy.sparse"):
+            raise ImportError(name + " imported during an energy run")
+
+sys.meta_path.insert(0, RefuseScipySparse())
+config = mimkit.parse_config({_write_config(tmp_path)!r})
+summary = mimkit.run_energy_experiment(config, processes={processes})
+assert summary["processes"] == {processes} and summary["failures"] == [], summary
+assert not [m for m in sys.modules if m.startswith("scipy.sparse")]
+""")
+
+
 def test_energy_values_round_trip_17_digits(tmp_path):
     path = _write_config(tmp_path, schemes=["pefrl"], t_end=0.25)
     assert main(["energy", path]) == 0

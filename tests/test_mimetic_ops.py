@@ -508,6 +508,77 @@ def test_inner_products_bitwise_equal_allocating_dots(order, n, rng):
 
 
 # ---------------------------------------------------------------------------
+# Kernel arrays and the scipy.sparse matrices built on first use
+# ---------------------------------------------------------------------------
+
+def test_import_build_and_step_leave_scipy_sparse_unloaded(fresh_python):
+    """``import mimkit``, building an operator set and systems, their rates
+    and energies, and the Gauss residual import no ``scipy.sparse`` module;
+    the first access to ``ops.L`` imports it and builds one cached matrix
+    over the kernel arrays themselves."""
+    fresh_python("""
+import sys
+import numpy as np
+import mimkit
+
+def sparse_loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
+
+assert sparse_loaded() == [], sparse_loaded()
+grid = mimkit.build_grid(0.0, 1.0, 40)
+ops = mimkit.build_operator_set(4, grid)
+wave = mimkit.WaveSystem(ops)
+u, v = mimkit.gaussian_ic(grid).arrays()
+wave.rhs(u, v), wave.energy(u, v)
+water = mimkit.ShallowWaterSystem(ops)
+e, w = mimkit.shallow_water_ic(grid).arrays()
+water.rhs(e, w), water.energy(e, w)
+mimkit.mimetic_identity_residual(ops, grid.nodes, grid.extended)
+assert sparse_loaded() == [], sparse_loaded()
+
+L = ops.L
+assert "scipy.sparse" in sys.modules
+assert ops.L is L and type(L).__name__ == "csr_matrix"
+for part in ("data", "indices", "indptr"):
+    assert np.shares_memory(getattr(L, part), getattr(ops.kernels["L"], part)), part
+""")
+
+
+@pytest.mark.parametrize("sparse_first", [True, False], ids=["sparse_first", "mimkit_first"])
+def test_kernel_matvec_bitwise_equals_scipy_matmul(fresh_python, sparse_first):
+    """``matvec`` on each operator's kernel arrays gives the bits of
+    ``scipy`` ``M @ x`` on the public matrix, whether ``scipy.sparse`` was
+    imported before mimkit loaded its own copy of the kernel or after."""
+    imports = ["import scipy.sparse", "import mimkit"]
+    fresh_python("\n".join(imports if sparse_first else imports[::-1]) + """
+import numpy as np
+from mimkit.mimetic_ops import matvec
+rng = np.random.default_rng(7)
+for k in (2, 4):
+    ops = mimkit.build_operator_set(k, mimkit.build_grid(-1.0, 2.0, 37))
+    assert sorted(ops.kernels) == sorted(("D", "G", "D_hat", "B_hat", "I_D", "I_G", "L"))
+    for name, kernel in ops.kernels.items():
+        x = rng.standard_normal(kernel.shape[1])
+        x[::3] = -0.0
+        got = matvec(kernel, x, np.full(kernel.shape[0], np.nan))
+        want = getattr(ops, name) @ x
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (k, name)
+""")
+
+
+def test_missing_kernel_file_is_an_import_error(monkeypatch):
+    """Without scipy's ``_sparsetools`` extension file the kernel load, which
+    runs when mimkit is imported, raises ImportError naming the file."""
+    import importlib.machinery
+
+    from mimkit import mimetic_ops
+
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", lambda *args: None)
+    with pytest.raises(ImportError, match="_sparsetools"):
+        mimetic_ops._load_csr_matvec()
+
+
+# ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
