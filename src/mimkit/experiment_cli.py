@@ -137,12 +137,24 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
-def _as_float(raw: dict, key: str, default: float) -> float:
+def _is_finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _number(raw: dict, key: str, default, positive: bool = False) -> float:
     value = raw.get(key, default)
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
-             and math.isfinite(value),
+    _require(_is_finite_number(value),
              f"config key '{key}' must be a finite number, got {value!r}")
-    return float(value)
+    value = float(value)
+    _require(value > 0 or not positive, f"config key '{key}' must be positive, got {value}")
+    return value
+
+
+def _integer(raw: dict, key: str, default, ok, requirement: str) -> int:
+    value = raw.get(key, default)
+    _require(isinstance(value, int) and not isinstance(value, bool) and ok(value),
+             f"config key '{key}' must be {requirement}, got {value!r}")
+    return value
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -154,6 +166,8 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc}") from None
     _require(isinstance(raw, dict), f"{path}: config must be a flat JSON object")
 
     unknown = sorted(set(raw) - _KNOWN_KEYS)
@@ -161,28 +175,22 @@ def parse_config(path: str) -> ExperimentConfig:
 
     _require("problem" in raw, f"{path}: missing required key 'problem'")
     problem = raw["problem"]
-    _require(problem in _PROBLEM_IC_DEFAULTS,
+    _require(isinstance(problem, str) and problem in _PROBLEM_IC_DEFAULTS,
              f"config key 'problem' must be 'wave' or 'shallow_water', got {problem!r}")
 
     _require("n_cells" in raw, f"{path}: missing required key 'n_cells'")
-    n_cells = raw["n_cells"]
-    _require(isinstance(n_cells, int) and not isinstance(n_cells, bool) and n_cells >= 1,
-             f"config key 'n_cells' must be a positive integer, got {n_cells!r}")
+    n_cells = _integer(raw, "n_cells", None, lambda n: n >= 1, "a positive integer")
 
     _require("t_end" in raw, f"{path}: missing required key 't_end'")
-    t_end = _as_float(raw, "t_end", None)
-    _require(t_end > 0, f"config key 't_end' must be positive, got {t_end}")
+    t_end = _number(raw, "t_end", None, positive=True)
 
-    k = raw.get("k", 4)
-    _require(isinstance(k, int) and not isinstance(k, bool) and k in SUPPORTED_ORDERS,
-             f"config key 'k' must be one of {SUPPORTED_ORDERS}, got {k!r}")
+    k = _integer(raw, "k", 4, lambda n: n in SUPPORTED_ORDERS, f"one of {SUPPORTED_ORDERS}")
     _require(n_cells >= 2 * k,
              f"config key 'n_cells' must be >= 2k = {2 * k} for order k = {k}, got {n_cells}")
 
     domain = raw.get("domain", [-30.0, 30.0])
     _require(isinstance(domain, (list, tuple)) and len(domain) == 2
-             and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                     and math.isfinite(x) for x in domain),
+             and all(map(_is_finite_number, domain)),
              f"config key 'domain' must be a list of two finite numbers [a, b], got {domain!r}")
     a, b = float(domain[0]), float(domain[1])
     _require(b > a, f"config key 'domain' must satisfy a < b, got [{a}, {b}]")
@@ -201,49 +209,32 @@ def parse_config(path: str) -> ExperimentConfig:
 
     _require(not ("cfl" in raw and "dt" in raw),
              "config keys 'cfl' and 'dt' are mutually exclusive; set exactly one")
-    cfl = dt = None
-    if "dt" in raw:
-        dt = _as_float(raw, "dt", None)
-        _require(dt > 0, f"config key 'dt' must be positive, got {dt}")
-    else:
-        cfl = _as_float(raw, "cfl", 0.5)
-        _require(cfl > 0, f"config key 'cfl' must be positive, got {cfl}")
+    dt = _number(raw, "dt", None, positive=True) if "dt" in raw else None
+    cfl = None if "dt" in raw else _number(raw, "cfl", 0.5, positive=True)
 
-    record_every = raw.get("record_every", 1)
-    _require(isinstance(record_every, int) and not isinstance(record_every, bool)
-             and record_every >= 1,
-             f"config key 'record_every' must be a positive integer, got {record_every!r}")
+    record_every = _integer(raw, "record_every", 1, lambda n: n >= 1, "a positive integer")
 
-    ic_defaults = _PROBLEM_IC_DEFAULTS[problem]
-    ic_center = _as_float(raw, "ic_center", ic_defaults["ic_center"])
-    ic_width = _as_float(raw, "ic_width", ic_defaults["ic_width"])
-    _require(ic_width > 0, f"config key 'ic_width' must be positive, got {ic_width}")
-    ic_amplitude = _as_float(raw, "ic_amplitude", ic_defaults["ic_amplitude"])
-    ic_offset = _as_float(raw, "ic_offset", ic_defaults["ic_offset"])
-    _require(problem != "wave" or ic_offset == 0.0,
+    ic = {key: _number(raw, key, default, positive=key == "ic_width")
+          for key, default in _PROBLEM_IC_DEFAULTS[problem].items()}
+    _require(problem != "wave" or ic["ic_offset"] == 0.0,
              "config key 'ic_offset' must be 0 for the wave problem (Dirichlet boundaries)")
 
-    d0 = _as_float(raw, "d0", 1.0)
-    _require(d0 > 0, f"config key 'd0' must be positive, got {d0}")
-    g = _as_float(raw, "g", 1.0)
-    _require(g > 0, f"config key 'g' must be positive, got {g}")
+    d0 = _number(raw, "d0", 1.0, positive=True)
+    g = _number(raw, "g", 1.0, positive=True)
 
     output_dir = raw.get("output_dir", "results")
     _require(isinstance(output_dir, str) and output_dir,
              f"config key 'output_dir' must be a non-empty string, got {output_dir!r}")
 
-    rrk_tol = _as_float(raw, "rrk_tol", 1e-12)
-    _require(rrk_tol > 0, f"config key 'rrk_tol' must be positive, got {rrk_tol}")
+    rrk_tol = _number(raw, "rrk_tol", 1e-12, positive=True)
     rrk_advance = raw.get("rrk_advance", "gamma_dt")
     _require(rrk_advance in ("gamma_dt", "plain_dt"),
              f"config key 'rrk_advance' must be 'gamma_dt' or 'plain_dt', got {rrk_advance!r}")
 
     return ExperimentConfig(
         problem=problem, domain=(a, b), n_cells=n_cells, k=k, schemes=tuple(schemes),
-        cfl=cfl, dt=dt, t_end=t_end, record_every=record_every,
-        ic_center=ic_center, ic_width=ic_width, ic_amplitude=ic_amplitude,
-        ic_offset=ic_offset, d0=d0, g=g, output_dir=output_dir,
-        rrk_tol=rrk_tol, rrk_advance=rrk_advance,
+        cfl=cfl, dt=dt, t_end=t_end, record_every=record_every, **ic,
+        d0=d0, g=g, output_dir=output_dir, rrk_tol=rrk_tol, rrk_advance=rrk_advance,
     )
 
 
@@ -586,28 +577,27 @@ def _energy_processes(n_schemes: int) -> int:
     return processes
 
 
+def _report(failures: Sequence[str]) -> int:
+    """Print each numerical failure on stderr; exit code 3 if any, else 0."""
+    for failure in failures:
+        print(f"numerical failure: {failure}", file=sys.stderr)
+    return 3 if failures else 0
+
+
 def _cmd_energy(args) -> int:
     config = parse_config(args.config)
     summary = run_energy_experiment(config, _energy_processes(len(config.schemes)))
     for path in summary["files"]:
         print(f"wrote {path}")
     print(f"wrote {summary['summary_path']}")
-    if summary["failures"]:
-        for failure in summary["failures"]:
-            print(f"numerical failure: {failure}", file=sys.stderr)
-        return 3
-    return 0
+    return _report(summary["failures"])
 
 
 def _cmd_converge(args) -> int:
     config = parse_config(args.config)
     rows, failures = run_convergence_study(config, _parse_cells_list(args.n))
     print(f"wrote {os.path.join(config.output_dir, 'convergence.csv')} ({len(rows)} rows)")
-    if failures:
-        for failure in failures:
-            print(f"numerical failure: {failure}", file=sys.stderr)
-        return 3
-    return 0
+    return _report(failures)
 
 
 def _cmd_bench(args) -> int:
@@ -623,15 +613,11 @@ def _cmd_dump_ops(args) -> int:
         ops = build_operator_set(args.order, grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    named = [
-        ("D", ops.D), ("G", ops.G), ("D_hat", ops.D_hat), ("Q", ops.Q), ("P", ops.P),
-        ("B_hat", ops.B_hat), ("L", ops.L), ("I_D", ops.I_D), ("I_G", ops.I_G),
-    ]
-    out = sys.stdout
-    for name, matrix in named:
+    for name in ("D", "G", "D_hat", "Q", "P", "B_hat", "L", "I_D", "I_G"):
+        matrix = getattr(ops, name)
         rows, cols = matrix.shape
-        out.write(f"# operator {name} ({rows}x{cols})\n")
-        out.write(dump_operator(matrix))
+        sys.stdout.write(f"# operator {name} ({rows}x{cols})\n")
+        sys.stdout.write(dump_operator(matrix))
     return 0
 
 
@@ -674,8 +660,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        return _report([str(exc)])
 
 
 if __name__ == "__main__":

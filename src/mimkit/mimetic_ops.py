@@ -560,11 +560,11 @@ def mimetic_identity_residual(ops: MimeticOperatorSet, v, f_hat) -> float:
     return abs(lhs - boundary)
 
 
-def dump_operator(matrix, file=None) -> str:
+def dump_operator(matrix) -> str:
     """Serialize a sparse operator as matrix-market-style triples.
 
     One line per stored entry: ``row col value`` with 17 significant digits,
-    sorted row-major.  Returns the text; also writes to ``file`` if given.
+    sorted row-major.  Returns the text.
     """
     import scipy.sparse as sp
 
@@ -573,7 +573,4 @@ def dump_operator(matrix, file=None) -> str:
     buf = io.StringIO()
     for idx in order:
         buf.write(f"{coo.row[idx]} {coo.col[idx]} {coo.data[idx]:.17g}\n")
-    text = buf.getvalue()
-    if file is not None:
-        file.write(text)
-    return text
+    return buf.getvalue()

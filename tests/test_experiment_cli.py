@@ -90,6 +90,25 @@ def test_parse_shipped_configs():
     ({"schemes": "rk4"}, "'schemes' must be a non-empty list"),
     ({"schemes": ["rk4", "RK4", "lf"]}, "'schemes' lists RK4 twice"),
     ({"schemes": ["forest_ruth"]}, "'schemes': unknown scheme 'forest_ruth'"),
+    ({"problem": None}, "missing required key 'problem'"),
+    ({"t_end": None}, "missing required key 't_end'"),
+    ({"n_cells": 0}, "'n_cells' must be a positive integer, got 0"),
+    ({"n_cells": True}, "'n_cells' must be a positive integer, got True"),
+    ({"record_every": 0}, "'record_every' must be a positive integer, got 0"),
+    ({"record_every": True}, "'record_every' must be a positive integer, got True"),
+    ({"cfl": 0}, "'cfl' must be positive, got 0"),
+    ({"cfl": None, "dt": -0.1}, "'dt' must be positive, got -0"),
+    ({"ic_width": 0}, "'ic_width' must be positive, got 0"),
+    ({"d0": -1}, "'d0' must be positive, got -1"),
+    ({"g": 0}, "'g' must be positive, got 0"),
+    ({"rrk_tol": 0}, "'rrk_tol' must be positive, got 0"),
+    ({"rrk_advance": "half"}, "'rrk_advance' must be 'gamma_dt' or 'plain_dt', got 'half'"),
+    ({"output_dir": ""}, "'output_dir' must be a non-empty string, got ''"),
+    ({"schemes": []}, "'schemes' must be a non-empty list"),
+    ({"domain": [0, 1, 2]}, "'domain' must be a list of two finite numbers"),
+    # two errors each: the earlier-checked key is the one reported
+    ({"k": 3, "cfl": -1}, "config key 'k' must be one of"),
+    ({"problem": "heat", "n_cells": None}, "config key 'problem' must be"),
 ])
 def test_parse_config_rejects_bad_values(tmp_path, overrides, fragment):
     path = _write_config(tmp_path, **overrides)
@@ -108,6 +127,19 @@ def test_parse_config_missing_file_and_bad_json(tmp_path):
     arr.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="flat JSON object"):
         parse_config(str(arr))
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe", b'{"problem": ["wave"]}'],
+                         ids=["directory", "non_utf8", "list_problem"])
+def test_energy_unreadable_config_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["energy", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
 
 
 def test_config_error_is_value_error(tmp_path):
