@@ -19,7 +19,10 @@ Subcommands:
   ``row col value`` triples for debugging/diffing.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (with
-scheme/step diagnostics on stderr).
+scheme/step diagnostics on stderr).  Each experiment creates its
+``output_dir`` after checking its arguments and before any integration, so
+a directory that cannot be created is a configuration error found before
+any work is done.
 
 Configs are flat JSON objects (no nesting).  Keys: ``problem`` (wave |
 shallow_water), ``domain`` ([a, b], default [-30, 30]), ``n_cells``,
@@ -45,7 +48,7 @@ import math
 import os
 import statistics
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -60,13 +63,7 @@ from .hamiltonian_systems import (
     shallow_water_ic,
     wave_standing_exact,
 )
-from .integrators import (
-    RunRecord,
-    SchemeKind,
-    cfl_dt,
-    integrate,
-    normalize_scheme,
-)
+from .integrators import SchemeKind, cfl_dt, integrate, normalize_scheme
 from .mimetic_ops import SUPPORTED_ORDERS, build_operator_set, dump_operator
 
 __all__ = [
@@ -138,7 +135,10 @@ def _require(cond: bool, message: str):
 
 
 def _is_finite_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int literal beyond float range
+        return False
 
 
 def _number(raw: dict, key: str, default, positive: bool = False) -> float:
@@ -166,7 +166,9 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # unreadable, not UTF-8, nested too deeply for the parser, or an
+        # integer literal with more digits than int() accepts
         raise ConfigError(f"{path}: cannot read config: {exc}") from None
     _require(isinstance(raw, dict), f"{path}: config must be a flat JSON object")
 
@@ -242,14 +244,31 @@ def parse_config(path: str) -> ExperimentConfig:
 # serialization helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    """A CSV number: 17 significant digits (round-trip exact)."""
-    return format(float(x), ".17g")
+def _csv(header: Sequence[str], rows) -> str:
+    """CSV text, one line per row after the header.  A cell is a float
+    (numpy's too) with 17 significant digits (round-trip exact), empty for
+    None, or a name or an int as it is."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join([format(float(x), ".17g") if isinstance(x, float)
+                               else "" if x is None else str(x) for x in row]))
+    return "\n".join(lines) + "\n"
 
 
-def _write_text(path: str, text: str):
+def _make_output_dir(config: ExperimentConfig):
+    try:
+        os.makedirs(config.output_dir, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(
+            f"config key 'output_dir': cannot create {config.output_dir!r}: {exc}") from None
+
+
+def _write(config: ExperimentConfig, name: str, text: str) -> str:
+    """Write ``text`` to ``<output_dir>/<name>``; returns the path."""
+    path = os.path.join(config.output_dir, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
+    return path
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
@@ -283,53 +302,16 @@ def _build_setup(config: ExperimentConfig):
     return grid, system, state.arrays(), dt
 
 
-def _record_summary(record: RunRecord) -> dict:
-    h0 = float(record.energies[0])
-    denom = abs(h0) if h0 != 0.0 else 1.0
-    drifts = np.abs(record.energies - h0) / denom
-    summary = {
-        "status": "ok",
-        "final_time": record.final_time,
-        "initial_energy": h0,
-        "final_energy": float(record.energies[-1]),
-        "max_rel_drift": float(np.max(drifts)),
-        "final_rel_drift": float(drifts[-1]),
-        "wall_seconds": record.wall_seconds,
-        "rhs_evals": record.rhs_evals,
-        "n_steps": record.n_steps,
-        "dt": record.dt,
-        "within_drift_threshold": bool(np.max(drifts) <= DRIFT_THRESHOLD),
-    }
-    if record.gammas is not None and len(record.gammas):
-        summary["gamma_min"] = float(np.min(record.gammas))
-        summary["gamma_max"] = float(np.max(record.gammas))
-    return summary
-
-
-def _energy_csv(record: RunRecord) -> str:
-    h0 = float(record.energies[0])
-    denom = abs(h0) if h0 != 0.0 else 1.0
-    with_gamma = record.gammas is not None
-    lines = ["t,H,rel_drift,gamma" if with_gamma else "t,H,rel_drift"]
-    for t, h_val, step_index in zip(record.times, record.energies, record.steps):
-        rel = (float(h_val) - h0) / denom
-        row = f"{_fmt(t)},{_fmt(h_val)},{_fmt(rel)}"
-        if with_gamma:
-            gamma = "" if step_index == 0 else _fmt(record.gammas[step_index - 1])
-            row += f",{gamma}"
-        lines.append(row)
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
 
 def _energy_run(config: ExperimentConfig, kind: SchemeKind) -> Tuple[dict, Optional[str]]:
-    """One scheme of an energy experiment: integrate, then write its CSV.
-    Returns (summary entry, CSV path), or (failure entry, None) when the
-    scheme fails numerically.  The setup is rebuilt from ``config``; its
-    operator set comes from ``build_operator_set``'s cache."""
+    """One scheme of an energy experiment: integrate, then write its CSV
+    (``rel_drift`` is (H - H0) / |H0|, or H - H0 when H0 = 0).  Returns
+    (summary entry, CSV path), or (failure entry, None) when the scheme
+    fails numerically.  The setup is rebuilt from ``config``; its operator
+    set comes from ``build_operator_set``'s cache."""
     _, system, state0, dt = _build_setup(config)
     try:
         record = integrate(system, kind, state0, config.t_end, dt,
@@ -344,9 +326,33 @@ def _energy_run(config: ExperimentConfig, kind: SchemeKind) -> Tuple[dict, Optio
             "t": exc.t,
             "within_drift_threshold": False,
         }, None
-    path = os.path.join(config.output_dir, f"energy_{kind.value}.csv")
-    _write_text(path, _energy_csv(record))
-    return _record_summary(record), path
+    h0 = float(record.energies[0])
+    rel = (record.energies - h0) / (abs(h0) if h0 != 0.0 else 1.0)
+    header = ["t", "H", "rel_drift"]
+    # as Python floats, which format faster than numpy scalars
+    columns = [record.times.tolist(), record.energies.tolist(), rel.tolist()]
+    if record.gammas is not None:  # the row at step s > 0 has gammas[s - 1]
+        header.append("gamma")
+        columns.append([None, *record.gammas[record.steps[1:] - 1].tolist()])
+    path = _write(config, f"energy_{kind.value}.csv", _csv(header, zip(*columns)))
+    drift = np.abs(rel)
+    summary = {
+        "status": "ok",
+        "final_time": record.final_time,
+        "initial_energy": h0,
+        "final_energy": float(record.energies[-1]),
+        "max_rel_drift": float(np.max(drift)),
+        "final_rel_drift": float(drift[-1]),
+        "wall_seconds": record.wall_seconds,
+        "rhs_evals": record.rhs_evals,
+        "n_steps": record.n_steps,
+        "dt": record.dt,
+        "within_drift_threshold": bool(np.max(drift) <= DRIFT_THRESHOLD),
+    }
+    if record.gammas is not None and len(record.gammas):
+        summary["gamma_min"] = float(np.min(record.gammas))
+        summary["gamma_max"] = float(np.max(record.gammas))
+    return summary, path
 
 
 def _start_on_own_cpu(cpus) -> None:
@@ -379,7 +385,7 @@ def run_energy_experiment(config: ExperimentConfig, processes: int = 1) -> dict:
     if processes < 1:
         raise ValueError(f"processes must be >= 1, got {processes!r}")
     _, _, _, dt = _build_setup(config)
-    os.makedirs(config.output_dir, exist_ok=True)
+    _make_output_dir(config)
 
     run = partial(_energy_run, config)
     if processes == 1:
@@ -418,9 +424,7 @@ def run_energy_experiment(config: ExperimentConfig, processes: int = 1) -> dict:
         "files": files,
         "failures": failures,
     }
-    summary_path = os.path.join(config.output_dir, "summary.json")
-    _write_text(summary_path, json.dumps(summary, indent=2) + "\n")
-    summary["summary_path"] = summary_path
+    summary["summary_path"] = _write(config, "summary.json", json.dumps(summary, indent=2) + "\n")
     return summary
 
 
@@ -446,6 +450,7 @@ def run_convergence_study(
                  f"refinement n_cells = {n!r} must be an integer >= 2k = {2 * config.k}")
     _require(sorted(set(refinements)) == refinements,
              f"refinements must be strictly increasing, got {refinements}")
+    _make_output_dir(config)
 
     rows: List[ConvergenceRow] = []
     failures: List[str] = []
@@ -454,12 +459,9 @@ def run_convergence_study(
         scheme_rows: List[ConvergenceRow] = []
         try:
             for n in refinements:
-                grid = build_grid(0.0, 1.0, n)
-                ops = build_operator_set(config.k, grid)
-                system = WaveSystem(ops)
+                grid, system, _, dt = _build_setup(replace(config, domain=(0.0, 1.0), n_cells=n))
                 x = grid.extended
                 state0 = (wave_standing_exact(x, 0.0), np.zeros(n + 2))
-                dt = cfl_dt(grid, config.cfl, system.wave_speed)
                 record = integrate(system, kind, state0, config.t_end, dt,
                                    record_every=10**9,  # record only t = 0 and the last step
                                    rrk_tol=config.rrk_tol, rrk_advance=config.rrk_advance)
@@ -480,13 +482,10 @@ def run_convergence_study(
             continue
         rows.extend(scheme_rows)
 
-    os.makedirs(config.output_dir, exist_ok=True)
-    lines = ["scheme,n_cells,h,error,observed_order,rhs_evals"]
-    for row in rows:
-        order_txt = "" if row.observed_order is None else _fmt(row.observed_order)
-        lines.append(f"{row.scheme.value},{row.n_cells},{_fmt(row.h)},{_fmt(row.error)},"
-                     f"{order_txt},{row.rhs_evals}")
-    _write_text(os.path.join(config.output_dir, "convergence.csv"), "\n".join(lines) + "\n")
+    _write(config, "convergence.csv", _csv(
+        [field.name for field in fields(ConvergenceRow)],
+        [(row.scheme.value, row.n_cells, row.h, row.error, row.observed_order, row.rhs_evals)
+         for row in rows]))
     return rows, failures
 
 
@@ -503,6 +502,7 @@ def run_timing_benchmark(config: ExperimentConfig, repeats: int) -> List[dict]:
     _require(isinstance(repeats, int) and repeats >= 3,
              f"bench requires repeats >= 3, got {repeats!r}")
     grid, system, state0, dt = _build_setup(config)
+    _make_output_dir(config)
 
     walls: List[List[float]] = [[] for _ in config.schemes]
     rhs_evals: List[int] = [0] * len(config.schemes)
@@ -531,12 +531,7 @@ def run_timing_benchmark(config: ExperimentConfig, repeats: int) -> List[dict]:
             "seconds_per_rhs": median / evals if evals else float("nan"),
         })
 
-    os.makedirs(config.output_dir, exist_ok=True)
-    lines = ["scheme,median_seconds,rhs_evals,seconds_per_rhs"]
-    for row in rows:
-        lines.append(f"{row['scheme']},{_fmt(row['median_seconds'])},{row['rhs_evals']},"
-                     f"{_fmt(row['seconds_per_rhs'])}")
-    _write_text(os.path.join(config.output_dir, "timing.csv"), "\n".join(lines) + "\n")
+    _write(config, "timing.csv", _csv(list(rows[0]), [row.values() for row in rows]))
     return rows
 
 
@@ -554,12 +549,8 @@ def _parse_cells_list(text: str) -> List[int]:
 
 
 def _parse_domain(text: str) -> Tuple[float, float]:
-    try:
-        parts = [float(part) for part in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"--domain expects 'a,b', got {text!r}") from None
-    _require(len(parts) == 2 and parts[1] > parts[0], f"--domain expects a < b, got {text!r}")
-    return parts[0], parts[1]
+    a, b = map(float, text.split(","))
+    return a, b
 
 
 def _energy_processes(n_schemes: int) -> int:
@@ -660,7 +651,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:
-        return _report([str(exc)])
+        return _report([f"{exc.scheme}: {exc}" if exc.scheme else str(exc)])
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import signal
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -109,6 +110,9 @@ def test_parse_shipped_configs():
     # two errors each: the earlier-checked key is the one reported
     ({"k": 3, "cfl": -1}, "config key 'k' must be one of"),
     ({"problem": "heat", "n_cells": None}, "config key 'problem' must be"),
+    # integer literals beyond float range
+    ({"t_end": 10**400}, "'t_end' must be a finite number"),
+    ({"domain": [0, 10**400]}, "'domain' must be a list of two finite numbers"),
 ])
 def test_parse_config_rejects_bad_values(tmp_path, overrides, fragment):
     path = _write_config(tmp_path, **overrides)
@@ -129,8 +133,11 @@ def test_parse_config_missing_file_and_bad_json(tmp_path):
         parse_config(str(arr))
 
 
-@pytest.mark.parametrize("content", [None, b"\xff\xfe", b'{"problem": ["wave"]}'],
-                         ids=["directory", "non_utf8", "list_problem"])
+@pytest.mark.parametrize("content", [
+    None, b"\xff\xfe", b'{"problem": ["wave"]}',
+    b'{"problem": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    b'{"t_end": 1' + b"0" * 5000 + b"}",
+], ids=["directory", "non_utf8", "list_problem", "deeply_nested", "int_beyond_int_limit"])
 def test_energy_unreadable_config_exits_2(tmp_path, capsys, content):
     path = tmp_path / "config.json"
     if content is None:
@@ -490,6 +497,18 @@ def test_bench_end_to_end(tmp_path):
     assert int(rows[0]["rhs_evals"]) == 4 * int(rows[1]["rhs_evals"])
 
 
+def test_bench_failure_names_its_scheme(tmp_path, capsys):
+    """bench stops at the first numerical failure and names the scheme, as
+    energy does (the bore of test_energy_isolates_failing_scheme)."""
+    path = _write_config(tmp_path, problem="shallow_water", domain=None,
+                         n_cells=128, schemes=["rk4", "fr"], t_end=15.0,
+                         ic_offset=1.0, ic_width=1.0, ic_amplitude=0.1)
+    assert main(["bench", path, "--repeats", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ForestRuth: step ")
+    assert "non-positive total depth" in err
+
+
 # ---------------------------------------------------------------------------
 # dump-ops subcommand
 # ---------------------------------------------------------------------------
@@ -524,6 +543,18 @@ def test_dump_ops_accepts_domain(capsys):
     capsys.readouterr()
 
 
+def test_dump_ops_rejects_bad_domain(capsys):
+    """A reversed domain is build_grid's config error; anything but two
+    numbers is an argparse usage error.  Both exit 2."""
+    assert main(["dump-ops", "--order", "2", "--cells", "8", "--domain", "1,0"]) == 2
+    assert capsys.readouterr().err.startswith("config error: grid requires b > a")
+    for text in ("0,1,2", "0", "x,1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["dump-ops", "--order", "2", "--cells", "8", f"--domain={text}"])
+        assert exc.value.code == 2
+        assert "--domain" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # misc
 # ---------------------------------------------------------------------------
@@ -540,6 +571,107 @@ def test_output_dir_created_if_missing(tmp_path):
                          output_dir=str(nested))
     assert main(["energy", path]) == 0
     assert (nested / "energy_Leapfrog.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["energy"], ["converge", "--n", "16,32"],
+                                     ["bench", "--repeats", "3"]],
+                         ids=["energy", "converge", "bench"])
+def test_uncreatable_output_dir_exits_2_before_integrating(tmp_path, capsys, monkeypatch,
+                                                           command):
+    """A path under a regular file, or one holding a NUL character."""
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrate ran before the output directory was made")
+
+    monkeypatch.setattr(experiment_cli, "integrate", no_integration)
+    for output_dir in (str(blocker / "out"), str(tmp_path / "out\0")):
+        path = _write_config(tmp_path, output_dir=output_dir)
+        assert main([command[0], path, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: config key 'output_dir': cannot create {output_dir!r}: ")
+
+
+# What a value mutation puts in place of a key's value, or of one entry of
+# a list of numbers.  "huge" holds literals beyond float range: JSON reads
+# the first two as infinities and the others as Python ints, the longest
+# with more digits than int() accepts.  An integer n_cells beyond float
+# range passes validation and fails in build_grid, so n_cells never gets one.
+_MUTATION_VALUES = {
+    "type": ["x", True, None, {}, []],
+    "nan": [math.nan],
+    "zero": [0],
+    "huge": ["1e400", "-1e400", "1" + "0" * 400, "1" + "0" * 5000],
+}
+_SUBCOMMANDS = {"wave_energy": ["energy"], "shallow_water_energy": ["energy"],
+                "wave_convergence": ["converge", "--n", "16,32"]}
+
+
+def _mutate(rng, data):
+    """The bytes of one mutant of the config dict ``data``."""
+    data = dict(data)
+    key = rng.choice(sorted(data))
+    kind = rng.choice(["drop", "negative", "nest", "truncate", "non_utf8", *_MUTATION_VALUES])
+    huge = rng.choice(_MUTATION_VALUES["huge"][:2] if key == "n_cells"
+                      else _MUTATION_VALUES["huge"])
+    if kind == "drop":
+        del data[key]
+    elif kind == "nest":
+        data[key] = rng.choice([[data[key]], {"value": data[key]}])
+    elif kind not in ("truncate", "non_utf8"):
+        value = data[key]
+        numbers = isinstance(value, list) and all(isinstance(x, (int, float)) for x in value)
+        i = rng.randrange(len(value)) if numbers else None
+        old = value[i] if numbers else value
+        if kind == "negative":
+            new = -abs(old) if isinstance(old, (int, float)) and old else -1
+        elif kind == "huge":
+            new = "__HUGE__"
+        else:
+            new = rng.choice(_MUTATION_VALUES[kind])
+        data[key] = value[:i] + [new] + value[i + 1:] if numbers else new
+    text = json.dumps(data).encode().replace(b'"__HUGE__"', huge.encode())
+    cut = rng.randrange(len(text))
+    if kind == "truncate":
+        text = text[:cut]
+    elif kind == "non_utf8":
+        text = text[:cut] + b"\xff\xfe" + text[cut:]
+    return text
+
+
+def test_mutated_shipped_configs_exit_0_2_or_3(tmp_path, capsys, monkeypatch):
+    """200 seeded mutations of the shipped configs (a key dropped, a value
+    of the wrong type, NaN, negative, zero, beyond float range or nested,
+    the file truncated or not UTF-8) each exit 0, 2 or 3 without raising,
+    and every exit 2 is a ``config error:`` line.  Energy runs in-process,
+    and integrate stops after three steps, so a mutant that passes
+    validation costs milliseconds: the edge is under test here, not the
+    numerics."""
+    real_integrate = experiment_cli.integrate
+
+    def three_steps(system, kind, state0, t_end, dt, **kwargs):
+        return real_integrate(system, kind, state0, min(t_end, 3 * dt), dt, **kwargs)
+
+    monkeypatch.setattr(experiment_cli, "integrate", three_steps)
+    monkeypatch.setattr(experiment_cli, "_energy_processes", lambda n_schemes: 1)
+    monkeypatch.chdir(tmp_path)  # a dropped output_dir defaults to ./results
+    rng = random.Random(20261019)
+    codes = []
+    for i in range(200):
+        name = rng.choice(sorted(_SUBCOMMANDS))
+        data = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+        data["output_dir"] = str(tmp_path / "out" / str(i))
+        path = tmp_path / f"mutant_{i}.json"
+        path.write_bytes(_mutate(rng, data))
+        command = _SUBCOMMANDS[name]
+        code = main([command[0], str(path), *command[1:]])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (path.read_bytes()[:300], err)
+        assert code != 2 or err.startswith("config error:"), err
+        codes.append(code)
+    assert {0, 2} <= set(codes)
 
 
 # ---------------------------------------------------------------------------
