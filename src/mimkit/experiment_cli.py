@@ -189,6 +189,8 @@ def parse_config(path: str) -> ExperimentConfig:
     k = _integer(raw, "k", 4, lambda n: n in SUPPORTED_ORDERS, f"one of {SUPPORTED_ORDERS}")
     _require(n_cells >= 2 * k,
              f"config key 'n_cells' must be >= 2k = {2 * k} for order k = {k}, got {n_cells}")
+    _require(_is_finite_number(n_cells),
+             f"config key 'n_cells' must be within float range, got {n_cells}")
 
     domain = raw.get("domain", [-30.0, 30.0])
     _require(isinstance(domain, (list, tuple)) and len(domain) == 2
@@ -448,6 +450,7 @@ def run_convergence_study(
     for n in refinements:
         _require(isinstance(n, int) and n >= 2 * config.k,
                  f"refinement n_cells = {n!r} must be an integer >= 2k = {2 * config.k}")
+        _require(_is_finite_number(n), f"--n: refinement n_cells = {n} is beyond float range")
     _require(sorted(set(refinements)) == refinements,
              f"refinements must be strictly increasing, got {refinements}")
     _make_output_dir(config)
@@ -599,16 +602,16 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_dump_ops(args) -> int:
+    _require(_is_finite_number(args.cells), f"--cells {args.cells} is beyond float range")
     try:
         grid = build_grid(args.domain[0], args.domain[1], args.cells)
         ops = build_operator_set(args.order, grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    for name in ("D", "G", "D_hat", "Q", "P", "B_hat", "L", "I_D", "I_G"):
-        matrix = getattr(ops, name)
-        rows, cols = matrix.shape
+    for name, kernel in ops.kernels.items():
+        rows, cols = kernel.shape
         sys.stdout.write(f"# operator {name} ({rows}x{cols})\n")
-        sys.stdout.write(dump_operator(matrix))
+        sys.stdout.write(dump_operator(kernel))
     return 0
 
 

@@ -23,25 +23,27 @@ Every operator is kept as three parts from exact construction to sparse
 matrix: its exact left-closure rows, its centered interior template, and a
 mirror sign.  The right-end rows are the left closure reflected (row i ->
 n-1-i, column j -> m-1-j) times -1 for G, D, D_hat and B_hat, +1 for the
-interpolants and L.  Exact rational arithmetic and Python-level work are
-spent only in the closure zones: the closures, the weights that differ from
-h (interior weights are exactly h and are never formed one by one), and the
-rows of B_hat and L within ``_P_ZONE`` plus the stencil reach of each end,
-so they do not grow with N.  Interior rows of L are the product of the two
-interior stencils, and interior rows of B_hat are empty.  On conversion to
-sparse floats (scaled by powers of h) the closure and mirror rows are
-written entry by entry and the interior rows are tiled from the template
-with numpy; construction results are cached.
+interpolants, L, Q and P.  Q and P are diagonal: their closures hold the
+weights that differ from h, and their template is the interior weight h
+(1 at unit spacing).  Exact rational arithmetic and Python-level work are
+spent only in the closure zones: the closures (interior weights are exactly
+h and are never formed one by one), and the rows of B_hat and L within
+``_P_ZONE`` plus the stencil reach of each end, so they do not grow with N.
+Interior rows of L are the product of the two interior stencils, and
+interior rows of B_hat are empty.  On conversion to sparse floats (scaled
+by powers of h) the closure and mirror rows are written entry by entry and
+the interior rows are tiled from the template with numpy; construction
+results are cached.
 
-The float operators live as kernel arrays: the ``data``, ``indices``,
-``indptr`` and ``shape`` that scipy's compiled CSR kernel reads
+The float operators, all nine, live as kernel arrays: the ``data``,
+``indices``, ``indptr`` and ``shape`` that scipy's compiled CSR kernel reads
 (``MimeticOperatorSet.kernels``).  The time-stepping path multiplies with
 them through ``matvec``, which runs that kernel, loaded by file from scipy's
 install when this module loads, without importing the ``scipy.sparse``
-package (most of ``import mimkit``'s time when it did).  The public
-``scipy.sparse`` matrices (``ops.D``, ``ops.L``, ...) are built on first
-access, over the same arrays, and cached; only they and ``dump_operator``
-import ``scipy.sparse``.
+package (most of ``import mimkit``'s time when it did), and ``dump_operator``
+reads them directly.  The public ``scipy.sparse`` matrices (``ops.D``,
+``ops.Q``, ...) are built on first access, over the same arrays, and cached;
+only they import ``scipy.sparse``.
 
 Structure of ``B_hat``: the corner entries are exactly ``B_hat[0,0] = -1``
 and ``B_hat[N+1,N] = +1``.  For k=2 they are the only entries of the first
@@ -67,7 +69,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import io
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -319,10 +320,19 @@ def _nonzero(row):
     return {j: c for j, c in row.items() if c != 0}
 
 
+def _diagonal(weights, n):
+    """The n x n diagonal operator with the mirror-symmetric ``weights``
+    ({index: weight}) on its diagonal and 1 elsewhere; its closure runs to
+    the deepest weight from either end."""
+    depth = 1 + max(min(i, n - 1 - i) for i in weights)
+    return _Operator([{i: weights.get(i, _F1)} for i in range(depth)], {0: _F1}, 1, (n, n))
+
+
 @lru_cache(maxsize=64, typed=True)
 def _rational_construction(k: int, N: int):
-    """All operators for (k, N) in exact rational, unit-spacing form, and
-    the weights that differ from 1 as {index: weight}."""
+    """All nine operators for (k, N) in exact rational, unit-spacing form.
+    The weights that differ from 1 ({index: weight}) build the node weights
+    and B_hat here, and leave only as the closures of Q and P."""
     _validate_order_cells(k, N)
     g = _build_g(k, N)
     d = _build_d(k, N)
@@ -368,21 +378,14 @@ def _rational_construction(k: int, N: int):
         "L": _Operator([_nonzero(row) for row in l_left], l_tpl, 1, (N + 2, N + 2)),
         "I_D": i_d,
         "I_G": i_g,
-        "q_hat": q_hat,
-        "p": p,
+        "Q": _diagonal(q_hat, N + 2),
+        "P": _diagonal(p, N + 1),
     }
 
 
 # ---------------------------------------------------------------------------
 # float sparse assembly
 # ---------------------------------------------------------------------------
-
-def _weights(zone, n, h) -> np.ndarray:
-    """Length-n float weights: h, except (weight * h) at the zone indices."""
-    w = np.full(n, h)
-    w[list(zone)] = np.array([float(v) for v in zone.values()]) * h
-    return w
-
 
 def _kernel_matrix(name):
     """A cached property: kernel operator ``name`` as a ``scipy.sparse``
@@ -401,12 +404,13 @@ def _kernel_matrix(name):
 class MimeticOperatorSet:
     """All order-k operators for one grid, plus the weighted inner products.
 
-    ``kernels`` maps each of D, G, D_hat, B_hat, I_D, I_G and L to its
-    kernel arrays (data, indices, indptr, shape), which ``matvec`` takes.
-    The attributes of those names, and the diagonal Q and P, are
-    ``scipy.sparse.csr_matrix`` objects built on first access (importing
-    ``scipy.sparse`` then) and cached; the seven share their arrays with
-    ``kernels``, so writing to one writes to the other.
+    ``kernels`` maps each of D, G, D_hat, Q, P, B_hat, L, I_D and I_G, in
+    that order, to its kernel arrays (data, indices, indptr, shape), which
+    ``matvec`` and ``dump_operator`` take.  The attributes of those names
+    are ``scipy.sparse.csr_matrix`` objects built on first access (importing
+    ``scipy.sparse`` then) and cached.  They share their arrays with
+    ``kernels``, and ``q_diag`` and ``p_diag`` are the ``data`` of Q and P,
+    so writing to one writes to the others.
 
     The inner products are bare weighted dots with no length check of their
     own (numpy refuses a product that does not fit the weights);
@@ -434,20 +438,8 @@ class MimeticOperatorSet:
     I_D = _kernel_matrix("I_D")
     I_G = _kernel_matrix("I_G")
     L = _kernel_matrix("L")
-
-    @cached_property
-    def Q(self):
-        """``q_diag`` on the diagonal, as a ``scipy.sparse`` ``csr_matrix``."""
-        import scipy.sparse as sp
-
-        return sp.diags(self.q_diag, format="csr")
-
-    @cached_property
-    def P(self):
-        """``p_diag`` on the diagonal, as a ``scipy.sparse`` ``csr_matrix``."""
-        import scipy.sparse as sp
-
-        return sp.diags(self.p_diag, format="csr")
+    Q = _kernel_matrix("Q")
+    P = _kernel_matrix("P")
 
     def __post_init__(self):
         object.__setattr__(self, "_q_scratch", np.empty_like(self.q_diag))
@@ -527,16 +519,14 @@ def build_operator_set(k: int, grid: StaggeredGrid1D) -> MimeticOperatorSet:
     B_hat = Q*D_hat + G^T*P is exact by construction and h-independent), so
     rows outside the boundary closure zone are exactly zero.
     """
-    N = grid.n_cells
-    exact = _rational_construction(k, N)
-    scales = {"D": 1.0 / grid.h, "G": 1.0 / grid.h, "D_hat": 1.0 / grid.h,
-              "B_hat": 1.0, "I_D": 1.0, "I_G": 1.0, "L": 1.0 / grid.h**2}
-    return MimeticOperatorSet(
-        order=k, grid=grid,
-        kernels={name: exact[name].to_csr(scale) for name, scale in scales.items()},
-        q_diag=_weights(exact["q_hat"], N + 2, grid.h),
-        p_diag=_weights(exact["p"], N + 1, grid.h),
-    )
+    exact = _rational_construction(k, grid.n_cells)
+    h = grid.h
+    # in the order dump-ops prints them
+    scales = {"D": 1.0 / h, "G": 1.0 / h, "D_hat": 1.0 / h, "Q": h, "P": h,
+              "B_hat": 1.0, "L": 1.0 / h**2, "I_D": 1.0, "I_G": 1.0}
+    kernels = {name: exact[name].to_csr(scale) for name, scale in scales.items()}
+    return MimeticOperatorSet(order=k, grid=grid, kernels=kernels,
+                              q_diag=kernels["Q"].data, p_diag=kernels["P"].data)
 
 
 def mimetic_identity_residual(ops: MimeticOperatorSet, v, f_hat) -> float:
@@ -561,16 +551,15 @@ def mimetic_identity_residual(ops: MimeticOperatorSet, v, f_hat) -> float:
 
 
 def dump_operator(matrix) -> str:
-    """Serialize a sparse operator as matrix-market-style triples.
+    """Serialize a CSR operator as matrix-market-style triples.
 
-    One line per stored entry: ``row col value`` with 17 significant digits,
-    sorted row-major.  Returns the text.
+    ``matrix`` is anything with CSR ``data``, ``indices``, ``indptr`` and
+    ``shape``, as for ``matvec``: an operator's kernel arrays or a
+    ``scipy.sparse`` CSR matrix.  One line per stored entry: ``row col
+    value`` with 17 significant digits, sorted row-major whatever the order
+    of the stored indices.  Returns the text.
     """
-    import scipy.sparse as sp
-
-    coo = sp.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    buf = io.StringIO()
-    for idx in order:
-        buf.write(f"{coo.row[idx]} {coo.col[idx]} {coo.data[idx]:.17g}\n")
-    return buf.getvalue()
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    order = np.lexsort((matrix.indices, rows))
+    return "".join(f"{r} {c} {v:.17g}\n" for r, c, v in zip(
+        rows[order].tolist(), matrix.indices[order].tolist(), matrix.data[order].tolist()))

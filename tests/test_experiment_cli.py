@@ -113,6 +113,7 @@ def test_parse_shipped_configs():
     # integer literals beyond float range
     ({"t_end": 10**400}, "'t_end' must be a finite number"),
     ({"domain": [0, 10**400]}, "'domain' must be a list of two finite numbers"),
+    ({"n_cells": 10**400}, "'n_cells' must be within float range"),
 ])
 def test_parse_config_rejects_bad_values(tmp_path, overrides, fragment):
     path = _write_config(tmp_path, **overrides)
@@ -470,8 +471,14 @@ def test_run_convergence_study_returns_rows_and_failures(tmp_path):
     ({}, "16"),                                                 # two refinements
     ({}, "32,16"),                                              # increasing
     ({}, "4,8"),                                                # n >= 2k
+    pytest.param({}, "16," + "1" + "0" * 400, id="beyond_float_range"),
 ])
-def test_converge_validation_exit_code(tmp_path, capsys, overrides, argv_n):
+def test_converge_validation_exit_code(tmp_path, capsys, monkeypatch, overrides, argv_n):
+    """Each refinement list is checked before the first integration."""
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrate ran before the refinements were checked")
+
+    monkeypatch.setattr(experiment_cli, "integrate", no_integration)
     path = _write_config(tmp_path, **overrides)
     assert main(["converge", path, "--n", argv_n]) == 2
     assert "config error" in capsys.readouterr().err
@@ -537,6 +544,25 @@ def test_dump_ops_rejects_bad_order(capsys):
     assert main(["dump-ops", "--order", "4", "--cells", "4"]) == 2
 
 
+def test_dump_ops_rejects_cells_beyond_float_range(capsys):
+    huge = "1" + "0" * 400
+    assert main(["dump-ops", "--order", "4", "--cells", huge]) == 2
+    assert capsys.readouterr().err == f"config error: --cells {huge} is beyond float range\n"
+
+
+def test_dump_ops_leaves_scipy_sparse_unloaded(fresh_python):
+    """dump-ops serializes the kernel arrays, so it imports no
+    ``scipy.sparse`` module."""
+    fresh_python("""
+import contextlib, io, sys
+from mimkit.experiment_cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert main(["dump-ops", "--order", "4", "--cells", "40"]) == 0
+assert out.getvalue().count("# operator ") == 9
+assert not [m for m in sys.modules if m.startswith("scipy.sparse")]
+""")
+
+
 def test_dump_ops_accepts_domain(capsys):
     assert main(["dump-ops", "--order", "2", "--cells", "8",
                  "--domain", "0,2"]) == 0
@@ -597,8 +623,7 @@ def test_uncreatable_output_dir_exits_2_before_integrating(tmp_path, capsys, mon
 # What a value mutation puts in place of a key's value, or of one entry of
 # a list of numbers.  "huge" holds literals beyond float range: JSON reads
 # the first two as infinities and the others as Python ints, the longest
-# with more digits than int() accepts.  An integer n_cells beyond float
-# range passes validation and fails in build_grid, so n_cells never gets one.
+# with more digits than int() accepts.
 _MUTATION_VALUES = {
     "type": ["x", True, None, {}, []],
     "nan": [math.nan],
@@ -614,8 +639,7 @@ def _mutate(rng, data):
     data = dict(data)
     key = rng.choice(sorted(data))
     kind = rng.choice(["drop", "negative", "nest", "truncate", "non_utf8", *_MUTATION_VALUES])
-    huge = rng.choice(_MUTATION_VALUES["huge"][:2] if key == "n_cells"
-                      else _MUTATION_VALUES["huge"])
+    huge = rng.choice(_MUTATION_VALUES["huge"])
     if kind == "drop":
         del data[key]
     elif kind == "nest":

@@ -515,7 +515,8 @@ def test_import_build_and_step_leave_scipy_sparse_unloaded(fresh_python):
     """``import mimkit``, building an operator set and systems, their rates
     and energies, and the Gauss residual import no ``scipy.sparse`` module;
     the first access to ``ops.L`` imports it and builds one cached matrix
-    over the kernel arrays themselves."""
+    over the kernel arrays themselves, as ``ops.Q`` and ``ops.P`` do, and
+    ``q_diag`` and ``p_diag`` are the Q and P kernels' ``data``."""
     fresh_python("""
 import sys
 import numpy as np
@@ -535,12 +536,15 @@ e, w = mimkit.shallow_water_ic(grid).arrays()
 water.rhs(e, w), water.energy(e, w)
 mimkit.mimetic_identity_residual(ops, grid.nodes, grid.extended)
 assert sparse_loaded() == [], sparse_loaded()
+assert ops.q_diag is ops.kernels["Q"].data and ops.p_diag is ops.kernels["P"].data
 
 L = ops.L
 assert "scipy.sparse" in sys.modules
 assert ops.L is L and type(L).__name__ == "csr_matrix"
-for part in ("data", "indices", "indptr"):
-    assert np.shares_memory(getattr(L, part), getattr(ops.kernels["L"], part)), part
+for name in ("L", "Q", "P"):
+    for part in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(getattr(ops, name), part),
+                                getattr(ops.kernels[name], part)), (name, part)
 """)
 
 
@@ -556,7 +560,7 @@ from mimkit.mimetic_ops import matvec
 rng = np.random.default_rng(7)
 for k in (2, 4):
     ops = mimkit.build_operator_set(k, mimkit.build_grid(-1.0, 2.0, 37))
-    assert sorted(ops.kernels) == sorted(("D", "G", "D_hat", "B_hat", "I_D", "I_G", "L"))
+    assert list(ops.kernels) == ["D", "G", "D_hat", "Q", "P", "B_hat", "L", "I_D", "I_G"]
     for name, kernel in ops.kernels.items():
         x = rng.standard_normal(kernel.shape[1])
         x[::3] = -0.0
@@ -597,3 +601,11 @@ def test_dump_operator_triples_round_trip(ops):
         seen[r, c] = True
     assert seen.sum() == ops.G.nnz
     assert dump_operator(ops.G) == text  # deterministic
+    for name in OPERATORS:  # the kernel arrays and the scipy matrix dump alike
+        assert dump_operator(ops.kernels[name]) == dump_operator(getattr(ops, name)), name
+    # each row's entries stored in reverse: the triples still come out row-major
+    G = ops.kernels["G"]
+    rows = [slice(a, b) for a, b in zip(G.indptr[:-1], G.indptr[1:])]
+    flipped = G._replace(data=np.concatenate([G.data[r][::-1] for r in rows]),
+                         indices=np.concatenate([G.indices[r][::-1] for r in rows]))
+    assert dump_operator(flipped) == text
