@@ -10,13 +10,6 @@ class ConfigError(ValueError):
 class ConstructionError(RuntimeError):
     """Operator construction failed (e.g. a non-positive quadrature weight)."""
 
-    def __init__(self, message: str, order: int | None = None, n_cells: int | None = None):
-        if order is not None and n_cells is not None:
-            message = f"{message} (order k={order}, n_cells N={n_cells})"
-        super().__init__(message)
-        self.order = order
-        self.n_cells = n_cells
-
 
 class NumericalFailure(RuntimeError):
     """Integration aborted (non-finite energy, non-positive depth, root-solver

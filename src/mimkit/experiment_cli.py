@@ -19,10 +19,10 @@ Subcommands:
   ``row col value`` triples for debugging/diffing.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (with
-scheme/step diagnostics on stderr).  Each experiment creates its
-``output_dir`` after checking its arguments and before any integration, so
-a directory that cannot be created is a configuration error found before
-any work is done.
+scheme/step diagnostics on stderr).  Each experiment builds its operators
+(a size or domain they cannot be built for is a configuration error), then
+creates its ``output_dir``, before any integration, so a directory that
+cannot be created is a configuration error found before any work is done.
 
 Configs are flat JSON objects (no nesting).  Keys: ``problem`` (wave |
 shallow_water), ``domain`` ([a, b], default [-30, 30]), ``n_cells``,
@@ -287,21 +287,28 @@ def _config_echo(config: ExperimentConfig) -> dict:
 # experiment setup
 # ---------------------------------------------------------------------------
 
+def _build_ops(k: int, domain, n_cells: int):
+    """The order-k operator set over ``domain``; one it cannot build is a ConfigError."""
+    try:
+        return build_operator_set(k, build_grid(domain[0], domain[1], n_cells))
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _build_setup(config: ExperimentConfig):
     """(grid, system, state0-arrays, dt) for a config."""
-    grid = build_grid(config.domain[0], config.domain[1], config.n_cells)
-    ops = build_operator_set(config.k, grid)
+    ops = _build_ops(config.k, config.domain, config.n_cells)
     if config.problem == "wave":
-        state = gaussian_ic(grid, center=config.ic_center, width=config.ic_width,
+        state = gaussian_ic(ops.grid, center=config.ic_center, width=config.ic_width,
                             amplitude=config.ic_amplitude)
         system = WaveSystem(ops)
     else:
-        state = shallow_water_ic(grid, offset=config.ic_offset, amplitude=config.ic_amplitude,
+        state = shallow_water_ic(ops.grid, offset=config.ic_offset, amplitude=config.ic_amplitude,
                                  center=config.ic_center, width=config.ic_width,
                                  d0=config.d0, g=config.g)
         system = ShallowWaterSystem(ops, d0=config.d0, g=config.g)
-    dt = config.dt if config.dt is not None else cfl_dt(grid, config.cfl, system.wave_speed)
-    return grid, system, state.arrays(), dt
+    dt = config.dt if config.dt is not None else cfl_dt(ops.grid, config.cfl, system.wave_speed)
+    return ops.grid, system, state.arrays(), dt
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +460,7 @@ def run_convergence_study(
         _require(_is_finite_number(n), f"--n: refinement n_cells = {n} is beyond float range")
     _require(sorted(set(refinements)) == refinements,
              f"refinements must be strictly increasing, got {refinements}")
+    setups = [_build_setup(replace(config, domain=(0.0, 1.0), n_cells=n)) for n in refinements]
     _make_output_dir(config)
 
     rows: List[ConvergenceRow] = []
@@ -461,8 +469,7 @@ def run_convergence_study(
         prev: Optional[ConvergenceRow] = None
         scheme_rows: List[ConvergenceRow] = []
         try:
-            for n in refinements:
-                grid, system, _, dt = _build_setup(replace(config, domain=(0.0, 1.0), n_cells=n))
+            for n, (grid, system, _, dt) in zip(refinements, setups):
                 x = grid.extended
                 state0 = (wave_standing_exact(x, 0.0), np.zeros(n + 2))
                 record = integrate(system, kind, state0, config.t_end, dt,
@@ -603,12 +610,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_dump_ops(args) -> int:
     _require(_is_finite_number(args.cells), f"--cells {args.cells} is beyond float range")
-    try:
-        grid = build_grid(args.domain[0], args.domain[1], args.cells)
-        ops = build_operator_set(args.order, grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    for name, kernel in ops.kernels.items():
+    for name, kernel in _build_ops(args.order, args.domain, args.cells).kernels.items():
         rows, cols = kernel.shape
         sys.stdout.write(f"# operator {name} ({rows}x{cols})\n")
         sys.stdout.write(dump_operator(kernel))

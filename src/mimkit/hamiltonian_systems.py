@@ -12,7 +12,8 @@ Each system is autonomous: it defines the rates ``position_rate(u, v)``
 * ``ShallowWaterSystem``: the nonlinear shallow-water equations with surface
   elevation ``e`` on extended centers and velocity ``u`` on nodes,
   ``e_t = -D_hat((d0 + I_G e) * u)``, ``u_t = -g G e - u * G(I_D u)``, with
-  energy ``H = (1/2)(g <e, e>_Q + <(d0 + I_G e) u, u>_P)``.
+  energy ``H = (1/2)(g <e, e>_Q + <(d0 + I_G e) u, u>_P)``; only its
+  ``position_rate`` checks the total depth, once per evaluation.
 * ``HarmonicOscillator``: the two-dimensional oracle ``u' = v, v' = -u`` with
   ``H = (u^2 + v^2)/2`` and a closed-form rotation solution, used to pin
   integrator orders and sign conventions.
@@ -218,7 +219,10 @@ class WaveSystem(HamiltonianSystem):
 
 class ShallowWaterSystem(HamiltonianSystem):
     """Nonlinear shallow water: e_t = -D_hat((d0 + I_G e) u),
-    u_t = -g G e - u * G(I_D u); energy is non-quadratic."""
+    u_t = -g G e - u * G(I_D u); energy is non-quadratic.  Only
+    ``position_rate`` checks the total depth; the integrators call it on
+    every e ``velocity_rate`` sees, in the same step (``rhs`` first, a
+    splitting step's drift after each kick), and a direct call is unchecked."""
 
     name = "shallow_water"
 
@@ -242,17 +246,12 @@ class ShallowWaterSystem(HamiltonianSystem):
         n = self.ops.grid.n_cells
         return {"e": n + 2, "u": n + 1}
 
-    def _check_depth(self, e):
-        """Abort on non-positive total depth d0 + e at the extended centers."""
-        if self.d0 + e.min() <= 0.0:
-            raise NumericalFailure(
-                f"non-positive total depth: min(d0 + e) = {self.d0 + float(e.min()):.3e}"
-            )
-
     def _depth_nodes(self, e, out):
         """Total depth d0 + I_G e at nodes, written into ``out``; aborts on
-        non-positive depth."""
-        self._check_depth(e)
+        non-positive depth, d0 + e first."""
+        if self.d0 + e.min() <= 0.0:
+            raise NumericalFailure("non-positive total depth: min(d0 + e) = "
+                                   f"{self.d0 + float(e.min()):.3e}")
         depth = matvec(self._I_G, e, out)
         depth += self._d0
         if depth.min() <= 0.0:
@@ -270,7 +269,7 @@ class ShallowWaterSystem(HamiltonianSystem):
         return _scaled(de, scale)
 
     def velocity_rate(self, e, u, out=None, scale=None):
-        self._check_depth(e)
+        """du/dt, with no depth check (see the class docstring)."""
         du = matvec(self._G, e, _out(out, len(u)))
         du *= self._minus_g
         advection = matvec(self._G, matvec(self._I_D, u, self._ext), self._node)

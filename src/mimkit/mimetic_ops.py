@@ -289,7 +289,7 @@ def _build_q(k, N, d):
     q = _solve_exact(A[:N], b[:N])
     residual = sum(qr * ar for qr, ar in zip(q, A[N])) - b[N]
     if residual != 0:
-        raise ConstructionError("conservation system inconsistent", k, N)
+        raise ConstructionError(f"conservation system inconsistent (order k={k}, n_cells N={N})")
     return dict(enumerate(q))
 
 
@@ -314,6 +314,8 @@ def _validate_order_cells(k, N):
         raise ValueError(f"order k must be one of {SUPPORTED_ORDERS}, got {k!r}")
     if N < 2 * k:
         raise ValueError(f"operator construction requires n_cells >= 2k = {2 * k}, got {N}")
+    if (2 * k - 1) * (N + 2) >= 2**31:  # L's entries, indexed by int32 in CSR
+        raise ValueError(f"n_cells = {N} is too large for int32 CSR indices at order k = {k}")
 
 
 def _nonzero(row):
@@ -341,7 +343,7 @@ def _rational_construction(k: int, N: int):
     q_hat = {0: _HALF, N + 1: _HALF, **{r + 1: w for r, w in _build_q(k, N, d).items()}}
     p = _build_p(k, N, g, d_hat, q_hat)
     if min(q_hat.values()) <= 0 or min(p.values()) <= 0:
-        raise ConstructionError("non-positive quadrature weight", k, N)
+        raise ConstructionError(f"non-positive quadrature weight (order k={k}, n_cells N={N})")
 
     # B_hat = Q*D_hat + G^T*P (spacing cancels, so this is the physical
     # matrix) and the unit-spacing Laplacian D_hat*G (physical scaling 1/h^2),
@@ -517,10 +519,13 @@ def build_operator_set(k: int, grid: StaggeredGrid1D) -> MimeticOperatorSet:
 
     B_hat and L are assembled in exact rational arithmetic (the identity
     B_hat = Q*D_hat + G^T*P is exact by construction and h-independent), so
-    rows outside the boundary closure zone are exactly zero.
+    rows outside the boundary closure zone are exactly zero.  An order, size
+    or spacing it cannot build (1/h**2 must be a finite float) raises ValueError.
     """
     exact = _rational_construction(k, grid.n_cells)
     h = grid.h
+    if not 1e-150 < h < 1e150:
+        raise ValueError(f"grid spacing h = {h!r} must lie in (1e-150, 1e150)")
     # in the order dump-ops prints them
     scales = {"D": 1.0 / h, "G": 1.0 / h, "D_hat": 1.0 / h, "Q": h, "P": h,
               "B_hat": 1.0, "L": 1.0 / h**2, "I_D": 1.0, "I_G": 1.0}

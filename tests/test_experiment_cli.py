@@ -419,6 +419,26 @@ def test_energy_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides,message", [
+    ({"n_cells": 10**300}, f"n_cells = {10**300} is too large for int32 CSR indices"),
+    ({"n_cells": 10**11}, "n_cells = 100000000000 is too large for int32 CSR indices"),
+    ({"n_cells": 600, "domain": [0, 1e-160]}, "grid spacing h = 1.6666666666666666e-163 must"),
+    ({"n_cells": 8, "domain": [0, 1e300]}, "grid spacing h = 1.25e+299 must lie in"),
+    ({"n_cells": 8, "domain": [-1e308, 1e308]}, "grid spacing h = inf must lie in"),
+], ids=["cells_1e300", "cells_1e11", "h_tiny", "h_huge", "h_inf"])
+def test_energy_rejects_unbuildable_size(tmp_path, capsys, monkeypatch, overrides, message):
+    """Sizes and domains that parse but cannot be built are reported before
+    any integration or output directory."""
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrate ran before the setup was built")
+
+    monkeypatch.setattr(experiment_cli, "integrate", no_integration)
+    path = _write_config(tmp_path, **overrides)
+    assert main(["energy", path]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # converge subcommand
 # ---------------------------------------------------------------------------
@@ -464,6 +484,22 @@ def test_run_convergence_study_returns_rows_and_failures(tmp_path):
     assert rows[1].observed_order == pytest.approx(4.0, abs=0.4)
 
 
+def test_converge_builds_each_refinement_once(tmp_path, monkeypatch):
+    """One setup per refinement, shared by every scheme."""
+    built = []
+
+    def counting_build_setup(config):
+        built.append(config.n_cells)
+        return real_build_setup(config)
+
+    real_build_setup = experiment_cli._build_setup
+    monkeypatch.setattr(experiment_cli, "_build_setup", counting_build_setup)
+    config = parse_config(_write_config(tmp_path, schemes=["rk4", "lf"], t_end=0.1))
+    rows, failures = run_convergence_study(config, [16, 32])
+    assert failures == [] and len(rows) == 4
+    assert built == [16, 32]
+
+
 @pytest.mark.parametrize("overrides,argv_n", [
     ({"problem": "shallow_water", "ic_offset": 1.0}, "16,32"),  # wave only
     ({"domain": [0.0, 2.0]}, "16,32"),                          # unit domain only
@@ -472,6 +508,7 @@ def test_run_convergence_study_returns_rows_and_failures(tmp_path):
     ({}, "32,16"),                                              # increasing
     ({}, "4,8"),                                                # n >= 2k
     pytest.param({}, "16," + "1" + "0" * 400, id="beyond_float_range"),
+    pytest.param({}, "16,3000000000", id="beyond_int32_csr"),
 ])
 def test_converge_validation_exit_code(tmp_path, capsys, monkeypatch, overrides, argv_n):
     """Each refinement list is checked before the first integration."""
@@ -548,6 +585,38 @@ def test_dump_ops_rejects_cells_beyond_float_range(capsys):
     huge = "1" + "0" * 400
     assert main(["dump-ops", "--order", "4", "--cells", huge]) == 2
     assert capsys.readouterr().err == f"config error: --cells {huge} is beyond float range\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--cells", "1" + "0" * 300], "n_cells = 1" + "0" * 300 + " is too large for int32"),
+    (["--cells", "100000000000"], "n_cells = 100000000000 is too large for int32"),
+    (["--cells", "300000000000"], "n_cells = 300000000000 is too large for int32"),
+    (["--cells", "8", "--domain", "0,1e-160"], "grid spacing h = 1.25e-161 must lie in"),
+], ids=["cells_1e300", "cells_1e11", "cells_3e11", "h_tiny"])
+def test_dump_ops_rejects_unbuildable_size(capsys, argv, message):
+    """Sizes and domains that parse but cannot be built print nothing."""
+    assert main(["dump-ops", "--order", "4", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"config error: {message}")
+
+
+@pytest.mark.parametrize("command", [["energy"], ["converge", "--n", "16,32"],
+                                     ["bench", "--repeats", "3"], ["dump-ops"]],
+                         ids=["energy", "converge", "bench", "dump-ops"])
+def test_memory_error_building_operators_is_config_error(tmp_path, capsys, monkeypatch,
+                                                         command):
+    """Every subcommand builds its operators through one helper, which maps
+    a MemoryError to exit 2."""
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(experiment_cli, "build_operator_set", out_of_memory)
+    if command == ["dump-ops"]:
+        argv = ["dump-ops", "--order", "4", "--cells", "32"]
+    else:
+        argv = [command[0], _write_config(tmp_path), *command[1:]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: Unable to allocate 745. GiB\n"
 
 
 def test_dump_ops_leaves_scipy_sparse_unloaded(fresh_python):

@@ -14,9 +14,11 @@ from mimkit import (
     WaveSystem,
     build_grid,
     build_operator_set,
+    cfl_dt,
     gaussian_ic,
     integrate,
     shallow_water_ic,
+    step,
     wave_standing_exact,
 )
 
@@ -323,15 +325,53 @@ def test_shallow_water_rejects_non_positive_depth(swater):
         system.rhs(e, u)
 
 
-def test_shallow_water_velocity_rate_rejects_non_positive_depth(swater):
-    """Splitting-scheme kicks call velocity_rate alone, without the depth
-    check of position_rate, so it carries the same guard."""
-    grid, _, system = swater
-    e = np.full(grid.n_cells + 2, 0.2)
-    e[7] = -1.0  # d0 + e = 0 at one extended center
-    u = np.zeros(grid.n_cells + 1)
-    with pytest.raises(NumericalFailure, match=r"non-positive total depth: min\(d0 \+ e\)"):
-        system.velocity_rate(e, u)
+class _RateLog(ShallowWaterSystem):
+    """A shallow-water system that logs each rate call as (rate, bytes of e)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def position_rate(self, e, u, *args):
+        self.calls.append(("position", e.tobytes()))
+        return super().position_rate(e, u, *args)
+
+    def velocity_rate(self, e, u, *args):
+        self.calls.append(("velocity", e.tobytes()))
+        return super().velocity_rate(e, u, *args)
+
+
+def _unchecked(calls):
+    """The e's of ``calls`` that reach velocity_rate but not position_rate."""
+    checked = {e for rate, e in calls if rate == "position"}
+    return [e for rate, e in calls if rate == "velocity" and e not in checked]
+
+
+@pytest.mark.parametrize("scheme", ["RK4", "RRK_bisection", "ForestRuth", "PEFRL",
+                                    "Leapfrog", "Composition4"])
+def test_shallow_water_depth_check_sees_every_velocity_rate_e(scheme):
+    """velocity_rate makes no depth check: position_rate checks every e the
+    integrators pass to velocity_rate, within the same step, through
+    ``step`` and ``integrate``.  A splitting table that ended in a kick
+    would leave that kick's e unchecked until the next step."""
+    grid = build_grid(-10.0, 10.0, 80)
+    system = _RateLog(build_operator_set(4, grid))
+    state = (0.1 * np.exp(-grid.extended ** 2), 0.1 * np.exp(-grid.nodes ** 2))
+    dt = cfl_dt(grid, 0.25, system.wave_speed)
+    for _ in range(3):
+        system.calls.clear()
+        state = step(system, scheme, state, dt)
+        assert _unchecked(system.calls) == []
+    system.calls.clear()
+    record = integrate(system, scheme, state, 5 * dt, dt)
+    calls = system.calls
+    per_step, rest = divmod(len(calls), record.n_steps)
+    assert rest == 0 and per_step >= 2
+    for i in range(0, len(calls), per_step):
+        assert _unchecked(calls[i:i + per_step]) == []
+    # every velocity_rate call sees a new e, so the check above is not vacuous
+    seen = [e for rate, e in calls if rate == "velocity"]
+    assert len(set(seen)) == len(seen)
 
 
 def test_shallow_water_analytic_relaxation_unavailable(swater):
