@@ -19,10 +19,10 @@ Subcommands:
   ``row col value`` triples for debugging/diffing.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (with
-scheme/step diagnostics on stderr).  Each experiment builds its operators
-(a size or domain they cannot be built for is a configuration error), then
-creates its ``output_dir``, before any integration, so a directory that
-cannot be created is a configuration error found before any work is done.
+scheme/step diagnostics on stderr).  Each experiment builds its runs,
+then creates its ``output_dir``, before any integration; a size, domain,
+wave speed or step the library refuses while a run is built, and a
+directory that cannot be created, are configuration errors.
 
 Configs are flat JSON objects (no nesting).  Keys: ``problem`` (wave |
 shallow_water), ``domain`` ([a, b], default [-30, 30]), ``n_cells``,
@@ -48,6 +48,7 @@ import math
 import os
 import statistics
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -63,7 +64,7 @@ from .hamiltonian_systems import (
     shallow_water_ic,
     wave_standing_exact,
 )
-from .integrators import SchemeKind, cfl_dt, integrate, normalize_scheme
+from .integrators import SchemeKind, _check_run, cfl_dt, integrate, normalize_scheme
 from .mimetic_ops import SUPPORTED_ORDERS, build_operator_set, dump_operator
 
 __all__ = [
@@ -158,7 +159,8 @@ def _integer(raw: dict, key: str, default, ok, requirement: str) -> int:
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    """Load and validate a flat JSON config; every violation names the key."""
+    """Load and validate a flat JSON config; every violation names the key.
+    The size, spacing, wave-speed and t_end / dt rules are the library's."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -187,10 +189,6 @@ def parse_config(path: str) -> ExperimentConfig:
     t_end = _number(raw, "t_end", None, positive=True)
 
     k = _integer(raw, "k", 4, lambda n: n in SUPPORTED_ORDERS, f"one of {SUPPORTED_ORDERS}")
-    _require(n_cells >= 2 * k,
-             f"config key 'n_cells' must be >= 2k = {2 * k} for order k = {k}, got {n_cells}")
-    _require(_is_finite_number(n_cells),
-             f"config key 'n_cells' must be within float range, got {n_cells}")
 
     domain = raw.get("domain", [-30.0, 30.0])
     _require(isinstance(domain, (list, tuple)) and len(domain) == 2
@@ -287,17 +285,19 @@ def _config_echo(config: ExperimentConfig) -> dict:
 # experiment setup
 # ---------------------------------------------------------------------------
 
-def _build_ops(k: int, domain, n_cells: int):
-    """The order-k operator set over ``domain``; one it cannot build is a ConfigError."""
+@contextmanager
+def _library_rules():
+    """A ValueError or MemoryError while a run is built is a ConfigError."""
     try:
-        return build_operator_set(k, build_grid(domain[0], domain[1], n_cells))
+        yield
     except (ValueError, MemoryError) as exc:
         raise ConfigError(str(exc)) from None
 
 
+@_library_rules()
 def _build_setup(config: ExperimentConfig):
-    """(grid, system, state0-arrays, dt) for a config."""
-    ops = _build_ops(config.k, config.domain, config.n_cells)
+    """(grid, system, state0-arrays, dt) for a config, under every rule of a run."""
+    ops = build_operator_set(config.k, build_grid(*config.domain, config.n_cells))
     if config.problem == "wave":
         state = gaussian_ic(ops.grid, center=config.ic_center, width=config.ic_width,
                             amplitude=config.ic_amplitude)
@@ -308,6 +308,7 @@ def _build_setup(config: ExperimentConfig):
                                  d0=config.d0, g=config.g)
         system = ShallowWaterSystem(ops, d0=config.d0, g=config.g)
     dt = config.dt if config.dt is not None else cfl_dt(ops.grid, config.cfl, system.wave_speed)
+    _check_run(config.t_end, dt, config.record_every, config.rrk_tol, config.rrk_advance)
     return ops.grid, system, state.arrays(), dt
 
 
@@ -454,10 +455,6 @@ def run_convergence_study(
              "convergence study requires the cfl key (dt must refine with h)")
     refinements = list(refinements)
     _require(len(refinements) >= 2, "convergence study requires at least 2 refinements")
-    for n in refinements:
-        _require(isinstance(n, int) and n >= 2 * config.k,
-                 f"refinement n_cells = {n!r} must be an integer >= 2k = {2 * config.k}")
-        _require(_is_finite_number(n), f"--n: refinement n_cells = {n} is beyond float range")
     _require(sorted(set(refinements)) == refinements,
              f"refinements must be strictly increasing, got {refinements}")
     setups = [_build_setup(replace(config, domain=(0.0, 1.0), n_cells=n)) for n in refinements]
@@ -469,9 +466,9 @@ def run_convergence_study(
         prev: Optional[ConvergenceRow] = None
         scheme_rows: List[ConvergenceRow] = []
         try:
-            for n, (grid, system, _, dt) in zip(refinements, setups):
+            for grid, system, _, dt in setups:
                 x = grid.extended
-                state0 = (wave_standing_exact(x, 0.0), np.zeros(n + 2))
+                state0 = (wave_standing_exact(x, 0.0), np.zeros_like(x))
                 record = integrate(system, kind, state0, config.t_end, dt,
                                    record_every=10**9,  # record only t = 0 and the last step
                                    rrk_tol=config.rrk_tol, rrk_advance=config.rrk_advance)
@@ -481,14 +478,14 @@ def run_convergence_study(
                 order = None
                 if prev is not None and error > 0 and prev.error > 0:
                     order = math.log(prev.error / error) / math.log(prev.h / grid.h)
-                row = ConvergenceRow(scheme=kind, n_cells=n, h=grid.h, error=error,
+                row = ConvergenceRow(scheme=kind, n_cells=grid.n_cells, h=grid.h, error=error,
                                      observed_order=order, rhs_evals=record.rhs_evals)
                 scheme_rows.append(row)
                 prev = row
         except NumericalFailure as exc:
             # A scheme that cannot complete the study is reported on stderr
             # and omitted from the table; the others still produce rows.
-            failures.append(f"{kind.value}: n_cells = {n}: {exc}")
+            failures.append(f"{kind.value}: n_cells = {grid.n_cells}: {exc}")
             continue
         rows.extend(scheme_rows)
 
@@ -551,11 +548,9 @@ def run_timing_benchmark(config: ExperimentConfig, repeats: int) -> List[dict]:
 
 def _parse_cells_list(text: str) -> List[int]:
     try:
-        values = [int(part) for part in text.split(",") if part.strip()]
+        return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"--n expects a comma-separated integer list, got {text!r}") from None
-    _require(bool(values), f"--n expects a non-empty integer list, got {text!r}")
-    return values
 
 
 def _parse_domain(text: str) -> Tuple[float, float]:
@@ -566,11 +561,8 @@ def _parse_domain(text: str) -> Tuple[float, float]:
 def _energy_processes(n_schemes: int) -> int:
     """Worker processes for ``energy``: one per usable CPU, at most one per
     scheme; 1 where only one CPU is usable or fork is unavailable."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    processes = min(cpus, n_schemes)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    processes = min(cpus or 1, n_schemes)
     if processes > 1:
         import multiprocessing
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -609,8 +601,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_dump_ops(args) -> int:
-    _require(_is_finite_number(args.cells), f"--cells {args.cells} is beyond float range")
-    for name, kernel in _build_ops(args.order, args.domain, args.cells).kernels.items():
+    with _library_rules():
+        kernels = build_operator_set(args.order, build_grid(*args.domain, args.cells)).kernels
+    for name, kernel in kernels.items():
         rows, cols = kernel.shape
         sys.stdout.write(f"# operator {name} ({rows}x{cols})\n")
         sys.stdout.write(dump_operator(kernel))

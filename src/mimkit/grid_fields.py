@@ -14,6 +14,7 @@ the system's layouts once, at entry.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,8 +55,7 @@ class StaggeredGrid1D:
 
 def build_grid(a: float, b: float, n_cells: int) -> StaggeredGrid1D:
     """Validate and build a staggered grid; h = (b - a)/n_cells."""
-    a = float(a)
-    b = float(b)
+    a, b = float(a), float(b)
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError(f"grid endpoints must be finite, got a={a}, b={b}")
     if b <= a:
@@ -63,4 +63,6 @@ def build_grid(a: float, b: float, n_cells: int) -> StaggeredGrid1D:
     n = int(n_cells)
     if n != n_cells or n < 1:
         raise ValueError(f"n_cells must be a positive integer, got {n_cells!r}")
+    if n > sys.float_info.max:
+        raise ValueError(f"n_cells must be within float range, got {n_cells!r}")
     return StaggeredGrid1D(a=a, b=b, n_cells=n, h=(b - a) / n)

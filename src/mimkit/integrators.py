@@ -515,6 +515,17 @@ def cfl_dt(grid: StaggeredGrid1D, cfl: float, wave_speed: float = 1.0) -> float:
     return cfl * grid.h / wave_speed
 
 
+def _check_run(t_end, dt, record_every, rrk_tol, rrk_advance):
+    """``integrate``'s argument rules, which the CLI applies to each run it builds."""
+    _require_positive_finite(dt=dt, t_end=t_end, rrk_tol=rrk_tol)
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"t_end / dt must be finite, got {t_end!r} / {dt!r}")
+    if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
+        raise ValueError(f"record_every must be a positive integer, got {record_every!r}")
+    if rrk_advance not in ("gamma_dt", "plain_dt"):
+        raise ValueError(f"rrk_advance must be 'gamma_dt' or 'plain_dt', got {rrk_advance!r}")
+
+
 def integrate(
     system: HamiltonianSystem,
     scheme,
@@ -532,20 +543,14 @@ def integrate(
     Relaxation schemes always take full steps of nominal size dt and advance
     time by gamma*dt (or plain dt with rrk_advance="plain_dt"), so the final
     time may exceed t_end by less than one step; the record keeps the true
-    final time.  Raises ValueError when a field of ``state0`` does not have
-    the length ``system.state_lengths`` gives for it (the one layout check of
-    a run), and NumericalFailure when the initial energy is not finite
-    (``step`` 0), or when a step aborts or the energy becomes non-finite
-    (its message then starts with the step number); the failure's
-    ``scheme``, ``step`` and ``t`` fields are set.
+    final time.  Raises ValueError for a bad argument (``rrk_tol`` too) or a
+    field of ``state0`` whose length differs from ``system.state_lengths``
+    (the one layout check of a run), and NumericalFailure when the initial
+    energy is not finite (``step`` 0), or when a step aborts or the energy
+    becomes non-finite (its message then starts with the step number); the
+    failure's ``scheme``, ``step`` and ``t`` fields are set.
     """
-    _require_positive_finite(dt=dt, t_end=t_end)
-    if not math.isfinite(t_end / dt):
-        raise ValueError(f"t_end / dt must be finite, got {t_end!r} / {dt!r}")
-    if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
-        raise ValueError(f"record_every must be a positive integer, got {record_every!r}")
-    if rrk_advance not in ("gamma_dt", "plain_dt"):
-        raise ValueError(f"rrk_advance must be 'gamma_dt' or 'plain_dt', got {rrk_advance!r}")
+    _check_run(t_end, dt, record_every, rrk_tol, rrk_advance)
     kind = normalize_scheme(scheme)
     advance = _ADVANCE[kind]
 

@@ -76,7 +76,7 @@ def test_parse_shipped_configs():
     ({"n_cells": None}, "n_cells"),
     ({"t_end": -1.0}, "t_end"),
     ({"k": 3}, "'k'"),
-    ({"n_cells": 6}, "2k"),
+    ({"n_cells": 16.0}, "'n_cells' must be a positive integer, got 16.0"),
     ({"dt": 0.01}, "mutually exclusive"),
     ({"schemes": ["euler"]}, "scheme"),
     ({"domain": [1.0, 0.0]}, "domain"),
@@ -113,12 +113,34 @@ def test_parse_shipped_configs():
     # integer literals beyond float range
     ({"t_end": 10**400}, "'t_end' must be a finite number"),
     ({"domain": [0, 10**400]}, "'domain' must be a list of two finite numbers"),
-    ({"n_cells": 10**400}, "'n_cells' must be within float range"),
 ])
 def test_parse_config_rejects_bad_values(tmp_path, overrides, fragment):
     path = _write_config(tmp_path, **overrides)
     with pytest.raises(ConfigError, match=fragment):
         parse_config(path)
+
+
+@pytest.mark.parametrize("n_cells,message", [
+    (4, "operator construction requires n_cells >= 2k = 8, got 4"),
+    (6, "operator construction requires n_cells >= 2k = 8, got 6"),
+    (10**400, f"n_cells must be within float range, got {10**400}"),
+], ids=["4", "6", "401_digits"])
+def test_size_rule_prints_one_message(tmp_path, capsys, monkeypatch, n_cells, message):
+    """A size rule is the library's alone, so a config's ``n_cells``, a
+    ``converge --n`` refinement and ``dump-ops --cells`` break it with the
+    same ``config error:`` line, before any integration."""
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrate ran before the size was checked")
+
+    monkeypatch.setattr(experiment_cli, "integrate", no_integration)
+    refinements = ",".join(map(str, sorted([16, n_cells])))
+    argvs = [["energy", _write_config(tmp_path, "energy.json", n_cells=n_cells)],
+             ["converge", _write_config(tmp_path, "converge.json"), "--n", refinements],
+             ["dump-ops", "--order", "4", "--cells", str(n_cells)]]
+    for argv in argvs:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"config error: {message}\n", argv
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_config_missing_file_and_bad_json(tmp_path):
@@ -581,12 +603,6 @@ def test_dump_ops_rejects_bad_order(capsys):
     assert main(["dump-ops", "--order", "4", "--cells", "4"]) == 2
 
 
-def test_dump_ops_rejects_cells_beyond_float_range(capsys):
-    huge = "1" + "0" * 400
-    assert main(["dump-ops", "--order", "4", "--cells", huge]) == 2
-    assert capsys.readouterr().err == f"config error: --cells {huge} is beyond float range\n"
-
-
 @pytest.mark.parametrize("argv,message", [
     (["--cells", "1" + "0" * 300], "n_cells = 1" + "0" * 300 + " is too large for int32"),
     (["--cells", "100000000000"], "n_cells = 100000000000 is too large for int32"),
@@ -687,6 +703,37 @@ def test_uncreatable_output_dir_exits_2_before_integrating(tmp_path, capsys, mon
         err = capsys.readouterr().err
         assert err.startswith(
             f"config error: config key 'output_dir': cannot create {output_dir!r}: ")
+
+
+@pytest.mark.parametrize("command", [["energy"], ["converge", "--n", "16,32"],
+                                     ["bench", "--repeats", "3"]],
+                         ids=["energy", "converge", "bench"])
+@pytest.mark.parametrize("overrides,message", [
+    ({"problem": "shallow_water", "g": 1e300, "d0": 1e300},
+     "wave_speed must be positive and finite, got inf"),
+    ({"problem": "shallow_water", "g": 1e-300, "d0": 1e-300},
+     "wave_speed must be positive and finite, got 0.0"),
+    ({"t_end": 1e300, "cfl": 1e-300}, "t_end / dt must be finite, got 1e+300 / "),
+    ({"t_end": 1e300, "cfl": None, "dt": 1e-300}, "t_end / dt must be finite, got 1e+300 / "),
+], ids=["g_d0_huge", "g_d0_tiny", "cfl_tiny", "dt_tiny"])
+def test_unrunnable_config_exits_2_before_integrating(tmp_path, capsys, monkeypatch,
+                                                      command, overrides, message):
+    """Keys that each parse but together give no wave speed or no finite
+    step count are config errors from every experiment, found while the run
+    is built: before any integration and before the output directory.
+    ``converge`` refuses the shallow-water and ``dt`` configs by its own
+    rules (wave only, cfl required) first."""
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrate ran before the setup was checked")
+
+    monkeypatch.setattr(experiment_cli, "integrate", no_integration)
+    path = _write_config(tmp_path, **overrides)
+    assert main([command[0], path, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    if command[0] != "converge" or overrides.get("cfl"):
+        assert message in err
+    assert not (tmp_path / "out").exists()
 
 
 # What a value mutation puts in place of a key's value, or of one entry of

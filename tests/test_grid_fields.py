@@ -47,3 +47,6 @@ def test_build_grid_validation():
         build_grid(0.0, 1.0, 0)
     with pytest.raises(ValueError, match="finite"):
         build_grid(0.0, np.inf, 4)
+    # h = (b - a) / n_cells needs n_cells as a float
+    with pytest.raises(ValueError, match="^n_cells must be within float range"):
+        build_grid(0, 1, 10**400)

@@ -706,6 +706,17 @@ def test_integrate_validates_arguments():
         integrate(OSC, "euler", STATE0, 1.0, 0.1)
 
 
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+def test_integrate_rejects_bad_rrk_tol(name):
+    """Every scheme refuses a relaxation tolerance that is not positive and
+    finite at entry: a bisection held to one would run all its iterations
+    (0, -1, NaN) or stop after one halving (inf)."""
+    for rrk_tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"^rrk_tol must be positive and finite, "
+                                             f"got {rrk_tol!r}$"):
+            integrate(OSC, name, STATE0, 1.0, 0.1, rrk_tol=rrk_tol)
+
+
 def test_integrate_shortens_final_step():
     record = integrate(OSC, "rk4", STATE0, 0.35, 0.1)
     assert record.times[-1] == pytest.approx(0.35, abs=1e-14)
