@@ -603,6 +603,12 @@ def test_dump_ops_rejects_bad_order(capsys):
     assert main(["dump-ops", "--order", "4", "--cells", "4"]) == 2
 
 
+def test_dump_ops_rejects_cells_beyond_float_range(capsys):
+    huge = "1" + "0" * 400
+    assert main(["dump-ops", "--order", "4", "--cells", huge]) == 2
+    assert capsys.readouterr().err == f"config error: n_cells must be within float range, got {huge}\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--cells", "1" + "0" * 300], "n_cells = 1" + "0" * 300 + " is too large for int32"),
     (["--cells", "100000000000"], "n_cells = 100000000000 is too large for int32"),
