@@ -566,46 +566,50 @@ def integrate(
     n_steps = 0
     tiny = 1e-12 * max(dt, t_end)
     try:
-        ws.h = system.energy(u, v)
-        energies.append(ws.h)
-        if not math.isfinite(energies[0]):
-            raise NumericalFailure(f"non-finite initial energy: {energies[0]!r}")
-        start = time.perf_counter()
-        if kind.is_relaxation:
-            # If the discrete energy is not an invariant of the semi-discrete
-            # flow (boundary quadrature defect), gamma decays geometrically
-            # and t stops advancing; cap the step count so that stall raises
-            # instead of looping forever.
-            max_steps = 50 * max(1, math.ceil(t_end / dt)) + 1000
-            while t < t_end - tiny:
-                n_steps += 1
-                if n_steps > max_steps:
-                    raise NumericalFailure(
-                        f"relaxation stalled: reached only t = {t:.6g} of "
-                        f"{t_end:.6g} after {max_steps} steps (dt = {dt:.6g})"
-                    )
-                gamma = advance(system, ws, dt)
-                t_step = gamma * dt if rrk_advance == "gamma_dt" else dt
-                if not t_step > 0.0:
-                    raise NumericalFailure(
-                        f"relaxation parameter collapsed: gamma = {gamma!r}"
-                    )
-                t += t_step
-                gammas.append(gamma)
-                if n_steps % record_every == 0:
+        # Overflow and invalid values surface as non-finite energies or
+        # failed checks, each raised as an attributed NumericalFailure, so
+        # numpy's own warnings would only repeat them on stderr.
+        with np.errstate(all="ignore"):
+            ws.h = system.energy(u, v)
+            energies.append(ws.h)
+            if not math.isfinite(energies[0]):
+                raise NumericalFailure(f"non-finite initial energy: {energies[0]!r}")
+            start = time.perf_counter()
+            if kind.is_relaxation:
+                # If the discrete energy is not an invariant of the semi-discrete
+                # flow (boundary quadrature defect), gamma decays geometrically
+                # and t stops advancing; cap the step count so that stall raises
+                # instead of looping forever.
+                max_steps = 50 * max(1, math.ceil(t_end / dt)) + 1000
+                while t < t_end - tiny:
+                    n_steps += 1
+                    if n_steps > max_steps:
+                        raise NumericalFailure(
+                            f"relaxation stalled: reached only t = {t:.6g} of "
+                            f"{t_end:.6g} after {max_steps} steps (dt = {dt:.6g})"
+                        )
+                    gamma = advance(system, ws, dt)
+                    t_step = gamma * dt if rrk_advance == "gamma_dt" else dt
+                    if not t_step > 0.0:
+                        raise NumericalFailure(
+                            f"relaxation parameter collapsed: gamma = {gamma!r}"
+                        )
+                    t += t_step
+                    gammas.append(gamma)
+                    if n_steps % record_every == 0:
+                        _record(system, ws, t, n_steps, times, energies, steps)
+                if times[-1] != t:
                     _record(system, ws, t, n_steps, times, energies, steps)
-            if times[-1] != t:
-                _record(system, ws, t, n_steps, times, energies, steps)
-        else:
-            total = max(1, math.ceil(t_end / dt - 1e-9))
-            for i in range(1, total + 1):
-                n_steps = i
-                target = t_end if i == total else i * dt
-                advance(system, ws, target - t)
-                t = target
-                if i % record_every == 0 or i == total:
-                    if times[-1] != t:
-                        _record(system, ws, t, i, times, energies, steps)
+            else:
+                total = max(1, math.ceil(t_end / dt - 1e-9))
+                for i in range(1, total + 1):
+                    n_steps = i
+                    target = t_end if i == total else i * dt
+                    advance(system, ws, target - t)
+                    t = target
+                    if i % record_every == 0 or i == total:
+                        if times[-1] != t:
+                            _record(system, ws, t, i, times, energies, steps)
     except NumericalFailure as exc:
         exc.scheme, exc.step, exc.t = kind.value, n_steps, t
         if n_steps:

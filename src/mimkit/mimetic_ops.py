@@ -25,15 +25,16 @@ mirror sign.  The right-end rows are the left closure reflected (row i ->
 n-1-i, column j -> m-1-j) times -1 for G, D, D_hat and B_hat, +1 for the
 interpolants, L, Q and P.  Q and P are diagonal: their closures hold the
 weights that differ from h, and their template is the interior weight h
-(1 at unit spacing).  Exact rational arithmetic and Python-level work are
-spent only in the closure zones: the closures (interior weights are exactly
-h and are never formed one by one), and the rows of B_hat and L within
-``_P_ZONE`` plus the stencil reach of each end, so they do not grow with N.
-Interior rows of L are the product of the two interior stencils, and
-interior rows of B_hat are empty.  On conversion to sparse floats (scaled
-by powers of h) the closure and mirror rows are written entry by entry and
-the interior rows are tiled from the template with numpy; construction
-results are cached.
+(1 at unit spacing).  Exact arithmetic and Python-level work are spent
+only in the closure zones, so they do not grow with N: the closures
+(interior weights are exactly h and are never formed one by one), the rows
+of B_hat within ``_P_ZONE`` plus the stencil reach of each end, and the
+first k rows of L (deeper rows are the product of the two interior
+stencils, L's template).  Interior rows of B_hat are empty.  The exact
+solves eliminate on integer rows and form one Fraction per unknown.  On
+conversion to sparse floats (scaled by powers of h) the closure and mirror
+rows are written entry by entry and the interior rows from the template,
+into preallocated arrays; construction results are cached.
 
 The float operators, all nine, live as kernel arrays: the ``data``,
 ``indices``, ``indptr`` and ``shape`` that scipy's compiled CSR kernel reads
@@ -69,6 +70,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -122,34 +124,46 @@ _NODES = [Fraction(i) for i in range(5)]
 # ---------------------------------------------------------------------------
 
 def _solve_exact(A, b):
-    """Gauss-Jordan elimination over Fractions; raises on singular systems."""
+    """The exact solution of A x = b (rationals; more rows than unknowns
+    only if consistent), as Fractions; raises on singular systems.
+
+    Fraction-free Gauss-Jordan elimination (integer-preserving, as in
+    Bareiss, Math. Comp. 22, 1968): each row of [A | b] is scaled to
+    integers and kept sparse, an update touches only the columns the two
+    rows hold and divides the row by its gcd, and one Fraction per unknown
+    is formed at the end."""
     n, m = len(A), len(A[0])
-    M = [list(map(Fraction, row)) + [Fraction(bi)] for row, bi in zip(A, b)]
-    row = 0
+    rows = []
+    for ab in ([*row, bi] for row, bi in zip(A, b)):  # [A | b] as sparse integer rows
+        lcm = math.lcm(*(c.denominator for c in ab))
+        rows.append({j: c.numerator * (lcm // c.denominator) for j, c in enumerate(ab) if c})
     pivots = []
     for col in range(m):
-        piv = next((r for r in range(row, n) if M[r][col] != 0), None)
+        top = len(pivots)
+        piv = next((r for r in range(top, n) if col in rows[r]), None)
         if piv is None:
             continue
-        M[row], M[piv] = M[piv], M[row]
-        pv = M[row][col]
-        M[row] = [x / pv for x in M[row]]
-        for r in range(n):
-            if r != row and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * c for a, c in zip(M[r], M[row])]
+        rows[top], rows[piv] = rows[piv], rows[top]
+        p = rows[top]
+        for r, row in enumerate(rows):
+            if r != top and col in row:
+                g = math.gcd(p[col], row[col])
+                a, f = p[col] // g, row[col] // g
+                new = {j: a * v for j, v in row.items()}
+                for j, v in p.items():
+                    new[j] = new.get(j, 0) - f * v
+                g = math.gcd(*new.values())
+                rows[r] = {j: v // g for j, v in new.items() if v}
         pivots.append(col)
-        row += 1
-        if row == n:
+        if len(pivots) == n:
             break
-    for r in range(row, n):
-        if all(x == 0 for x in M[r][:m]) and M[r][m] != 0:
-            raise ConstructionError("inconsistent stencil/weight system")
+    if any(rows[len(pivots):]):  # only the right-hand side can remain
+        raise ConstructionError("inconsistent stencil/weight system")
     if len(pivots) < m:
         raise ConstructionError("underdetermined stencil/weight system")
     x = [_F0] * m
-    for i, col in enumerate(pivots):
-        x[col] = M[i][m]
+    for row, col in zip(rows, pivots):
+        x[col] = Fraction(row.get(m, 0), row[col])
     return x
 
 
@@ -203,26 +217,32 @@ class _Operator(NamedTuple):
         return {i + off: v for off, v in self.template.items()}
 
     def to_csr(self, scale=1.0) -> _CSR:
-        """Float CSR kernel arrays times ``scale``: closure and mirror rows
-        entry by entry, interior rows tiled from the template."""
+        """Float CSR kernel arrays times ``scale``, each written once into
+        its preallocated array: closure and mirror rows entry by entry,
+        interior rows from the template."""
         n, m = self.shape
         c = len(self.closure)
         top = [sorted(row.items()) for row in self.closure[:n - c]]
-        bottom = [sorted((m - 1 - j, self.sign * v) for j, v in row.items())
-                  for row in reversed(self.closure)]
-        n_mid = n - len(top) - len(bottom)
+        bottom = [sorted((m - 1 - j, v) for j, v in row.items()) for row in reversed(self.closure)]
         tpl = sorted(self.template.items())
-        mid_cols = np.arange(len(top), len(top) + n_mid)[:, None] + np.array(
-            [off for off, _ in tpl], dtype=int)
+        mid, w = range(len(top), n - len(bottom)), len(tpl)
         first, last = ([e for row in rows for e in row] for rows in (top, bottom))
-        indices = np.concatenate(([j for j, _ in first], mid_cols.ravel(), [j for j, _ in last]))
-        data = np.concatenate(([float(v) for _, v in first],
-                               np.tile([float(v) for _, v in tpl], n_mid),
-                               [float(v) for _, v in last])) * scale
-        counts = np.concatenate(([len(row) for row in top], np.full(n_mid, len(tpl)),
-                                 [len(row) for row in bottom]))
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        return _CSR(data, indices.astype(np.int32), indptr.astype(np.int32), self.shape)
+        a, b = len(first), len(first) + len(mid) * w
+        indptr = np.empty(n + 1, dtype=np.int32)
+        indptr[:mid.start + 1] = np.cumsum([0, *map(len, top)])
+        indptr[mid.start + 1:mid.stop + 1] = a + w * np.arange(1, len(mid) + 1)
+        indptr[mid.stop + 1:] = b + np.cumsum([*map(len, bottom)])
+        indices = np.empty(b + len(last), dtype=np.int32)
+        data = np.empty(b + len(last))
+        indices[:a] = [j for j, _ in first]
+        np.add(np.arange(mid.start, mid.stop, dtype=np.int32)[:, None],
+               np.array([off for off, _ in tpl], dtype=np.int32),
+               out=indices[a:b].reshape(len(mid), w))
+        indices[b:] = [j for j, _ in last]
+        data[:a] = [float(v) * scale for _, v in first]
+        data[a:b].reshape(len(mid), w)[:] = [float(v) * scale for _, v in tpl]
+        data[b:] = [self.sign * float(v) * scale for _, v in last]  # -float(v) is float(-v)
+        return _CSR(data, indices, indptr, self.shape)
 
 
 def _build_g(k, N):
@@ -293,17 +313,17 @@ def _build_q(k, N, d):
     return dict(enumerate(q))
 
 
-def _build_p(k, N, g, d_hat, q_hat):
+def _build_p(N, g_rows, d_rows, q_hat):
     """Node weights that differ from 1 (i.e. h), as {index: weight}: corner
     pinned so B_hat[0,0] = -1 exactly; every other boundary-zone weight is
     the exact least-squares minimizer of its B_hat column's defect."""
-    p = {0: -1 / g.closure[0][0]}
+    p = {0: -1 / g_rows[0][0]}
     p[N] = p[0]
     for i in range(1, min(_P_ZONE, (N - 1) // 2) + 1):
-        num = _F0
-        den = _F0
-        for j, c in g.row(i).items():
-            num += q_hat.get(j, _F1) * d_hat.row(j).get(i, _F0) * c
+        num = den = _F0
+        for j, c in g_rows[i].items():
+            if i in d_rows[j]:
+                num += q_hat.get(j, _F1) * d_rows[j][i] * c
             den += c * c
         p[i] = p[N - i] = -num / den if den != 0 else _F1
     return p
@@ -341,31 +361,31 @@ def _rational_construction(k: int, N: int):
     d_hat = _Operator([{}] + d.closure, {off - 1: c for off, c in d.template.items()},
                       -1, (N + 2, N + 1))
     q_hat = {0: _HALF, N + 1: _HALF, **{r + 1: w for r, w in _build_q(k, N, d).items()}}
-    p = _build_p(k, N, g, d_hat, q_hat)
-    if min(q_hat.values()) <= 0 or min(p.values()) <= 0:
-        raise ConstructionError(f"non-positive quadrature weight (order k={k}, n_cells N={N})")
-
     # B_hat = Q*D_hat + G^T*P (spacing cancels, so this is the physical
     # matrix) and the unit-spacing Laplacian D_hat*G (physical scaling 1/h^2),
-    # exact in the left rows j < nb and mirrored to the right end (up to the
+    # exact in their left rows and mirrored to the right end (up to the
     # middle row on small grids).  Weights differ from 1 only on nodes
     # <= _P_ZONE and cells < _Q_ZONE, and G's stencil reaches max(_STD_G[k])
-    # columns past its row, so a deeper B_hat row is c_{i-j+1} + c_{j-i} = 0
-    # by the stencil's antisymmetry and a deeper L row is the product of the
-    # two interior stencils.
+    # columns past its row, so a B_hat row j >= nb is c_{i-j+1} + c_{j-i} = 0
+    # by the stencil's antisymmetry.  D_hat row j >= k is interior and
+    # reaches only interior G rows, so L row j >= k is the product of the
+    # two interior stencils, its template.
     nb = min(_P_ZONE + 1 + max(_STD_G[k]), (N + 3) // 2)
     g_rows = [g.row(i) for i in range(nb + 1)]  # G rows past nb start at column nb or later
-    b_left = [dict() for _ in range(nb)]
-    l_left = [dict() for _ in range(nb)]
-    for j in range(1, nb):
-        for i, c in d_hat.row(j).items():
-            b_left[j][i] = q_hat.get(j, _F1) * c
-            for col, gc in g_rows[i].items():
-                l_left[j][col] = l_left[j].get(col, _F0) + c * gc
+    d_rows = [d_hat.row(j) for j in range(nb + 1)]
+    p = _build_p(N, g_rows, d_rows, q_hat)
+    if min(q_hat.values()) <= 0 or min(p.values()) <= 0:
+        raise ConstructionError(f"non-positive quadrature weight (order k={k}, n_cells N={N})")
+    b_left = [{i: q_hat.get(j, _F1) * c for i, c in row.items()} for j, row in enumerate(d_rows[:nb])]
     for i, row in enumerate(g_rows):
         for j, gc in row.items():
             if j < nb:
                 b_left[j][i] = b_left[j].get(i, _F0) + gc * p.get(i, _F1)
+    l_left = [{} for _ in range(k)]
+    for j in range(1, k):
+        for i, c in d_rows[j].items():
+            for col, gc in g_rows[i].items():
+                l_left[j][col] = l_left[j].get(col, _F0) + c * gc
     l_tpl = {}
     for a, c in _STD_G[k].items():
         for b, gc in _STD_G[k].items():

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,6 +64,37 @@ def fd_weights_exact(points: Sequence[Fraction], x0: Fraction,
         acc = b[r] - sum(A[r][c] * x[c] for c in range(r + 1, n))
         x[r] = acc / A[r][r]
     return x
+
+
+def rational_solve(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+                   ) -> Tuple[Optional[List[Fraction]], int, bool]:
+    """Exact analysis of an m x n system A x = b over ``fractions.Fraction``
+    (dense forward elimination, then back substitution).
+
+    Returns ``(solution, rank, consistent)``: the rank of A, whether b lies
+    in A's column space, and the unique solution when there is one
+    (consistent and rank n), else None."""
+    M = [[Fraction(a) for a in row] + [Fraction(bi)] for row, bi in zip(A, b)]
+    m, n = len(M), len(M[0]) - 1
+    rank = 0
+    for col in range(n):
+        piv = next((r for r in range(rank, m) if M[r][col] != 0), None)
+        if piv is None:
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        for r in range(rank + 1, m):
+            f = M[r][col] / M[rank][col]
+            if f != 0:
+                M[r] = [x - f * y for x, y in zip(M[r], M[rank])]
+        rank += 1
+    # rows past the rank are zero in A, so only their right-hand side can differ
+    consistent = all(M[r][n] == 0 for r in range(rank, m))
+    if not consistent or rank < n:
+        return None, rank, consistent
+    x = [Fraction(0)] * n
+    for r in range(n - 1, -1, -1):  # pivot r sits in column r when rank == n
+        x[r] = (M[r][n] - sum(M[r][c] * x[c] for c in range(r + 1, n))) / M[r][r]
+    return x, rank, consistent
 
 
 # ---------------------------------------------------------------------------

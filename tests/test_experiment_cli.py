@@ -11,6 +11,7 @@ import os
 import random
 import signal
 import time
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -242,6 +243,27 @@ def test_energy_isolates_failing_scheme(tmp_path, capsys):
     assert 0.0 < failed["t"] < 15.0
     assert summary["schemes"]["RK4"]["within_drift_threshold"] is True
     assert len(summary["failures"]) == 1
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"problem": "shallow_water", "domain": None, "g": 1e300, "d0": 1e-300},
+     "numerical failure: RK4: step 1: non-positive total depth: min(d0 + e) = -8.848e+296\n"),
+    ({"ic_amplitude": 1e300}, "numerical failure: RK4: non-finite initial energy: inf\n"),
+], ids=["shallow_water_overflow", "wave_overflow"])
+def test_overflow_is_a_numerical_failure_without_runtime_warning(tmp_path, capsys, overrides,
+                                                                 message):
+    """An overflow inside a run is reported once, as the attributed
+    ``numerical failure:`` line (exit 3): numpy's own RuntimeWarning (from
+    ``advection *= u`` on shallow water, from the P inner product's dot on
+    the wave) neither reaches stderr nor is issued at all."""
+    path = _write_config(tmp_path, schemes=["rk4"], **overrides)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["energy", path]) == 3
+    err = capsys.readouterr().err
+    assert err.endswith(message) and err.count("numerical failure:") == 1
+    assert "RuntimeWarning" not in err
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_summary_json_holds_the_returned_summary(tmp_path):

@@ -8,6 +8,7 @@ companion pinning down what actually holds.
 """
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -17,16 +18,18 @@ from hypothesis import strategies as st
 
 from mimkit import (
     SUPPORTED_ORDERS,
+    ConstructionError,
     build_grid,
     build_operator_set,
     dump_operator,
     mimetic_identity_residual,
 )
-from mimkit.mimetic_ops import matvec
+from mimkit import mimetic_ops
+from mimkit.mimetic_ops import _solve_exact, matvec
 
 OPERATORS = ("D", "G", "D_hat", "Q", "P", "B_hat", "L", "I_D", "I_G")
 
-from oracles import fd_weights_exact, fit_order, observed_orders
+from oracles import fd_weights_exact, fit_order, observed_orders, rational_solve
 
 # ---------------------------------------------------------------------------
 # Construction and validation
@@ -52,6 +55,100 @@ def test_build_rejects_bad_inputs(grid01):
 
 def test_operator_set_is_cached(grid01):
     assert build_operator_set(2, grid01) is build_operator_set(2, grid01)
+
+
+# ---------------------------------------------------------------------------
+# Exact solver and bitwise construction
+# ---------------------------------------------------------------------------
+
+_SMALL_FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+
+
+@st.composite
+def _rational_systems(draw):
+    """(kind, A, b) over small rationals: a square system with a random b;
+    an overdetermined consistent one, b = A x0; an overdetermined one with
+    a random b; or one whose last column combines the others, with b = A x0
+    or a random b."""
+    kind = draw(st.sampled_from(["square", "overdetermined", "inconsistent", "rank_deficient"]))
+    n_cols = draw(st.integers(1, 5))
+    if kind == "square":
+        n_rows = n_cols
+    else:
+        n_rows = draw(st.integers(1 if kind == "rank_deficient" else n_cols + 1, n_cols + 3))
+    row = st.lists(_SMALL_FRACTIONS, min_size=n_cols, max_size=n_cols)
+    A = draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    if kind == "rank_deficient":
+        weights = draw(st.lists(_SMALL_FRACTIONS, min_size=n_cols - 1, max_size=n_cols - 1))
+        for a in A:
+            a[-1] = sum((w * c for w, c in zip(weights, a)), Fraction(0))
+    x0 = draw(row)
+    if kind in ("square", "inconsistent") or (kind == "rank_deficient" and draw(st.booleans())):
+        b = draw(st.lists(_SMALL_FRACTIONS, min_size=n_rows, max_size=n_rows))
+    else:
+        b = [sum((c * x for c, x in zip(a, x0)), Fraction(0)) for a in A]
+    return kind, A, b
+
+
+@settings(max_examples=100)  # 25 per kind on average
+@given(system=_rational_systems())
+def test_solve_exact_matches_rational_oracle(system):
+    """The fraction-free solver returns the oracle's exact solution, or
+    refuses the system with the message for its defect (inconsistency
+    first)."""
+    kind, A, b = system
+    solution, rank, consistent = rational_solve(A, b)
+    if kind == "overdetermined":
+        assert consistent
+    if kind == "rank_deficient":
+        assert rank < len(A[0])
+    if not consistent:
+        with pytest.raises(ConstructionError, match="^inconsistent stencil/weight system$"):
+            _solve_exact(A, b)
+    elif solution is None:
+        with pytest.raises(ConstructionError, match="^underdetermined stencil/weight system$"):
+            _solve_exact(A, b)
+    else:
+        x = _solve_exact(A, b)
+        assert x == solution and all(type(xi) is Fraction for xi in x)
+
+
+def test_construction_solves_match_rational_oracle(monkeypatch):
+    """Every system the exact construction solves has the oracle's exact
+    solution: the one-sided stencil and interpolation rows, the full
+    conservation system (k=4, N < 28) and the 12-cell quadrature zone
+    (k=4, N >= 28)."""
+    solved = []
+
+    def recording(A, b):
+        solved.append((A, b, _solve_exact(A, b)))
+        return solved[-1][2]
+
+    monkeypatch.setattr(mimetic_ops, "_solve_exact", recording)
+    for k in SUPPORTED_ORDERS:
+        for n in [*range(2 * k, 41), 600]:
+            mimetic_ops._rational_construction.__wrapped__(k, n)
+    for A, b, x in solved:
+        assert rational_solve(A, b) == (x, len(A[0]), True)
+    assert {12, 27} <= {len(A[0]) for A, _, _ in solved}
+
+
+# sha256 over the kernel arrays of every operator set of both orders at
+# N = 2k..40, 600 and 9600 on [-30, 30]: per operator, in ``kernels``
+# order, the bytes of data, indices and indptr, then repr(shape).
+KERNELS_SHA256 = "5e0e774c22299325ef66a825ec8d0e0967cf3ed95923affb38a7a8b46e5455b6"
+
+
+def test_kernel_arrays_bitwise_pinned():
+    digest = hashlib.sha256()
+    for k in SUPPORTED_ORDERS:
+        for n in [*range(2 * k, 41), 600, 9600]:
+            ops = build_operator_set(k, build_grid(-30.0, 30.0, n))
+            for data, indices, indptr, shape in ops.kernels.values():
+                for part in (data.tobytes(), indices.tobytes(), indptr.tobytes(),
+                             repr(shape).encode()):
+                    digest.update(part)
+    assert digest.hexdigest() == KERNELS_SHA256
 
 
 def test_shapes(ops, grid01):
