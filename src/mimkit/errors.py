@@ -1,6 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types, and the value checks, that the package's modules share."""
+
+import math
+import numbers
 
 __all__ = ["ConfigError", "ConstructionError", "NumericalFailure"]
+
+
+def _require_positive_finite(**values):
+    """ValueError for the first of ``values`` that is not positive and finite."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _require_positive_integer(name, value):
+    """ValueError unless ``value`` is an integer >= 1 (numpy's too, not a bool)."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 class ConfigError(ValueError):

@@ -20,6 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import _require_positive_integer
+
 __all__ = ["StaggeredGrid1D", "build_grid"]
 
 
@@ -60,9 +62,8 @@ def build_grid(a: float, b: float, n_cells: int) -> StaggeredGrid1D:
         raise ValueError(f"grid endpoints must be finite, got a={a}, b={b}")
     if b <= a:
         raise ValueError(f"grid requires b > a, got a={a}, b={b}")
+    _require_positive_integer("n_cells", n_cells)
     n = int(n_cells)
-    if n != n_cells or n < 1:
-        raise ValueError(f"n_cells must be a positive integer, got {n_cells!r}")
     if n > sys.float_info.max:
         raise ValueError(f"n_cells must be within float range, got {n_cells!r}")
     return StaggeredGrid1D(a=a, b=b, n_cells=n, h=(b - a) / n)

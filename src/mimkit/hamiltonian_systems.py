@@ -60,7 +60,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import NumericalFailure, _require_positive_finite
 from .grid_fields import StaggeredGrid1D
 from .mimetic_ops import MimeticOperatorSet, matvec
 
@@ -222,7 +222,8 @@ class ShallowWaterSystem(HamiltonianSystem):
     u_t = -g G e - u * G(I_D u); energy is non-quadratic.  Only
     ``position_rate`` checks the total depth; the integrators call it on
     every e ``velocity_rate`` sees, in the same step (``rhs`` first, a
-    splitting step's drift after each kick), and a direct call is unchecked."""
+    splitting step's drift after each kick), and a direct call is unchecked.
+    ``d0`` and ``g`` must be positive and finite (ValueError)."""
 
     name = "shallow_water"
 
@@ -231,8 +232,8 @@ class ShallowWaterSystem(HamiltonianSystem):
         kernels = ops.kernels
         self._G, self._D_hat = kernels["G"], kernels["D_hat"]
         self._I_D, self._I_G = kernels["I_D"], kernels["I_G"]
-        self.d0 = float(d0)
-        self.g = float(g)
+        self.d0, self.g = float(d0), float(g)
+        _require_positive_finite(d0=self.d0, g=self.g)
         self.wave_speed = float(np.sqrt(self.g * self.d0))
         # d0 and -g as 0-d arrays for the in-place updates, which take
         # numpy's slower path for a Python float; the values are the same
@@ -334,6 +335,12 @@ def wave_standing_exact(x, t):
     return np.sin(np.pi * np.asarray(x, dtype=float)) * np.cos(np.pi * t)
 
 
+def _bump(x, center, width, amplitude):
+    """amplitude*exp(-((x-center)/width)^2); the width must be positive and finite."""
+    _require_positive_finite(width=width)
+    return amplitude * np.exp(-(((x - center) / width) ** 2))
+
+
 def gaussian_ic(
     grid: StaggeredGrid1D,
     center: float = 0.5,
@@ -342,12 +349,10 @@ def gaussian_ic(
 ) -> WaveState:
     """Gaussian displacement pulse amplitude*exp(-((x-center)/width)^2)
     sampled at extended centers, boundary entries zeroed; zero velocity.
-    Defaults reproduce exp(-100 (x - 1/2)^2)."""
-    x = grid.extended
-    u = amplitude * np.exp(-(((x - center) / width) ** 2))
+    Defaults reproduce exp(-100 (x - 1/2)^2); ValueError unless 0 < width < inf."""
+    u = _bump(grid.extended, center, width, amplitude)
     u[0] = u[-1] = 0.0
-    v = np.zeros_like(u)
-    return WaveState(u=u, v=v)
+    return WaveState(u=u, v=np.zeros_like(u))
 
 
 def shallow_water_ic(
@@ -361,8 +366,7 @@ def shallow_water_ic(
 ) -> ShallowWaterState:
     """Still velocity with a Gaussian elevation bump
     offset + amplitude*exp(-((x-center)/width)^2) at extended centers.
-    Defaults reproduce eta = 1 + 0.1 exp(-x^2), u = 0."""
-    x = grid.extended
-    e = offset + amplitude * np.exp(-(((x - center) / width) ** 2))
+    Defaults reproduce eta = 1 + 0.1 exp(-x^2), u = 0; width as in ``gaussian_ic``."""
+    e = offset + _bump(grid.extended, center, width, amplitude)
     u = np.zeros(grid.n_cells + 1)
     return ShallowWaterState(e=e, u=u, d0=float(d0), g=float(g))

@@ -73,7 +73,6 @@ new state only, and a caller that wants gamma reads ``RunRecord.gammas``.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -82,7 +81,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import NumericalFailure, _require_positive_finite, _require_positive_integer
 from .grid_fields import StaggeredGrid1D
 from .hamiltonian_systems import HamiltonianSystem
 
@@ -503,12 +502,6 @@ class RunRecord:
     rhs_evals: int
 
 
-def _require_positive_finite(**values):
-    for name, value in values.items():
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
 def cfl_dt(grid: StaggeredGrid1D, cfl: float, wave_speed: float = 1.0) -> float:
     """dt = cfl * h / wave_speed."""
     _require_positive_finite(cfl=cfl, wave_speed=wave_speed)
@@ -520,8 +513,7 @@ def _check_run(t_end, dt, record_every, rrk_tol, rrk_advance):
     _require_positive_finite(dt=dt, t_end=t_end, rrk_tol=rrk_tol)
     if not math.isfinite(t_end / dt):
         raise ValueError(f"t_end / dt must be finite, got {t_end!r} / {dt!r}")
-    if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
-        raise ValueError(f"record_every must be a positive integer, got {record_every!r}")
+    _require_positive_integer("record_every", record_every)
     if rrk_advance not in ("gamma_dt", "plain_dt"):
         raise ValueError(f"rrk_advance must be 'gamma_dt' or 'plain_dt', got {rrk_advance!r}")
 

@@ -69,18 +69,18 @@ def test_parse_shipped_configs():
     assert sw.ic_offset == 1.0 and sw.d0 == 1.0 and sw.g == 1.0
 
     conv = parse_config(ROOT / "configs" / "wave_convergence.json")
-    assert conv.domain == (0.0, 1.0) and conv.cfl == 0.5
+    assert conv.domain == (0.0, 1.0) and conv.cfl == 0.5 and conv.n_cells is None
 
 
 @pytest.mark.parametrize("overrides,fragment", [
     ({"problem": "heat"}, "problem"),
-    ({"n_cells": None}, "n_cells"),
-    ({"t_end": -1.0}, "t_end"),
-    ({"k": 3}, "'k'"),
-    ({"n_cells": 16.0}, "'n_cells' must be a positive integer, got 16.0"),
+    ({"n_cells": "32"}, "n_cells"),
+    ({"t_end": "1"}, "t_end"),
+    ({"k": "4"}, "'k'"),
+    ({"n_cells": 16.0}, "'n_cells' must be an integer, got 16.0"),
     ({"dt": 0.01}, "mutually exclusive"),
     ({"schemes": ["euler"]}, "scheme"),
-    ({"domain": [1.0, 0.0]}, "domain"),
+    ({"domain": [0.0, "1"]}, "domain"),
     ({"mystery_key": 1}, "unknown config key"),
     ({"ic_offset": 0.5}, "offset"),
     ({"k": 4.0}, "'k'"),
@@ -94,23 +94,23 @@ def test_parse_shipped_configs():
     ({"schemes": ["forest_ruth"]}, "'schemes': unknown scheme 'forest_ruth'"),
     ({"problem": None}, "missing required key 'problem'"),
     ({"t_end": None}, "missing required key 't_end'"),
-    ({"n_cells": 0}, "'n_cells' must be a positive integer, got 0"),
-    ({"n_cells": True}, "'n_cells' must be a positive integer, got True"),
-    ({"record_every": 0}, "'record_every' must be a positive integer, got 0"),
-    ({"record_every": True}, "'record_every' must be a positive integer, got True"),
-    ({"cfl": 0}, "'cfl' must be positive, got 0"),
-    ({"cfl": None, "dt": -0.1}, "'dt' must be positive, got -0"),
-    ({"ic_width": 0}, "'ic_width' must be positive, got 0"),
-    ({"d0": -1}, "'d0' must be positive, got -1"),
-    ({"g": 0}, "'g' must be positive, got 0"),
-    ({"rrk_tol": 0}, "'rrk_tol' must be positive, got 0"),
-    ({"rrk_advance": "half"}, "'rrk_advance' must be 'gamma_dt' or 'plain_dt', got 'half'"),
+    ({"n_cells": [32]}, r"'n_cells' must be an integer, got \[32\]"),
+    ({"n_cells": True}, "'n_cells' must be an integer, got True"),
+    ({"record_every": 1.0}, "'record_every' must be an integer, got 1.0"),
+    ({"record_every": True}, "'record_every' must be an integer, got True"),
+    ({"cfl": "0.5"}, "'cfl' must be a finite number, got '0.5'"),
+    ({"cfl": None, "dt": "0.1"}, "'dt' must be a finite number, got '0.1'"),
+    ({"ic_width": math.nan}, "'ic_width' must be a finite number, got nan"),
+    ({"d0": [1.0]}, r"'d0' must be a finite number, got \[1.0\]"),
+    ({"g": True}, "'g' must be a finite number, got True"),
+    ({"rrk_tol": "1e-12"}, "'rrk_tol' must be a finite number, got '1e-12'"),
+    ({"output_dir": 1}, "'output_dir' must be a non-empty string, got 1"),
     ({"output_dir": ""}, "'output_dir' must be a non-empty string, got ''"),
     ({"schemes": []}, "'schemes' must be a non-empty list"),
     ({"domain": [0, 1, 2]}, "'domain' must be a list of two finite numbers"),
     # two errors each: the earlier-checked key is the one reported
-    ({"k": 3, "cfl": -1}, "config key 'k' must be one of"),
-    ({"problem": "heat", "n_cells": None}, "config key 'problem' must be"),
+    ({"k": 4.0, "cfl": "x"}, "config key 'k' must be an integer"),
+    ({"problem": "heat", "n_cells": "x"}, "config key 'problem' must be"),
     # integer literals beyond float range
     ({"t_end": 10**400}, "'t_end' must be a finite number"),
     ({"domain": [0, 10**400]}, "'domain' must be a list of two finite numbers"),
@@ -733,6 +733,18 @@ def test_uncreatable_output_dir_exits_2_before_integrating(tmp_path, capsys, mon
             f"config error: config key 'output_dir': cannot create {output_dir!r}: ")
 
 
+def _converge_refusal(overrides):
+    """The message of ``converge``'s own rule (wave only, domain [0, 1], cfl
+    required) that refuses a config first, or None."""
+    if overrides.get("problem") == "shallow_water":
+        return "convergence study requires problem = 'wave' (closed-form reference)"
+    if "domain" in overrides:
+        return f"convergence study requires domain [0, 1], got {overrides['domain']}"
+    if overrides.get("dt") is not None:
+        return "convergence study requires the cfl key (dt must refine with h)"
+    return None
+
+
 @pytest.mark.parametrize("command", [["energy"], ["converge", "--n", "16,32"],
                                      ["bench", "--repeats", "3"]],
                          ids=["energy", "converge", "bench"])
@@ -743,14 +755,32 @@ def test_uncreatable_output_dir_exits_2_before_integrating(tmp_path, capsys, mon
      "wave_speed must be positive and finite, got 0.0"),
     ({"t_end": 1e300, "cfl": 1e-300}, "t_end / dt must be finite, got 1e+300 / "),
     ({"t_end": 1e300, "cfl": None, "dt": 1e-300}, "t_end / dt must be finite, got 1e+300 / "),
-], ids=["g_d0_huge", "g_d0_tiny", "cfl_tiny", "dt_tiny"])
+    # each value rule is the library's, stated by the function that reads the value
+    ({"t_end": -1.0}, "t_end must be positive and finite, got -1.0"),
+    ({"k": 3}, "order k must be one of (2, 4), got 3"),
+    ({"domain": [1.0, 0.0]}, "grid requires b > a, got a=1.0, b=0.0"),
+    ({"record_every": 0}, "record_every must be a positive integer, got 0"),
+    ({"cfl": 0}, "cfl must be positive and finite, got 0.0"),
+    ({"cfl": None, "dt": -0.1}, "dt must be positive and finite, got -0.1"),
+    ({"ic_width": 0}, "width must be positive and finite, got 0.0"),
+    ({"problem": "shallow_water", "d0": -1}, "d0 must be positive and finite, got -1.0"),
+    ({"problem": "shallow_water", "g": 0}, "g must be positive and finite, got 0.0"),
+    ({"rrk_tol": 0}, "rrk_tol must be positive and finite, got 0.0"),
+    ({"rrk_advance": "half"}, "rrk_advance must be 'gamma_dt' or 'plain_dt', got 'half'"),
+    ({"rrk_advance": 1}, "rrk_advance must be 'gamma_dt' or 'plain_dt', got 1"),
+    # two errors: the rule met first while the run is built is the one reported
+    ({"k": 3, "cfl": -1}, "order k must be one of (2, 4), got 3"),
+], ids=["g_d0_huge", "g_d0_tiny", "cfl_tiny", "dt_tiny", "t_end_negative", "k_3",
+        "domain_reversed", "record_every_0", "cfl_0", "dt_negative", "ic_width_0",
+        "d0_negative", "g_0", "rrk_tol_0", "rrk_advance_half", "rrk_advance_1",
+        "k_3_cfl_negative"])
 def test_unrunnable_config_exits_2_before_integrating(tmp_path, capsys, monkeypatch,
                                                       command, overrides, message):
-    """Keys that each parse but together give no wave speed or no finite
-    step count are config errors from every experiment, found while the run
-    is built: before any integration and before the output directory.
-    ``converge`` refuses the shallow-water and ``dt`` configs by its own
-    rules (wave only, cfl required) first."""
+    """Values that parse but break a library rule, alone or together (no
+    wave speed, no finite step count), are config errors from every
+    experiment, found while the run is built: before any integration and
+    before the output directory.  ``converge`` refuses shallow-water, ``dt``
+    and other-domain configs by its own rules first."""
     def no_integration(*args, **kwargs):
         raise AssertionError("integrate ran before the setup was checked")
 
@@ -758,10 +788,38 @@ def test_unrunnable_config_exits_2_before_integrating(tmp_path, capsys, monkeypa
     path = _write_config(tmp_path, **overrides)
     assert main([command[0], path, *command[1:]]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "Traceback" not in err
-    if command[0] != "converge" or overrides.get("cfl"):
-        assert message in err
+    refusal = _converge_refusal(overrides) if command[0] == "converge" else None
+    assert err.startswith(f"config error: {refusal or message}") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["energy"], ["bench", "--repeats", "3"]],
+                         ids=["energy", "bench"])
+@pytest.mark.parametrize("n_cells", [None, 0, -4], ids=["missing", "0", "negative"])
+def test_n_cells_is_required_where_it_is_read(tmp_path, capsys, monkeypatch, command, n_cells):
+    """``energy`` and ``bench`` refuse a config without a usable ``n_cells``
+    with ``build_grid``'s message, before any integration or output."""
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrate ran before the size was checked")
+
+    monkeypatch.setattr(experiment_cli, "integrate", no_integration)
+    path = _write_config(tmp_path, n_cells=n_cells)
+    assert main([command[0], path, *command[1:]]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: n_cells must be a positive integer, got {n_cells!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n_cells", [None, 0, -4], ids=["missing", "0", "negative"])
+def test_converge_takes_its_sizes_from_n_only(tmp_path, n_cells):
+    """A ``converge`` config needs no ``n_cells``; the study's sizes are
+    ``--n``'s, whatever the config holds."""
+    path = _write_config(tmp_path, n_cells=n_cells, schemes=["lf"], t_end=0.1)
+    assert parse_config(path).n_cells == n_cells
+    assert main(["converge", path, "--n", "16,32"]) == 0
+    rows = list(csv.DictReader(
+        (tmp_path / "out" / "convergence.csv").read_text().splitlines()))
+    assert [row["n_cells"] for row in rows] == ["16", "32"]
 
 
 # What a value mutation puts in place of a key's value, or of one entry of

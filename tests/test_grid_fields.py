@@ -1,6 +1,8 @@
 """Staggered grid geometry and validation."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -50,3 +52,15 @@ def test_build_grid_validation():
     # h = (b - a) / n_cells needs n_cells as a float
     with pytest.raises(ValueError, match="^n_cells must be within float range"):
         build_grid(0, 1, 10**400)
+
+
+def test_build_grid_refuses_bools_and_non_integers():
+    """n_cells must be an integer, as numpy's are, and not a bool (which
+    Python counts as one) or an integral float."""
+    for n_cells in (True, False, 16.0, 16.5, "16", None, np.float64(16.0), np.bool_(True)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_cells must be a positive integer, got {n_cells!r}")):
+            build_grid(0.0, 1.0, n_cells)
+    for n_cells in (np.int64(16), np.int32(16), np.uint8(16)):
+        grid = build_grid(0.0, 1.0, n_cells)
+        assert grid.n_cells == 16 and type(grid.n_cells) is int

@@ -265,6 +265,33 @@ def test_shallow_water_wave_speed():
     assert ShallowWaterSystem(ops, d0=4.0, g=9.0).wave_speed == pytest.approx(6.0)
 
 
+_NOT_POSITIVE_FINITE = (0.0, -1.0, float("nan"), float("inf"), -float("inf"))
+
+
+def test_shallow_water_refuses_non_positive_d0_and_g():
+    """Depth and gravity must be positive and finite; before, d0 = g = -1
+    built a system whose wave speed read 1.0."""
+    ops = build_operator_set(4, build_grid(-30.0, 30.0, 300))
+    for bad in _NOT_POSITIVE_FINITE:
+        with pytest.raises(ValueError, match=f"^d0 must be positive and finite, got {bad!r}$"):
+            ShallowWaterSystem(ops, d0=bad, g=1.0)
+        with pytest.raises(ValueError, match=f"^g must be positive and finite, got {bad!r}$"):
+            ShallowWaterSystem(ops, d0=1.0, g=bad)
+    with pytest.raises(ValueError, match="^d0 must be positive and finite, got -1.0$"):
+        ShallowWaterSystem(ops, d0=-1, g=-1)
+
+
+@pytest.mark.parametrize("make_ic", [gaussian_ic, shallow_water_ic])
+def test_initial_conditions_refuse_non_positive_width(make_ic):
+    """A Gaussian needs a positive, finite width; before, width = 0 divided
+    by zero."""
+    grid = build_grid(-30.0, 30.0, 300)
+    for width in _NOT_POSITIVE_FINITE:
+        with pytest.raises(ValueError, match=f"^width must be positive and finite, "
+                                             f"got {width!r}$"):
+            make_ic(grid, width=width)
+
+
 def test_integrate_rejects_shallow_water_state_of_wrong_lengths(swater):
     """Swapped layouts (e on nodes, u on extended centers) and length-1
     fields are rejected at entry, naming the field and its length; a

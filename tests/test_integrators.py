@@ -3,6 +3,8 @@ symplecticity, reversibility, relaxation behavior, and the integrate()
 driver contract."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -704,6 +706,17 @@ def test_integrate_validates_arguments():
         integrate(OSC, "rrk", STATE0, 1.0, 0.1, rrk_advance="half")
     with pytest.raises(ValueError, match="unknown scheme"):
         integrate(OSC, "euler", STATE0, 1.0, 0.1)
+
+
+def test_integrate_refuses_bool_record_every():
+    """A bool is not a stride, though Python counts it as an integer; numpy
+    integers are."""
+    for record_every in (True, False, np.bool_(True)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"record_every must be a positive integer, got {record_every!r}")):
+            integrate(OSC, "rk4", STATE0, 1.0, 0.1, record_every=record_every)
+    record = integrate(OSC, "rk4", STATE0, 1.0, 0.1, record_every=np.int64(5))
+    assert record.steps.tolist() == [0, 5, 10]
 
 
 @pytest.mark.parametrize("name", ALL_SCHEMES)
