@@ -3,13 +3,16 @@
 import math
 import numbers
 
+import numpy as np
+
 __all__ = ["ConfigError", "ConstructionError", "NumericalFailure"]
 
 
 def _require_positive_finite(**values):
-    """ValueError for the first of ``values`` that is not positive and finite."""
+    """ValueError for the first of ``values`` that is not positive and finite
+    (a bool, Python's or numpy's, is not a number here)."""
     for name, value in values.items():
-        if not (math.isfinite(value) and value > 0.0):
+        if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 

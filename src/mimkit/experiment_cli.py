@@ -377,15 +377,21 @@ def run_energy_experiment(config: ExperimentConfig, processes: int = 1) -> dict:
     is its time in its own process; ``processes`` is recorded in the
     summary.  A worker that dies raises
     ``concurrent.futures.process.BrokenProcessPool``.
+
+    Either way RRK_bisection, the longest run, starts first; the summary
+    lists the schemes and their files in config order.
     """
     if processes < 1:
         raise ValueError(f"processes must be >= 1, got {processes!r}")
     _, _, _, dt = _build_setup(config)
     _make_output_dir(config)
 
+    # The longest run starts first: an RRK_bisection step makes about 43
+    # energy evaluations, any other scheme's at most 5 force evaluations.
+    first = sorted(config.schemes, key=lambda kind: kind is not SchemeKind.RRK_BISECTION)
     run = partial(_energy_run, config)
     if processes == 1:
-        results = list(map(run, config.schemes))
+        results = dict(zip(first, map(run, first)))
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -398,12 +404,13 @@ def run_energy_experiment(config: ExperimentConfig, processes: int = 1) -> dict:
                 cpus.put(usable[i % len(usable)])
             spread = {"initializer": _start_on_own_cpu, "initargs": (cpus,)}
         with ProcessPoolExecutor(processes, mp_context=context, **spread) as pool:
-            results = list(pool.map(run, config.schemes))
+            results = dict(zip(first, pool.map(run, first)))
 
     scheme_summaries: Dict[str, dict] = {}
     files: List[str] = []
     failures: List[str] = []
-    for kind, (entry, path) in zip(config.schemes, results):
+    for kind in config.schemes:
+        entry, path = results[kind]
         scheme_summaries[kind.value] = entry
         if path is None:
             failures.append(f"{kind.value}: {entry['error']}")

@@ -223,7 +223,8 @@ class ShallowWaterSystem(HamiltonianSystem):
     ``position_rate`` checks the total depth; the integrators call it on
     every e ``velocity_rate`` sees, in the same step (``rhs`` first, a
     splitting step's drift after each kick), and a direct call is unchecked.
-    ``d0`` and ``g`` must be positive and finite (ValueError)."""
+    ``d0`` and ``g`` must be positive and finite numbers, not bools
+    (ValueError)."""
 
     name = "shallow_water"
 
@@ -232,8 +233,8 @@ class ShallowWaterSystem(HamiltonianSystem):
         kernels = ops.kernels
         self._G, self._D_hat = kernels["G"], kernels["D_hat"]
         self._I_D, self._I_G = kernels["I_D"], kernels["I_G"]
+        _require_positive_finite(d0=d0, g=g)
         self.d0, self.g = float(d0), float(g)
-        _require_positive_finite(d0=self.d0, g=self.g)
         self.wave_speed = float(np.sqrt(self.g * self.d0))
         # d0 and -g as 0-d arrays for the in-place updates, which take
         # numpy's slower path for a Python float; the values are the same

@@ -30,8 +30,14 @@ only in the closure zones, so they do not grow with N: the closures
 (interior weights are exactly h and are never formed one by one), the rows
 of B_hat within ``_P_ZONE`` plus the stencil reach of each end, and the
 first k rows of L (deeper rows are the product of the two interior
-stencils, L's template).  Interior rows of B_hat are empty.  The exact
-solves eliminate on integer rows and form one Fraction per unknown.  On
+stencils, L's template).  Interior rows of B_hat are empty.  That
+arithmetic is done on Python integers, with one Fraction formed per exact
+entry at the end: the one-sided Vandermonde systems of G, D and the
+interpolants are set on the grid points times 2 (integers, so integer
+powers), Q's conservation system on D's rows times their common
+denominator, and the node weights and the B_hat and L closures on the rows
+of G and D_hat and on the weights, each scaled to integers over one common
+denominator; the exact solves eliminate on sparse integer rows.  On
 conversion to sparse floats (scaled by powers of h) the closure and mirror
 rows are written entry by entry and the interior rows from the template,
 into preallocated arrays; construction results are cached.
@@ -92,7 +98,6 @@ __all__ = [
 
 SUPPORTED_ORDERS = (2, 4)
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 _HALF = Fraction(1, 2)
 
@@ -113,10 +118,10 @@ _STD_G = {
     4: {-1: Fraction(1, 24), 0: Fraction(-27, 24), 1: Fraction(27, 24), 2: Fraction(-1, 24)},
 }
 
-# The first five extended centers and nodes (unit spacing): every one-sided
-# closure row draws on these points only.
-_EXT = [_F0] + [Fraction(2 * j - 1, 2) for j in range(1, 5)]
-_NODES = [Fraction(i) for i in range(5)]
+# The first five extended centers and nodes (unit spacing) times 2, so that
+# they are integers: every one-sided closure row draws on these points only.
+_EXT2 = (0, 1, 3, 5, 7)
+_NODES2 = (0, 2, 4, 6, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +129,17 @@ _NODES = [Fraction(i) for i in range(5)]
 # ---------------------------------------------------------------------------
 
 def _solve_exact(A, b):
-    """The exact solution of A x = b (rationals; more rows than unknowns
-    only if consistent), as Fractions; raises on singular systems.
+    """The exact solution of A x = b (rationals: ints or Fractions; more
+    rows than unknowns only if consistent), as Fractions; raises on
+    singular systems.
 
     Fraction-free Gauss-Jordan elimination (integer-preserving, as in
     Bareiss, Math. Comp. 22, 1968): each row of [A | b] is scaled to
-    integers and kept sparse, an update touches only the columns the two
-    rows hold and divides the row by its gcd, and one Fraction per unknown
-    is formed at the end."""
+    integers (the construction passes integer systems, which stay as they
+    are) and kept sparse, and one Fraction per unknown is formed at the
+    end.  Each column is cleared below its pivot, then above it from the
+    last pivot back, when the pivot row holds only its pivot and right-hand
+    side; so a banded system (Q's) fills in nothing above its band."""
     n, m = len(A), len(A[0])
     rows = []
     for ab in ([*row, bi] for row, bi in zip(A, b)):  # [A | b] as sparse integer rows
@@ -144,16 +152,9 @@ def _solve_exact(A, b):
         if piv is None:
             continue
         rows[top], rows[piv] = rows[piv], rows[top]
-        p = rows[top]
-        for r, row in enumerate(rows):
-            if r != top and col in row:
-                g = math.gcd(p[col], row[col])
-                a, f = p[col] // g, row[col] // g
-                new = {j: a * v for j, v in row.items()}
-                for j, v in p.items():
-                    new[j] = new.get(j, 0) - f * v
-                g = math.gcd(*new.values())
-                rows[r] = {j: v // g for j, v in new.items() if v}
+        for r in range(top + 1, n):
+            if col in rows[r]:
+                rows[r] = _cancel(rows[r], rows[top], col)
         pivots.append(col)
         if len(pivots) == n:
             break
@@ -161,21 +162,46 @@ def _solve_exact(A, b):
         raise ConstructionError("inconsistent stencil/weight system")
     if len(pivots) < m:
         raise ConstructionError("underdetermined stencil/weight system")
-    x = [_F0] * m
-    for row, col in zip(rows, pivots):
-        x[col] = Fraction(row.get(m, 0), row[col])
-    return x
+    for top in reversed(range(m)):  # pivot row top holds column top
+        for r in range(top):
+            if top in rows[r]:
+                rows[r] = _cancel(rows[r], rows[top], top)
+    return [Fraction(row.get(m, 0), row[col]) for col, row in enumerate(rows[:m])]
+
+
+def _cancel(row, p, col):
+    """``row`` times a minus pivot row ``p`` times f, the smallest integers
+    that cancel column ``col``, divided by the gcd of what is left."""
+    g = math.gcd(p[col], row[col])
+    a, f = p[col] // g, row[col] // g
+    new = {j: a * v for j, v in row.items()}
+    for j, v in p.items():
+        new[j] = new.get(j, 0) - f * v
+    g = math.gcd(*new.values())
+    return {j: v // g for j, v in new.items() if v}
+
+
+def _integer_rows(rows):
+    """Exact rows ({column: rational} dicts) as integer rows over their
+    least common denominator: ``(den, [{column: int}, ...])``, the same
+    columns, each value ``int / den``."""
+    den = math.lcm(*(v.denominator for row in rows for v in row.values()))
+    return den, [{j: v.numerator * (den // v.denominator) for j, v in row.items()}
+                 for row in rows]
 
 
 def _derivative_row(points, x0, k):
-    """Stencil coefficients c with sum_i c_i*t_i^s = s*x0^(s-1) for s = 0..k."""
+    """Stencil coefficients c with sum_i c_i*t_i^s = s*x0^(s-1) for s = 0..k,
+    from the doubled (integer) points T_i = 2*t_i and X = 2*x0: equation s
+    times 2^s reads sum_i c_i*T_i^s = 2*s*X^(s-1)."""
     A = [[t**s for t in points] for s in range(k + 1)]
-    b = [_F0 if s == 0 else s * x0 ** (s - 1) for s in range(k + 1)]
+    b = [0] + [2 * s * x0 ** (s - 1) for s in range(1, k + 1)]
     return _solve_exact(A, b)
 
 
 def _interp_row(points, x0):
-    """Interpolation coefficients c with sum_i c_i*t_i^s = x0^s for all s."""
+    """Interpolation coefficients c with sum_i c_i*t_i^s = x0^s for all s,
+    from the doubled (integer) points: both sides scale by 2^s."""
     deg = len(points) - 1
     A = [[t**s for t in points] for s in range(deg + 1)]
     b = [x0**s for s in range(deg + 1)]
@@ -216,6 +242,13 @@ class _Operator(NamedTuple):
             return self.closure[i]
         return {i + off: v for off, v in self.template.items()}
 
+    def integer_form(self):
+        """``(den, op)``: this operator times the least common denominator
+        of its coefficients, so ``op.row(i)`` is row i times ``den``, in
+        integers."""
+        den, (*closure, template) = _integer_rows([*self.closure, self.template])
+        return den, self._replace(closure=closure, template=template)
+
     def to_csr(self, scale=1.0) -> _CSR:
         """Float CSR kernel arrays times ``scale``, each written once into
         its preallocated array: closure and mirror rows entry by entry,
@@ -255,7 +288,7 @@ def _build_g(k, N):
     Re(lambda) ~ 1/h, i.e. an exponential instability of the semi-discrete
     wave system; anchoring both rows at xi_0 keeps the spectrum real and
     non-positive."""
-    closure = [dict(enumerate(_derivative_row(_EXT[:k + 1], _NODES[i], k)))
+    closure = [dict(enumerate(_derivative_row(_EXT2[:k + 1], _NODES2[i], k)))
                for i in range(k // 2)]
     return _Operator(closure, _STD_G[k], -1, (N + 1, N + 2))
 
@@ -263,7 +296,7 @@ def _build_g(k, N):
 def _build_d(k, N):
     """Divergence; row r is centered at x = r + 1/2, and the k/2 - 1 closure
     rows are one-sided on the first k+1 nodes."""
-    closure = [dict(enumerate(_derivative_row(_NODES[:k + 1], _EXT[i + 1], k)))
+    closure = [dict(enumerate(_derivative_row(_NODES2[:k + 1], _EXT2[i + 1], k)))
                for i in range(k // 2 - 1)]
     return _Operator(closure, _STD_G[k], -1, (N, N + 1))
 
@@ -274,11 +307,11 @@ def _build_interp(k, N):
     centered k-point interior rows, one-sided rows from the first k points
     near the ends, and the boundary value itself at the boundary point."""
     offsets = range(-(k // 2), k // 2)
-    id_tpl = dict(zip(offsets, _interp_row([Fraction(s) for s in offsets], -_HALF)))
+    id_tpl = dict(zip(offsets, _interp_row([2 * s for s in offsets], -1)))
     ig_tpl = {off + 1: c for off, c in id_tpl.items()}
-    id_closure = [{0: _F1}] + [dict(enumerate(_interp_row(_NODES[:k], _EXT[i])))
+    id_closure = [{0: _F1}] + [dict(enumerate(_interp_row(_NODES2[:k], _EXT2[i])))
                                for i in range(1, k // 2)]
-    ig_closure = [{0: _F1}] + [dict(enumerate(_interp_row(_EXT[:k], _NODES[i])))
+    ig_closure = [{0: _F1}] + [dict(enumerate(_interp_row(_EXT2[:k], _NODES2[i])))
                                for i in range(1, k // 2)]
     return (_Operator(id_closure, id_tpl, 1, (N + 2, N + 1)),
             _Operator(ig_closure, ig_tpl, 1, (N + 1, N + 2)))
@@ -287,45 +320,51 @@ def _build_interp(k, N):
 def _build_q(k, N, d):
     """Interior center weights q_0..q_{N-1} that differ from 1, as {index:
     weight}, forced by the conservation law
-    sum_r q_r*D[r,i] = -delta_{i,0} + delta_{i,N}."""
+    sum_r q_r*D[r,i] = -delta_{i,0} + delta_{i,N}, solved on D's rows scaled
+    to integers (the law times their common denominator)."""
     if k == 2:
         # the two-point stencil telescopes; q = 1 satisfies every column
         return {}
+    den, d = d.integer_form()
     m = _Q_ZONE
     if N >= 2 * m + 4:
         # solve the boundary zone exactly with the tail pinned to 1
         rows = [d.row(r) for r in range(m + 2)]
         A, b = [], []
         for i in range(m):
-            A.append([rows[r].get(i, _F0) for r in range(m)])
-            tail = sum(rows[r].get(i, _F0) for r in range(m, i + 3))
-            b.append((Fraction(-1) if i == 0 else _F0) - tail)
+            A.append([rows[r].get(i, 0) for r in range(m)])
+            tail = sum(rows[r].get(i, 0) for r in range(m, i + 3))
+            b.append((-den if i == 0 else 0) - tail)
         zone = _solve_exact(A, b)
         return {**dict(enumerate(zone)), **{N - 1 - i: w for i, w in enumerate(zone)}}
     rows = [d.row(r) for r in range(N)]
-    A = [[rows[r].get(i, _F0) for r in range(N)] for i in range(N + 1)]
-    b = [_F0] * (N + 1)
-    b[0], b[N] = Fraction(-1), _F1
+    A = [[rows[r].get(i, 0) for r in range(N)] for i in range(N + 1)]
+    b = [0] * (N + 1)
+    b[0], b[N] = -den, den
     q = _solve_exact(A[:N], b[:N])
-    residual = sum(qr * ar for qr, ar in zip(q, A[N])) - b[N]
-    if residual != 0:
+    if sum(w * a for w, a in zip(q, A[N]) if a) != b[N]:
         raise ConstructionError(f"conservation system inconsistent (order k={k}, n_cells N={N})")
     return dict(enumerate(q))
 
 
-def _build_p(N, g_rows, d_rows, q_hat):
+def _build_p(N, g, d, q):
     """Node weights that differ from 1 (i.e. h), as {index: weight}: corner
     pinned so B_hat[0,0] = -1 exactly; every other boundary-zone weight is
-    the exact least-squares minimizer of its B_hat column's defect."""
-    p = {0: -1 / g_rows[0][0]}
+    the exact least-squares minimizer of its B_hat column's defect,
+    p_i = -sum_j q_j*D_hat[j,i]*G[i,j] / sum_j G[i,j]^2, formed as one
+    Fraction.  ``g`` and ``d`` are G's and D_hat's rows and ``q`` the center
+    weights (an absent one is 1), each as ``(den, integers)`` over one
+    common denominator."""
+    (g_den, g_rows), (d_den, d_rows), (q_den, q_int) = g, d, q
+    p = {0: Fraction(-g_den, g_rows[0][0])}
     p[N] = p[0]
     for i in range(1, min(_P_ZONE, (N - 1) // 2) + 1):
-        num = den = _F0
+        num = den = 0
         for j, c in g_rows[i].items():
             if i in d_rows[j]:
-                num += q_hat.get(j, _F1) * d_rows[j][i] * c
+                num += q_int.get(j, q_den) * d_rows[j][i] * c
             den += c * c
-        p[i] = p[N - i] = -num / den if den != 0 else _F1
+        p[i] = p[N - i] = Fraction(-num * g_den, q_den * d_den * den) if den != 0 else _F1
     return p
 
 
@@ -338,8 +377,10 @@ def _validate_order_cells(k, N):
         raise ValueError(f"n_cells = {N} is too large for int32 CSR indices at order k = {k}")
 
 
-def _nonzero(row):
-    return {j: c for j, c in row.items() if c != 0}
+def _fractions(rows, den):
+    """Integer rows over ``den`` as exact rows without their zero entries:
+    one Fraction per entry."""
+    return [{j: Fraction(v, den) for j, v in row.items() if v} for row in rows]
 
 
 def _diagonal(weights, n):
@@ -370,34 +411,45 @@ def _rational_construction(k: int, N: int):
     # by the stencil's antisymmetry.  D_hat row j >= k is interior and
     # reaches only interior G rows, so L row j >= k is the product of the
     # two interior stencils, its template.
+    # Both are formed on integer rows: q_j*D_hat[j,i] + G[i,j]*p_i over the
+    # product of the four denominators, D_hat[j,i]*G[i,col] over two.
     nb = min(_P_ZONE + 1 + max(_STD_G[k]), (N + 3) // 2)
-    g_rows = [g.row(i) for i in range(nb + 1)]  # G rows past nb start at column nb or later
-    d_rows = [d_hat.row(j) for j in range(nb + 1)]
-    p = _build_p(N, g_rows, d_rows, q_hat)
-    if min(q_hat.values()) <= 0 or min(p.values()) <= 0:
+    g_den, g_int = g.integer_form()
+    d_den, d_int = d_hat.integer_form()
+    g_rows = [g_int.row(i) for i in range(nb + 1)]  # G rows past nb start at column nb or later
+    d_rows = [d_int.row(j) for j in range(nb + 1)]
+    q_den, (q_int,) = _integer_rows([q_hat])
+    p = _build_p(N, (g_den, g_rows), (d_den, d_rows), (q_den, q_int))
+    p_den, (p_int,) = _integer_rows([p])
+    if min(q_int.values()) <= 0 or min(p_int.values()) <= 0:
         raise ConstructionError(f"non-positive quadrature weight (order k={k}, n_cells N={N})")
-    b_left = [{i: q_hat.get(j, _F1) * c for i, c in row.items()} for j, row in enumerate(d_rows[:nb])]
+    gp, qd = g_den * p_den, q_den * d_den
+    b_left = [{i: q_int.get(j, q_den) * c * gp for i, c in row.items()}
+              for j, row in enumerate(d_rows[:nb])]
     for i, row in enumerate(g_rows):
+        w = p_int.get(i, p_den) * qd
         for j, gc in row.items():
             if j < nb:
-                b_left[j][i] = b_left[j].get(i, _F0) + gc * p.get(i, _F1)
+                b_left[j][i] = b_left[j].get(i, 0) + gc * w
     l_left = [{} for _ in range(k)]
     for j in range(1, k):
         for i, c in d_rows[j].items():
             for col, gc in g_rows[i].items():
-                l_left[j][col] = l_left[j].get(col, _F0) + c * gc
+                l_left[j][col] = l_left[j].get(col, 0) + c * gc
     l_tpl = {}
-    for a, c in _STD_G[k].items():
-        for b, gc in _STD_G[k].items():
-            l_tpl[a + b - 1] = l_tpl.get(a + b - 1, _F0) + c * gc
+    for a, c in d_int.template.items():
+        for b, gc in g_int.template.items():
+            l_tpl[a + b] = l_tpl.get(a + b, 0) + c * gc
+    l_den = d_den * g_den
 
     i_d, i_g = _build_interp(k, N)
     return {
         "G": g,
         "D": d,
         "D_hat": d_hat,
-        "B_hat": _Operator([_nonzero(row) for row in b_left], {}, -1, (N + 2, N + 1)),
-        "L": _Operator([_nonzero(row) for row in l_left], l_tpl, 1, (N + 2, N + 2)),
+        "B_hat": _Operator(_fractions(b_left, qd * gp), {}, -1, (N + 2, N + 1)),
+        "L": _Operator(_fractions(l_left, l_den),
+                       {off: Fraction(v, l_den) for off, v in l_tpl.items()}, 1, (N + 2, N + 2)),
         "I_D": i_d,
         "I_G": i_g,
         "Q": _diagonal(q_hat, N + 2),

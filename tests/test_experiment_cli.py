@@ -392,6 +392,25 @@ def test_energy_library_default_runs_in_process(tmp_path, monkeypatch):
         run_energy_experiment(config, processes=0)
 
 
+def test_energy_starts_the_bisection_run_first(tmp_path, monkeypatch):
+    """RRK_bisection, the longest run, starts first and the others keep
+    their config order; the summary and the files stay in config order."""
+    real_integrate = experiment_cli.integrate
+    calls = []
+
+    def recording_integrate(system, kind, *args, **kwargs):
+        calls.append(kind.value)
+        return real_integrate(system, kind, *args, **kwargs)
+
+    monkeypatch.setattr(experiment_cli, "integrate", recording_integrate)
+    config = parse_config(_write_config(tmp_path, schemes=["rk4", "lf", "rrk_bisection", "fr"]))
+    summary = run_energy_experiment(config, processes=1)
+    assert calls == ["RRK_bisection", "RK4", "Leapfrog", "ForestRuth"]
+    assert list(summary["schemes"]) == ["RK4", "Leapfrog", "RRK_bisection", "ForestRuth"]
+    assert [Path(p).name for p in summary["files"]] == [
+        "energy_RK4.csv", "energy_Leapfrog.csv", "energy_RRK_bisection.csv", "energy_ForestRuth.csv"]
+
+
 def test_energy_cli_uses_one_process_per_usable_cpu(monkeypatch):
     """``mimkit energy`` runs one worker per usable CPU, at most one per
     scheme, and runs in-process on one CPU or without fork."""

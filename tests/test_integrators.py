@@ -719,6 +719,28 @@ def test_integrate_refuses_bool_record_every():
     assert record.steps.tolist() == [0, 5, 10]
 
 
+_GRID16 = build_grid(0.0, 1.0, 16)
+_POSITIVE_FINITE_CALLERS = {
+    "integrate": ("t_end", lambda x: integrate(OSC, "rk4", STATE0, x, 0.25)),
+    "cfl_dt": ("cfl", lambda x: cfl_dt(_GRID16, x)),
+    "gaussian_ic": ("width", lambda x: gaussian_ic(_GRID16, width=x)),
+    "shallow_water_ic": ("width", lambda x: shallow_water_ic(_GRID16, width=x)),
+    "ShallowWaterSystem": ("d0", lambda x: ShallowWaterSystem(build_operator_set(4, _GRID16), d0=x)),
+}
+
+
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy_bool"])
+@pytest.mark.parametrize("caller", sorted(_POSITIVE_FINITE_CALLERS))
+def test_positive_finite_values_refuse_bools(caller, flag):
+    """Every function that reads a positive and finite number refuses a bool
+    with the rule's message, though Python counts True as 1: ``integrate``
+    would otherwise run 4 steps and record the bool as its final time."""
+    name, call = _POSITIVE_FINITE_CALLERS[caller]
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be positive and finite, got {flag!r}")):
+        call(flag)
+
+
 @pytest.mark.parametrize("name", ALL_SCHEMES)
 def test_integrate_rejects_bad_rrk_tol(name):
     """Every scheme refuses a relaxation tolerance that is not positive and

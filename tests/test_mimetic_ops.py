@@ -151,6 +151,121 @@ def test_kernel_arrays_bitwise_pinned():
     assert digest.hexdigest() == KERNELS_SHA256
 
 
+# ---------------------------------------------------------------------------
+# Exact identities of the rational construction, compared in Fractions at
+# every size the construction handles alone (N = 2k..40) and at N = 600
+# ---------------------------------------------------------------------------
+
+def _exact_sets(k):
+    """(N, the exact unit-spacing operators) for N = 2k..40 and 600."""
+    for n in [*range(2 * k, 41), 600]:
+        yield n, mimetic_ops._rational_construction(k, n)
+
+
+def _nonzero(row):
+    return {j: v for j, v in row.items() if v}
+
+
+def _rows(op):
+    """Every row of an exact operator, zero entries dropped."""
+    return [_nonzero(op.row(i)) for i in range(op.shape[0])]
+
+
+def _matmul(a, b):
+    """The exact product of two operators given as lists of rows."""
+    out = []
+    for row in a:
+        acc = {}
+        for i, x in row.items():
+            for j, y in b[i].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append(_nonzero(acc))
+    return out
+
+
+def _transpose(rows, n_cols):
+    out = [{} for _ in range(n_cols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            out[j][i] = v
+    return out
+
+
+def _node(j, n):
+    return Fraction(j)
+
+
+def _cell(r, n):
+    return Fraction(2 * r + 1, 2)
+
+
+def _center(c, n):
+    """Extended center c at unit spacing: the boundary points 0 and N, and
+    the cell centers between them."""
+    return Fraction(0) if c == 0 else Fraction(n) if c == n + 1 else Fraction(2 * c - 1, 2)
+
+
+@pytest.mark.parametrize("k", SUPPORTED_ORDERS)
+def test_closure_rows_equal_exact_stencil_weights(k):
+    """Every one-sided row of G, D, I_D and I_G, at both ends, is exactly
+    the oracle's Vandermonde weights on its window: the first derivative at
+    the row's point for G and D, the value there for the interpolants (whose
+    boundary rows take the boundary sample itself)."""
+    stencil = [range(k + 1)]
+    interp = [[0]] + [range(k)] * (k // 2 - 1)
+    closures = {  # name: (row point, column point, derivative, window per closure row)
+        "G": (_node, _center, 1, stencil * (k // 2)),
+        "D": (_cell, _node, 1, stencil * (k // 2 - 1)),
+        "I_D": (_center, _node, 0, interp),
+        "I_G": (_node, _center, 0, interp),
+    }
+    for n, exact in _exact_sets(k):
+        for name, (row_at, col_at, der, windows) in closures.items():
+            n_rows, n_cols = exact[name].shape
+            for i, window in enumerate(windows):
+                for r, cols in ((i, list(window)), (n_rows - 1 - i, [n_cols - 1 - c for c in window])):
+                    weights = fd_weights_exact([col_at(c, n) for c in cols], row_at(r, n), der)
+                    assert _nonzero(exact[name].row(r)) == _nonzero(dict(zip(cols, weights))), \
+                        (name, n, r)
+
+
+@pytest.mark.parametrize("k", SUPPORTED_ORDERS)
+def test_boundary_operator_and_laplacian_equal_their_products(k):
+    """Every row of B_hat is exactly that of Q*D_hat + G^T*P, and every row
+    of L that of D_hat*G, each formed from the exact operators by its
+    definition: the closure rows, the exactly-zero interior rows of B_hat
+    and L's interior template alike."""
+    for n, exact in _exact_sets(k):
+        q, d_hat, g, p = (_rows(exact[name]) for name in ("Q", "D_hat", "G", "P"))
+        b_hat = [_nonzero({i: x.get(i, 0) + y.get(i, 0) for i in x.keys() | y.keys()})
+                 for x, y in zip(_matmul(q, d_hat), _matmul(_transpose(g, n + 2), p))]
+        assert _rows(exact["B_hat"]) == b_hat, n
+        assert _rows(exact["L"]) == _matmul(d_hat, g), n
+
+
+@pytest.mark.parametrize("k", SUPPORTED_ORDERS)
+def test_node_weights_minimize_boundary_operator_columns(k):
+    """The corner node weights pin B_hat[0,0] = -1 (D_hat's first row is
+    zero, so p_0 = -1/G[0,0]), and every other node weight p_i is the exact
+    least-squares minimizer of its B_hat column q*D_hat[:,i] + p_i*G[i,:]:
+    p_i = -sum_j q_j*D_hat[j,i]*G[i,j] / sum_j G[i,j]^2.  The one exception
+    is the middle node of an even grid, which keeps weight 1; at k=4 and
+    N < 28 that is not the minimizer (0.9618 at N = 8)."""
+    for n, exact in _exact_sets(k):
+        q = [exact["Q"].row(j)[j] for j in range(n + 2)]
+        p = [exact["P"].row(i)[i] for i in range(n + 1)]
+        d_hat_cols = _transpose(_rows(exact["D_hat"]), n + 1)
+        g = _rows(exact["G"])
+        assert exact["B_hat"].row(0)[0] == -1
+        assert p[0] == p[n] == -1 / g[0][0]
+        for i in range(1, n):
+            if 2 * i == n:
+                assert p[i] == 1
+                continue
+            num = sum(q[j] * d_hat_cols[i].get(j, 0) * c for j, c in g[i].items())
+            assert p[i] == -num / sum(c * c for c in g[i].values()), (n, i)
+
+
 def test_shapes(ops, grid01):
     n = grid01.n_cells
     assert ops.D.shape == (n, n + 1)
