@@ -19,28 +19,30 @@ v_N - v_0`` (interior weights equal h); node weights minimize the column-wise
 duality defect of ``B_hat`` with the corner weight pinned so that
 ``B_hat[0,0] = -1`` exactly.
 
-Every operator is kept as three parts from exact construction to sparse
-matrix: its exact left-closure rows, its centered interior template, and a
-mirror sign.  The right-end rows are the left closure reflected (row i ->
-n-1-i, column j -> m-1-j) times -1 for G, D, D_hat and B_hat, +1 for the
-interpolants, L, Q and P.  Q and P are diagonal: their closures hold the
-weights that differ from h, and their template is the interior weight h
-(1 at unit spacing).  Exact arithmetic and Python-level work are spent
-only in the closure zones, so they do not grow with N: the closures
-(interior weights are exactly h and are never formed one by one), the rows
-of B_hat within ``_P_ZONE`` plus the stencil reach of each end, and the
-first k rows of L (deeper rows are the product of the two interior
-stencils, L's template).  Interior rows of B_hat are empty.  That
-arithmetic is done on Python integers, with one Fraction formed per exact
-entry at the end: the one-sided Vandermonde systems of G, D and the
-interpolants are set on the grid points times 2 (integers, so integer
-powers), Q's conservation system on D's rows times their common
-denominator, and the node weights and the B_hat and L closures on the rows
-of G and D_hat and on the weights, each scaled to integers over one common
-denominator; the exact solves eliminate on sparse integer rows.  On
-conversion to sparse floats (scaled by powers of h) the closure and mirror
-rows are written entry by entry and the interior rows from the template,
-into preallocated arrays; construction results are cached.
+Every operator is kept in one exact form from construction to sparse
+matrix: Python integers over one positive denominator, as its left-closure
+rows, its centered interior template, and a mirror sign.  The right-end
+rows are the left closure reflected (row i -> n-1-i, column j -> m-1-j)
+times -1 for G, D, D_hat and B_hat, +1 for the interpolants, L, Q and P.
+Q and P are diagonal: their closures hold the weights that differ from h,
+and their template is the interior weight h (1 at unit spacing).  Exact
+arithmetic and Python-level work are spent only in the closure zones, so
+they do not grow with N: the closures (interior weights are exactly h and
+are never formed one by one), the rows of B_hat within ``_P_ZONE`` plus
+the stencil reach of each end, and the first k rows of L (deeper rows are
+the product of the two interior stencils, L's template).  Interior rows of
+B_hat are empty.  The one-sided and centered stencils of G, D and the
+interpolants depend on k only: they are solved once per order, on the grid
+points times 2 (integers, so integer powers), and N only sets their
+shapes.  Q's conservation system is set on D's integer rows, and the node
+weights and the B_hat and L closures on the integer rows of G, D_hat, Q
+and P; the exact solves eliminate on sparse integer rows.  Fractions
+appear only as the exact solver's results and the node weights, each
+turned into integers over its operator's denominator.  On conversion to
+sparse floats (scaled by powers of h) each entry v/den is ``v / den``,
+the float nearest it; the closure and mirror rows are written entry by
+entry and the interior rows from the template, into preallocated arrays;
+construction results are cached.
 
 The float operators, all nine, live as kernel arrays: the ``data``,
 ``indices``, ``indptr`` and ``shape`` that scipy's compiled CSR kernel reads
@@ -98,9 +100,6 @@ __all__ = [
 
 SUPPORTED_ORDERS = (2, 4)
 
-_F1 = Fraction(1)
-_HALF = Fraction(1, 2)
-
 # Cells per side over which k=4 quadrature weights may deviate from h.  The
 # conservation recursion has a geometric mode decaying ~26x per cell, so
 # truncating at this depth leaves a residual ~1e-14 (machine-level) while
@@ -109,14 +108,6 @@ _Q_ZONE = 12
 # Nodes per side over which node weights may deviate from h (must cover the
 # quadrature deviation zone plus the stencil width).
 _P_ZONE = 16
-
-# Centered interior stencils (unit spacing) as {column offset: coefficient}:
-# row i of G touches extended column i+off, row r of D (centered at
-# x = r + 1/2) touches node r+off.  Both are antisymmetric, c_{1-m} = -c_m.
-_STD_G = {
-    2: {0: Fraction(-1), 1: Fraction(1)},
-    4: {-1: Fraction(1, 24), 0: Fraction(-27, 24), 1: Fraction(27, 24), 2: Fraction(-1, 24)},
-}
 
 # The first five extended centers and nodes (unit spacing) times 2, so that
 # they are integers: every one-sided closure row draws on these points only.
@@ -181,15 +172,6 @@ def _cancel(row, p, col):
     return {j: v // g for j, v in new.items() if v}
 
 
-def _integer_rows(rows):
-    """Exact rows ({column: rational} dicts) as integer rows over their
-    least common denominator: ``(den, [{column: int}, ...])``, the same
-    columns, each value ``int / den``."""
-    den = math.lcm(*(v.denominator for row in rows for v in row.values()))
-    return den, [{j: v.numerator * (den // v.denominator) for j, v in row.items()}
-                 for row in rows]
-
-
 def _derivative_row(points, x0, k):
     """Stencil coefficients c with sum_i c_i*t_i^s = s*x0^(s-1) for s = 0..k,
     from the doubled (integer) points T_i = 2*t_i and X = 2*x0: equation s
@@ -219,21 +201,23 @@ class _CSR(NamedTuple):
 
 
 class _Operator(NamedTuple):
-    """An exact n x m operator with unit spacing.
+    """An exact n x m operator with unit spacing, as integers over one
+    positive denominator ``den``: a stored integer v is the entry v/den.
 
-    ``closure`` holds the left-end rows as {column: coefficient} dicts;
-    interior row i is ``template`` {offset: coefficient} shifted to column
+    ``closure`` holds the left-end rows as {column: integer} dicts;
+    interior row i is ``template`` {offset: integer} shifted to column
     i + offset; right-end row n-1-i is closure row i mirrored (column j ->
     m-1-j) times ``sign``.  A closure may reach the middle row, which must
     then be its own mirror."""
 
+    den: int
     closure: list
     template: dict
     sign: int
     shape: tuple
 
     def row(self, i):
-        """Exact row i as {column: coefficient}."""
+        """Row i as {column: integer}, each entry times ``den``."""
         n, m = self.shape
         c = len(self.closure)
         if i >= n - c:
@@ -242,19 +226,14 @@ class _Operator(NamedTuple):
             return self.closure[i]
         return {i + off: v for off, v in self.template.items()}
 
-    def integer_form(self):
-        """``(den, op)``: this operator times the least common denominator
-        of its coefficients, so ``op.row(i)`` is row i times ``den``, in
-        integers."""
-        den, (*closure, template) = _integer_rows([*self.closure, self.template])
-        return den, self._replace(closure=closure, template=template)
-
     def to_csr(self, scale=1.0) -> _CSR:
         """Float CSR kernel arrays times ``scale``, each written once into
         its preallocated array: closure and mirror rows entry by entry,
-        interior rows from the template."""
+        interior rows from the template.  An entry is ``v / den * scale``:
+        Python's int/int division is correctly rounded, so ``v / den`` is
+        ``float(Fraction(v, den))``, the float nearest the exact entry."""
         n, m = self.shape
-        c = len(self.closure)
+        c, den = len(self.closure), self.den
         top = [sorted(row.items()) for row in self.closure[:n - c]]
         bottom = [sorted((m - 1 - j, v) for j, v in row.items()) for row in reversed(self.closure)]
         tpl = sorted(self.template.items())
@@ -272,61 +251,70 @@ class _Operator(NamedTuple):
                np.array([off for off, _ in tpl], dtype=np.int32),
                out=indices[a:b].reshape(len(mid), w))
         indices[b:] = [j for j, _ in last]
-        data[:a] = [float(v) * scale for _, v in first]
-        data[a:b].reshape(len(mid), w)[:] = [float(v) * scale for _, v in tpl]
-        data[b:] = [self.sign * float(v) * scale for _, v in last]  # -float(v) is float(-v)
+        data[:a] = [v / den * scale for _, v in first]
+        data[a:b].reshape(len(mid), w)[:] = [v / den * scale for _, v in tpl]
+        data[b:] = [self.sign * (v / den) * scale for _, v in last]  # -(v / den) is -v / den
         return _CSR(data, indices, indptr, self.shape)
 
 
-def _build_g(k, N):
-    """Gradient; the k/2 closure rows (nodes 0..k/2-1) are one-sided on the
-    first k+1 extended centers.
-
-    For k=4 both one-sided rows use the window anchored at the boundary
-    point.  Shifting row 1 one slot inward (dropping xi_0) makes the composed
-    Laplacian non-normal enough to grow complex eigenvalue pairs with
-    Re(lambda) ~ 1/h, i.e. an exponential instability of the semi-discrete
-    wave system; anchoring both rows at xi_0 keeps the spectrum real and
-    non-positive."""
-    closure = [dict(enumerate(_derivative_row(_EXT2[:k + 1], _NODES2[i], k)))
-               for i in range(k // 2)]
-    return _Operator(closure, _STD_G[k], -1, (N + 1, N + 2))
+def _exact(closure, template, sign):
+    """``(den, closure, template, sign)``, the exact parts of an ``_Operator``,
+    from rows of rationals ({column: rational} dicts): the rows times their
+    least common denominator ``den``, in integers."""
+    rows = [*closure, template]
+    den = math.lcm(*(v.denominator for row in rows for v in row.values()))
+    *closure, template = [{j: v.numerator * (den // v.denominator) for j, v in row.items()}
+                          for row in rows]
+    return den, closure, template, sign
 
 
-def _build_d(k, N):
-    """Divergence; row r is centered at x = r + 1/2, and the k/2 - 1 closure
-    rows are one-sided on the first k+1 nodes."""
-    closure = [dict(enumerate(_derivative_row(_NODES2[:k + 1], _EXT2[i + 1], k)))
-               for i in range(k // 2 - 1)]
-    return _Operator(closure, _STD_G[k], -1, (N, N + 1))
+@lru_cache(maxsize=None)
+def _stencils(k):
+    """The exact parts (``_exact``) of G, D, D_hat, I_D and I_G, by name.
+    They depend on the order only, so each stencil is solved once per order.
 
+    G and D take the centered order-k stencil inside: row i of G touches
+    extended column i+off and row r of D (centered at x = r + 1/2) node
+    r+off, both at the points off - 1/2 about the row's own point, so the
+    stencil is antisymmetric, c_{1-off} = -c_off.  G's k/2 closure rows
+    (nodes 0..k/2-1) are one-sided on the first k+1 extended centers, D's
+    k/2 - 1 on the first k+1 nodes; D_hat is D with a zero row at each end.
+    For k=4 both one-sided G rows use the window anchored at the boundary
+    point.  Shifting row 1 one slot inward (dropping xi_0) makes the
+    composed Laplacian non-normal enough to grow complex eigenvalue pairs
+    with Re(lambda) ~ 1/h, i.e. an exponential instability of the
+    semi-discrete wave system; anchoring both rows at xi_0 keeps the
+    spectrum real and non-positive.
 
-def _build_interp(k, N):
-    """Interpolants I_D node->extended, I_G extended->node.  Local
+    The interpolants I_D node->extended and I_G extended->node are local
     polynomial interpolation of degree k-1 (exact on monomials <= k-1):
     centered k-point interior rows, one-sided rows from the first k points
     near the ends, and the boundary value itself at the boundary point."""
-    offsets = range(-(k // 2), k // 2)
-    id_tpl = dict(zip(offsets, _interp_row([2 * s for s in offsets], -1)))
-    ig_tpl = {off + 1: c for off, c in id_tpl.items()}
-    id_closure = [{0: _F1}] + [dict(enumerate(_interp_row(_NODES2[:k], _EXT2[i])))
-                               for i in range(1, k // 2)]
-    ig_closure = [{0: _F1}] + [dict(enumerate(_interp_row(_EXT2[:k], _NODES2[i])))
-                               for i in range(1, k // 2)]
-    return (_Operator(id_closure, id_tpl, 1, (N + 2, N + 1)),
-            _Operator(ig_closure, ig_tpl, 1, (N + 1, N + 2)))
+    stencil = dict(zip(range(1 - k // 2, k // 2 + 1), _derivative_row(range(1 - k, k, 2), 0, k)))
+    g = [dict(enumerate(_derivative_row(_EXT2[:k + 1], _NODES2[i], k))) for i in range(k // 2)]
+    d = [dict(enumerate(_derivative_row(_NODES2[:k + 1], _EXT2[i + 1], k)))
+         for i in range(k // 2 - 1)]
+    interp = dict(zip(range(-(k // 2), k // 2), _interp_row(range(-k, k, 2), -1)))
+    i_d = [{0: 1}] + [dict(enumerate(_interp_row(_NODES2[:k], _EXT2[i]))) for i in range(1, k // 2)]
+    i_g = [{0: 1}] + [dict(enumerate(_interp_row(_EXT2[:k], _NODES2[i]))) for i in range(1, k // 2)]
+    return {
+        "G": _exact(g, stencil, -1),
+        "D": _exact(d, stencil, -1),
+        "D_hat": _exact([{}, *d], {off - 1: c for off, c in stencil.items()}, -1),
+        "I_D": _exact(i_d, interp, 1),
+        "I_G": _exact(i_g, {off + 1: c for off, c in interp.items()}, 1),
+    }
 
 
 def _build_q(k, N, d):
     """Interior center weights q_0..q_{N-1} that differ from 1, as {index:
     weight}, forced by the conservation law
-    sum_r q_r*D[r,i] = -delta_{i,0} + delta_{i,N}, solved on D's rows scaled
-    to integers (the law times their common denominator)."""
+    sum_r q_r*D[r,i] = -delta_{i,0} + delta_{i,N}, solved on D's integer
+    rows (the law times D's denominator)."""
     if k == 2:
         # the two-point stencil telescopes; q = 1 satisfies every column
         return {}
-    den, d = d.integer_form()
-    m = _Q_ZONE
+    den, m = d.den, _Q_ZONE
     if N >= 2 * m + 4:
         # solve the boundary zone exactly with the tail pinned to 1
         rows = [d.row(r) for r in range(m + 2)]
@@ -349,12 +337,14 @@ def _build_q(k, N, d):
 
 def _build_p(N, g, d, q):
     """Node weights that differ from 1 (i.e. h), as {index: weight}: corner
-    pinned so B_hat[0,0] = -1 exactly; every other boundary-zone weight is
-    the exact least-squares minimizer of its B_hat column's defect,
+    pinned so B_hat[0,0] = -1 exactly, and the weight of each node 1..N-1
+    within ``_P_ZONE`` of either end the exact least-squares minimizer of
+    its B_hat column's defect,
     p_i = -sum_j q_j*D_hat[j,i]*G[i,j] / sum_j G[i,j]^2, formed as one
-    Fraction.  ``g`` and ``d`` are G's and D_hat's rows and ``q`` the center
-    weights (an absent one is 1), each as ``(den, integers)`` over one
-    common denominator."""
+    Fraction, except the middle node of an even grid, which keeps weight 1
+    (at k=4 and N < 28 that is not its minimizer).  ``g`` and ``d`` are
+    G's and D_hat's first rows and ``q`` Q's first weights, each as
+    ``(den, integers)`` over one common denominator."""
     (g_den, g_rows), (d_den, d_rows), (q_den, q_int) = g, d, q
     p = {0: Fraction(-g_den, g_rows[0][0])}
     p[N] = p[0]
@@ -362,9 +352,9 @@ def _build_p(N, g, d, q):
         num = den = 0
         for j, c in g_rows[i].items():
             if i in d_rows[j]:
-                num += q_int.get(j, q_den) * d_rows[j][i] * c
+                num += q_int[j] * d_rows[j][i] * c
             den += c * c
-        p[i] = p[N - i] = Fraction(-num * g_den, q_den * d_den * den) if den != 0 else _F1
+        p[i] = p[N - i] = Fraction(-num * g_den, q_den * d_den * den) if den != 0 else 1
     return p
 
 
@@ -377,57 +367,50 @@ def _validate_order_cells(k, N):
         raise ValueError(f"n_cells = {N} is too large for int32 CSR indices at order k = {k}")
 
 
-def _fractions(rows, den):
-    """Integer rows over ``den`` as exact rows without their zero entries:
-    one Fraction per entry."""
-    return [{j: Fraction(v, den) for j, v in row.items() if v} for row in rows]
-
-
 def _diagonal(weights, n):
-    """The n x n diagonal operator with the mirror-symmetric ``weights``
-    ({index: weight}) on its diagonal and 1 elsewhere; its closure runs to
-    the deepest weight from either end."""
+    """The n x n diagonal operator with the mirror-symmetric rational
+    ``weights`` ({index: weight}) on its diagonal and 1 elsewhere; its
+    closure runs to the deepest weight from either end."""
     depth = 1 + max(min(i, n - 1 - i) for i in weights)
-    return _Operator([{i: weights.get(i, _F1)} for i in range(depth)], {0: _F1}, 1, (n, n))
+    return _Operator(*_exact([{i: weights.get(i, 1)} for i in range(depth)], {0: 1}, 1), (n, n))
 
 
 @lru_cache(maxsize=64, typed=True)
 def _rational_construction(k: int, N: int):
-    """All nine operators for (k, N) in exact rational, unit-spacing form.
-    The weights that differ from 1 ({index: weight}) build the node weights
-    and B_hat here, and leave only as the closures of Q and P."""
+    """All nine operators for (k, N) in exact unit-spacing form, by name.
+    G, D, D_hat and the interpolants are the order's stencils shaped for N;
+    Q and P are built from their weights that differ from 1 and read back
+    as integer rows for the node weights and B_hat."""
     _validate_order_cells(k, N)
-    g = _build_g(k, N)
-    d = _build_d(k, N)
-    d_hat = _Operator([{}] + d.closure, {off - 1: c for off, c in d.template.items()},
-                      -1, (N + 2, N + 1))
-    q_hat = {0: _HALF, N + 1: _HALF, **{r + 1: w for r, w in _build_q(k, N, d).items()}}
+    shapes = {"G": (N + 1, N + 2), "D": (N, N + 1), "D_hat": (N + 2, N + 1),
+              "I_D": (N + 2, N + 1), "I_G": (N + 1, N + 2)}
+    ops = {name: _Operator(*parts, shapes[name]) for name, parts in _stencils(k).items()}
+    g, d_hat = ops["G"], ops["D_hat"]
+    q = ops["Q"] = _diagonal({0: Fraction(1, 2), N + 1: Fraction(1, 2),
+                              **{r + 1: w for r, w in _build_q(k, N, ops["D"]).items()}}, N + 2)
     # B_hat = Q*D_hat + G^T*P (spacing cancels, so this is the physical
     # matrix) and the unit-spacing Laplacian D_hat*G (physical scaling 1/h^2),
     # exact in their left rows and mirrored to the right end (up to the
     # middle row on small grids).  Weights differ from 1 only on nodes
-    # <= _P_ZONE and cells < _Q_ZONE, and G's stencil reaches max(_STD_G[k])
-    # columns past its row, so a B_hat row j >= nb is c_{i-j+1} + c_{j-i} = 0
-    # by the stencil's antisymmetry.  D_hat row j >= k is interior and
-    # reaches only interior G rows, so L row j >= k is the product of the
-    # two interior stencils, its template.
+    # <= _P_ZONE and cells < _Q_ZONE, and G's stencil reaches k/2 columns
+    # past its row, so a B_hat row j >= nb is c_{i-j+1} + c_{j-i} = 0 by the
+    # stencil's antisymmetry.  D_hat row j >= k is interior and reaches
+    # only interior G rows, so L row j >= k is the product of the two
+    # interior stencils, its template.
     # Both are formed on integer rows: q_j*D_hat[j,i] + G[i,j]*p_i over the
     # product of the four denominators, D_hat[j,i]*G[i,col] over two.
-    nb = min(_P_ZONE + 1 + max(_STD_G[k]), (N + 3) // 2)
-    g_den, g_int = g.integer_form()
-    d_den, d_int = d_hat.integer_form()
-    g_rows = [g_int.row(i) for i in range(nb + 1)]  # G rows past nb start at column nb or later
-    d_rows = [d_int.row(j) for j in range(nb + 1)]
-    q_den, (q_int,) = _integer_rows([q_hat])
-    p = _build_p(N, (g_den, g_rows), (d_den, d_rows), (q_den, q_int))
-    p_den, (p_int,) = _integer_rows([p])
-    if min(q_int.values()) <= 0 or min(p_int.values()) <= 0:
+    nb = min(_P_ZONE + 1 + k // 2, (N + 3) // 2)
+    g_rows = [g.row(i) for i in range(nb + 1)]  # G rows past nb start at column nb or later
+    d_rows = [d_hat.row(j) for j in range(nb + 1)]
+    q_int = [q.row(j)[j] for j in range(nb + 1)]
+    p = ops["P"] = _diagonal(_build_p(N, (g.den, g_rows), (d_hat.den, d_rows), (q.den, q_int)),
+                             N + 1)
+    if min(v for op in (q, p) for row in op.closure for v in row.values()) <= 0:
         raise ConstructionError(f"non-positive quadrature weight (order k={k}, n_cells N={N})")
-    gp, qd = g_den * p_den, q_den * d_den
-    b_left = [{i: q_int.get(j, q_den) * c * gp for i, c in row.items()}
-              for j, row in enumerate(d_rows[:nb])]
+    gp, qd = g.den * p.den, q.den * d_hat.den
+    b_left = [{i: q_int[j] * c * gp for i, c in row.items()} for j, row in enumerate(d_rows[:nb])]
     for i, row in enumerate(g_rows):
-        w = p_int.get(i, p_den) * qd
+        w = p.row(i)[i] * qd
         for j, gc in row.items():
             if j < nb:
                 b_left[j][i] = b_left[j].get(i, 0) + gc * w
@@ -437,24 +420,14 @@ def _rational_construction(k: int, N: int):
             for col, gc in g_rows[i].items():
                 l_left[j][col] = l_left[j].get(col, 0) + c * gc
     l_tpl = {}
-    for a, c in d_int.template.items():
-        for b, gc in g_int.template.items():
+    for a, c in d_hat.template.items():
+        for b, gc in g.template.items():
             l_tpl[a + b] = l_tpl.get(a + b, 0) + c * gc
-    l_den = d_den * g_den
-
-    i_d, i_g = _build_interp(k, N)
-    return {
-        "G": g,
-        "D": d,
-        "D_hat": d_hat,
-        "B_hat": _Operator(_fractions(b_left, qd * gp), {}, -1, (N + 2, N + 1)),
-        "L": _Operator(_fractions(l_left, l_den),
-                       {off: Fraction(v, l_den) for off, v in l_tpl.items()}, 1, (N + 2, N + 2)),
-        "I_D": i_d,
-        "I_G": i_g,
-        "Q": _diagonal(q_hat, N + 2),
-        "P": _diagonal(p, N + 1),
-    }
+    ops["B_hat"] = _Operator(qd * gp, [{i: v for i, v in row.items() if v} for row in b_left],
+                             {}, -1, (N + 2, N + 1))
+    ops["L"] = _Operator(d_hat.den * g.den, [{j: v for j, v in row.items() if v} for row in l_left],
+                         l_tpl, 1, (N + 2, N + 2))
+    return ops
 
 
 # ---------------------------------------------------------------------------

@@ -115,9 +115,9 @@ def test_solve_exact_matches_rational_oracle(system):
 
 def test_construction_solves_match_rational_oracle(monkeypatch):
     """Every system the exact construction solves has the oracle's exact
-    solution: the one-sided stencil and interpolation rows, the full
-    conservation system (k=4, N < 28) and the 12-cell quadrature zone
-    (k=4, N >= 28)."""
+    solution: the one-sided and centered stencil and interpolation rows,
+    the full conservation system (k=4, N < 28) and the 12-cell quadrature
+    zone (k=4, N >= 28)."""
     solved = []
 
     def recording(A, b):
@@ -125,12 +125,52 @@ def test_construction_solves_match_rational_oracle(monkeypatch):
         return solved[-1][2]
 
     monkeypatch.setattr(mimetic_ops, "_solve_exact", recording)
+    mimetic_ops._stencils.cache_clear()  # so the stencil rows are solved here
     for k in SUPPORTED_ORDERS:
         for n in [*range(2 * k, 41), 600]:
             mimetic_ops._rational_construction.__wrapped__(k, n)
     for A, b, x in solved:
         assert rational_solve(A, b) == (x, len(A[0]), True)
+    # (equations, unknowns, b_0): b_0 = 0 for a first derivative, 1 for a value
+    kinds = {(len(A), len(A[0]), b[0]) for A, b, _ in solved}
+    for k in SUPPORTED_ORDERS:
+        assert {(k + 1, k + 1, 0), (k + 1, k, 0), (k, k, 1)} <= kinds, k
     assert {12, 27} <= {len(A[0]) for A, _, _ in solved}
+
+
+def test_stencils_are_solved_once_per_order(monkeypatch):
+    """The stencil and interpolation rows depend on the order only: once
+    they are solved, a build at another size solves only Q's quadrature
+    zone, and G, D, I_D and I_G have the same closures and templates."""
+    unknowns = []
+
+    def counting(A, b):
+        unknowns.append(len(A[0]))
+        return _solve_exact(A, b)
+
+    monkeypatch.setattr(mimetic_ops, "_solve_exact", counting)
+    mimetic_ops._stencils.cache_clear()
+    first = mimetic_ops._rational_construction.__wrapped__(4, 600)
+    unknowns.clear()
+    second = mimetic_ops._rational_construction.__wrapped__(4, 601)
+    assert unknowns == [mimetic_ops._Q_ZONE]
+    for name in ("G", "D", "I_D", "I_G"):
+        assert (second[name].den, second[name].closure, second[name].template) == \
+            (first[name].den, first[name].closure, first[name].template), name
+
+
+@given(v=st.integers(-10**300, 10**300), den=st.integers(1, 10**320),
+       scale=st.floats(allow_nan=False, allow_infinity=False), sign=st.sampled_from((-1, 1)))
+def test_integer_entry_converts_as_its_fraction(v, den, scale, sign):
+    """An exact entry stored as the integer v over the operator's
+    denominator becomes ``v / den * scale`` (``sign * (v / den) * scale`` in
+    a mirror row) in the CSR arrays: int/int division is correctly rounded,
+    so these are the floats of ``Fraction(v, den)`` (reduced, unlike v/den)
+    and of its products, down to subnormals."""
+    exact = float(Fraction(v, den))
+    assert v / den == exact
+    assert v / den * scale == exact * scale
+    assert sign * (v / den) * scale == sign * exact * scale
 
 
 # sha256 over the kernel arrays of every operator set of both orders at
@@ -166,9 +206,14 @@ def _nonzero(row):
     return {j: v for j, v in row.items() if v}
 
 
+def _row(op, i):
+    """Row i of an exact operator in Fractions."""
+    return {j: Fraction(v, op.den) for j, v in op.row(i).items()}
+
+
 def _rows(op):
     """Every row of an exact operator, zero entries dropped."""
-    return [_nonzero(op.row(i)) for i in range(op.shape[0])]
+    return [_nonzero(_row(op, i)) for i in range(op.shape[0])]
 
 
 def _matmul(a, b):
@@ -225,7 +270,7 @@ def test_closure_rows_equal_exact_stencil_weights(k):
             for i, window in enumerate(windows):
                 for r, cols in ((i, list(window)), (n_rows - 1 - i, [n_cols - 1 - c for c in window])):
                     weights = fd_weights_exact([col_at(c, n) for c in cols], row_at(r, n), der)
-                    assert _nonzero(exact[name].row(r)) == _nonzero(dict(zip(cols, weights))), \
+                    assert _nonzero(_row(exact[name], r)) == _nonzero(dict(zip(cols, weights))), \
                         (name, n, r)
 
 
@@ -252,11 +297,11 @@ def test_node_weights_minimize_boundary_operator_columns(k):
     is the middle node of an even grid, which keeps weight 1; at k=4 and
     N < 28 that is not the minimizer (0.9618 at N = 8)."""
     for n, exact in _exact_sets(k):
-        q = [exact["Q"].row(j)[j] for j in range(n + 2)]
-        p = [exact["P"].row(i)[i] for i in range(n + 1)]
+        q = [_row(exact["Q"], j)[j] for j in range(n + 2)]
+        p = [_row(exact["P"], i)[i] for i in range(n + 1)]
         d_hat_cols = _transpose(_rows(exact["D_hat"]), n + 1)
         g = _rows(exact["G"])
-        assert exact["B_hat"].row(0)[0] == -1
+        assert _row(exact["B_hat"], 0)[0] == -1
         assert p[0] == p[n] == -1 / g[0][0]
         for i in range(1, n):
             if 2 * i == n:
