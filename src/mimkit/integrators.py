@@ -39,9 +39,12 @@ as the wave equation.
 ``integrate`` drives any scheme to ``t_end`` (shortening the final step to
 land exactly, except relaxation schemes, whose accumulated ``gamma*dt`` may
 overshoot by less than one step; the record keeps the true final time) and
-records the energy trace: ``RunRecord.times`` and ``energies`` per recorded
-row, ``steps`` the step count behind each row (so a relaxation row at step
-s > 0 has gamma ``gammas[s - 1]``), ``gammas`` one entry per step.
+records the energy trace.  Each row, at t = 0, every ``record_every``-th
+step and the last step (unless a row is already at that t), is taken one
+way: H at the state, refused if not finite, appended as (t, H, step count).
+``RunRecord.times``, ``energies`` and ``steps`` are the rows' columns (a
+relaxation row at step s > 0 has gamma ``gammas[s - 1]``); ``gammas`` has
+one entry per step.
 
 One table, ``_ADVANCE``, maps each scheme to the code that advances a
 state by one step: the RK loop with its gamma rule (constant 1, closed form
@@ -529,7 +532,7 @@ def integrate(
     rrk_advance: str = "gamma_dt",
 ) -> RunRecord:
     """Integrate to t_end, recording (t, H) at t = 0, every ``record_every``
-    steps, and at the final step.
+    steps and the last step, one energy evaluation per row (module docstring).
 
     Fixed-step schemes shorten the final step to land exactly on t_end.
     Relaxation schemes always take full steps of nominal size dt and advance
@@ -548,11 +551,16 @@ def integrate(
 
     ws = _load(system, state0, rrk_tol)
     u, v = ws.state
-
-    times = [0.0]
-    energies = []
-    steps = [0]
+    rows = []  # (t, H, steps) of each recorded row
     gammas = [] if kind.is_relaxation else None
+
+    def record(t, n):  # the one way a row is taken; ws.h serves the bisection
+        h = system.energy(u, v)
+        if not math.isfinite(h):
+            raise NumericalFailure(f"non-finite initial energy: {h!r}" if n == 0
+                                   else f"non-finite energy {h!r} at t = {t:.6g}")
+        ws.h = h
+        rows.append((t, h, n))
 
     t = 0.0
     n_steps = 0
@@ -562,10 +570,7 @@ def integrate(
         # failed checks, each raised as an attributed NumericalFailure, so
         # numpy's own warnings would only repeat them on stderr.
         with np.errstate(all="ignore"):
-            ws.h = system.energy(u, v)
-            energies.append(ws.h)
-            if not math.isfinite(energies[0]):
-                raise NumericalFailure(f"non-finite initial energy: {energies[0]!r}")
+            record(t, n_steps)
             start = time.perf_counter()
             if kind.is_relaxation:
                 # If the discrete energy is not an invariant of the semi-discrete
@@ -589,19 +594,17 @@ def integrate(
                     t += t_step
                     gammas.append(gamma)
                     if n_steps % record_every == 0:
-                        _record(system, ws, t, n_steps, times, energies, steps)
-                if times[-1] != t:
-                    _record(system, ws, t, n_steps, times, energies, steps)
+                        record(t, n_steps)
             else:
                 total = max(1, math.ceil(t_end / dt - 1e-9))
-                for i in range(1, total + 1):
-                    n_steps = i
-                    target = t_end if i == total else i * dt
+                for n_steps in range(1, total + 1):
+                    target = t_end if n_steps == total else n_steps * dt
                     advance(system, ws, target - t)
                     t = target
-                    if i % record_every == 0 or i == total:
-                        if times[-1] != t:
-                            _record(system, ws, t, i, times, energies, steps)
+                    if n_steps % record_every == 0:
+                        record(t, n_steps)
+            if rows[-1][0] != t:
+                record(t, n_steps)
     except NumericalFailure as exc:
         exc.scheme, exc.step, exc.t = kind.value, n_steps, t
         if n_steps:
@@ -609,11 +612,12 @@ def integrate(
         raise
     wall = time.perf_counter() - start
 
+    times, energies, steps = map(np.array, zip(*rows))
     return RunRecord(
         scheme=kind,
-        times=np.array(times),
-        energies=np.array(energies),
-        steps=np.array(steps),
+        times=times,
+        energies=energies,
+        steps=steps,
         gammas=None if gammas is None else np.array(gammas),
         final_state=(u, v),
         final_time=t,
@@ -622,13 +626,3 @@ def integrate(
         wall_seconds=wall,
         rhs_evals=n_steps * kind.rhs_evals_per_step,
     )
-
-
-def _record(system, ws, t, step_index, times, energies, steps):
-    h_val = system.energy(*ws.state)
-    if not math.isfinite(h_val):
-        raise NumericalFailure(f"non-finite energy {h_val!r} at t = {t:.6g}")
-    ws.h = h_val
-    times.append(t)
-    energies.append(h_val)
-    steps.append(step_index)

@@ -228,14 +228,15 @@ class _Operator(NamedTuple):
 
     def to_csr(self, scale=1.0) -> _CSR:
         """Float CSR kernel arrays times ``scale``, each written once into
-        its preallocated array: closure and mirror rows entry by entry,
-        interior rows from the template.  An entry is ``v / den * scale``:
-        Python's int/int division is correctly rounded, so ``v / den`` is
-        ``float(Fraction(v, den))``, the float nearest the exact entry."""
-        n, m = self.shape
+        its preallocated array: closure rows entry by entry, the right-end
+        rows as ``row`` mirrors them, interior rows from the template.  An
+        entry is ``v / den * scale``: Python's int/int division is correctly
+        rounded, so ``v / den`` is ``float(Fraction(v, den))``, the float
+        nearest the exact entry."""
+        n = self.shape[0]
         c, den = len(self.closure), self.den
         top = [sorted(row.items()) for row in self.closure[:n - c]]
-        bottom = [sorted((m - 1 - j, v) for j, v in row.items()) for row in reversed(self.closure)]
+        bottom = [sorted(self.row(i).items()) for i in range(n - c, n)]
         tpl = sorted(self.template.items())
         mid, w = range(len(top), n - len(bottom)), len(tpl)
         first, last = ([e for row in rows for e in row] for rows in (top, bottom))
@@ -253,7 +254,7 @@ class _Operator(NamedTuple):
         indices[b:] = [j for j, _ in last]
         data[:a] = [v / den * scale for _, v in first]
         data[a:b].reshape(len(mid), w)[:] = [v / den * scale for _, v in tpl]
-        data[b:] = [self.sign * (v / den) * scale for _, v in last]  # -(v / den) is -v / den
+        data[b:] = [v / den * scale for _, v in last]  # (-v) / den is -(v / den), correctly rounded
         return _CSR(data, indices, indptr, self.shape)
 
 
@@ -310,7 +311,9 @@ def _build_q(k, N, d):
     """Interior center weights q_0..q_{N-1} that differ from 1, as {index:
     weight}, forced by the conservation law
     sum_r q_r*D[r,i] = -delta_{i,0} + delta_{i,N}, solved on D's integer
-    rows (the law times D's denominator)."""
+    rows (the law times D's denominator).  A small grid solves all N + 1
+    equations for its N weights, so ``_solve_exact`` refuses it if they
+    disagree."""
     if k == 2:
         # the two-point stencil telescopes; q = 1 satisfies every column
         return {}
@@ -329,10 +332,7 @@ def _build_q(k, N, d):
     A = [[rows[r].get(i, 0) for r in range(N)] for i in range(N + 1)]
     b = [0] * (N + 1)
     b[0], b[N] = -den, den
-    q = _solve_exact(A[:N], b[:N])
-    if sum(w * a for w, a in zip(q, A[N]) if a) != b[N]:
-        raise ConstructionError(f"conservation system inconsistent (order k={k}, n_cells N={N})")
-    return dict(enumerate(q))
+    return dict(enumerate(_solve_exact(A, b)))
 
 
 def _build_p(N, g, d, q):

@@ -138,15 +138,32 @@ def rotation_exact(q0: float, p0: float, t: float) -> Tuple[float, float]:
     return q0 * c + p0 * s, -q0 * s + p0 * c
 
 
-def rk4_amplification(dt: float) -> np.ndarray:
-    """The exact one-step matrix of classical RK4 applied to q' = p, p' = -q:
-    the degree-4 Taylor truncation of the rotation exp(dt*A)."""
-    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+def rk4_amplification(dt: float, lam: float = -1.0) -> np.ndarray:
+    """The exact one-step matrix of classical RK4 applied to q' = p,
+    p' = lam*q: the degree-4 Taylor truncation of exp(dt*A),
+    A = [[0, 1], [lam, 0]].  The default lam = -1 is the oscillator, whose
+    exp(dt*A) is the rotation; any other lam is one eigenmode of a linear
+    wave system u' = v, v' = L u."""
+    A = np.array([[0.0, 1.0], [lam, 0.0]])
     M = np.eye(2)
     term = np.eye(2)
     for j in range(1, 5):
         term = term @ (dt * A) / j
         M = M + term
+    return M
+
+
+def splitting_amplification(drifts: Sequence[float], kicks: Sequence[float], dt: float,
+                            lam: float = -1.0) -> np.ndarray:
+    """The exact one-step matrix of the drift-kick splitting with weights
+    (drifts, kicks) applied to q' = p, p' = lam*q: drift a_1, kick b_1, ...,
+    kick b_s, drift a_{s+1}, where a drift is [[1, a*dt], [0, 1]] and a kick
+    [[1, 0], [b*dt*lam, 1]]."""
+    M = np.array([[1.0, drifts[0] * dt], [0.0, 1.0]])
+    for a, b in zip(drifts[1:], kicks):
+        kick = np.array([[1.0, 0.0], [b * dt * lam, 1.0]])
+        drift = np.array([[1.0, a * dt], [0.0, 1.0]])
+        M = drift @ kick @ M
     return M
 
 
