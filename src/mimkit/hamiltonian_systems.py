@@ -20,10 +20,11 @@ Each system is autonomous: it defines the rates ``position_rate(u, v)``
 
 Boundary handling: ``apply_boundary(u, v)`` projects a state onto the
 boundary conditions in place (the wave system zeroes the Dirichlet end
-values of both fields; the other systems have none to impose), and the
-integrators call it once, on the state they load.  The rates keep the
-boundary conditions (the wave rates are zero at the ends), so explicit
-updates never move a projected state off them.
+values of both fields, shallow water the velocity at its walls; the
+oscillator has none to impose), and the integrators call it once, on the
+state they load.  The rates keep the boundary conditions (the field
+systems' rates are zero at the ends), so explicit updates never move a
+projected state off them.
 
 Each system states the lengths of its two fields (``state_lengths``, from
 its grid), which ``integrate`` checks once against the initial state, naming
@@ -226,9 +227,9 @@ class ShallowWaterSystem(HamiltonianSystem):
     ``d0`` and ``g`` must be positive and finite numbers, not bools
     (ValueError).
 
-    Both rates are zero at both ends of both fields, so e and u keep their
-    initial end values (a state with u = 0.1 at the walls keeps it to t = 5
-    under RK4 and PEFRL), and ``apply_boundary`` imposes nothing."""
+    Both rates are zero at both ends of both fields, so e keeps its initial
+    end values and u the solid-wall condition u = 0 that ``apply_boundary``
+    imposes on the state the integrators load."""
 
     name = "shallow_water"
 
@@ -283,6 +284,10 @@ class ShallowWaterSystem(HamiltonianSystem):
         du -= advection
         du[0] = du[-1] = 0.0
         return _scaled(du, scale)
+
+    def apply_boundary(self, e, u):
+        """Zero the wall velocity in place (+0.0); e keeps its end values."""
+        u[0] = u[-1] = 0.0
 
     def energy(self, e, u):
         ops, depth_u = self.ops, self._node

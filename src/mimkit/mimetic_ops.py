@@ -29,20 +29,20 @@ and their template is the interior weight h (1 at unit spacing).  Exact
 arithmetic and Python-level work are spent only in the closure zones, so
 they do not grow with N: the closures (interior weights are exactly h and
 are never formed one by one), the rows of B_hat within ``_P_ZONE`` plus
-the stencil reach of each end, and the first k rows of L (deeper rows are
-the product of the two interior stencils, L's template).  Interior rows of
-B_hat are empty.  The one-sided and centered stencils of G, D and the
-interpolants depend on k only: they are solved once per order, on the grid
-points times 2 (integers, so integer powers), and N only sets their
-shapes.  Q's conservation system is set on D's integer rows, and the node
-weights and the B_hat and L closures on the integer rows of G, D_hat, Q
-and P; the exact solves eliminate on sparse integer rows.  Fractions
-appear only as the exact solver's results and the node weights, each
-turned into integers over its operator's denominator.  On conversion to
-sparse floats (scaled by powers of h) each entry v/den is ``v / den``,
-the float nearest it; the closure and mirror rows are written entry by
-entry and the interior rows from the template, into preallocated arrays;
-construction results are cached.
+the stencil reach of each end, and L's first k+1 rows (row k is interior,
+the product of the two interior stencils, and gives L's template).
+Interior rows of B_hat are empty.  The one-sided and centered stencils of
+G, D and the interpolants depend on k only: they are solved once per
+order, on the grid points times 2 (integers, so integer powers), and N
+only sets their shapes.  Q's conservation system is set on D's integer
+rows; B_hat's Q*D_hat rows are formed once, the node weights read off
+them and G's rows, and G^T*P added into them; the exact solves eliminate
+on sparse integer rows.  Fractions appear only as the solver's results
+and the node weights, each turned into integers over its operator's
+denominator.  On conversion to sparse floats (scaled by powers of h) each
+entry v/den is ``v / den``, the float nearest it; the closure and mirror
+rows are written entry by entry and the interior rows from the template,
+into preallocated arrays; construction results are cached.
 
 The float operators, all nine, live as kernel arrays: the ``data``,
 ``indices``, ``indptr`` and ``shape`` that scipy's compiled CSR kernel reads
@@ -335,29 +335,6 @@ def _build_q(k, N, d):
     return dict(enumerate(_solve_exact(A, b)))
 
 
-def _build_p(N, g, d, q):
-    """Node weights that differ from 1 (i.e. h), as {index: weight}: corner
-    pinned so B_hat[0,0] = -1 exactly, and the weight of each node 1..N-1
-    within ``_P_ZONE`` of either end the exact least-squares minimizer of
-    its B_hat column's defect,
-    p_i = -sum_j q_j*D_hat[j,i]*G[i,j] / sum_j G[i,j]^2, formed as one
-    Fraction, except the middle node of an even grid, which keeps weight 1
-    (at k=4 and N < 28 that is not its minimizer).  ``g`` and ``d`` are
-    G's and D_hat's first rows and ``q`` Q's first weights, each as
-    ``(den, integers)`` over one common denominator."""
-    (g_den, g_rows), (d_den, d_rows), (q_den, q_int) = g, d, q
-    p = {0: Fraction(-g_den, g_rows[0][0])}
-    p[N] = p[0]
-    for i in range(1, min(_P_ZONE, (N - 1) // 2) + 1):
-        num = den = 0
-        for j, c in g_rows[i].items():
-            if i in d_rows[j]:
-                num += q_int[j] * d_rows[j][i] * c
-            den += c * c
-        p[i] = p[N - i] = Fraction(-num * g_den, q_den * d_den * den) if den != 0 else 1
-    return p
-
-
 def _validate_order_cells(k, N):
     if not isinstance(k, int) or k not in SUPPORTED_ORDERS:
         raise ValueError(f"order k must be one of {SUPPORTED_ORDERS}, got {k!r}")
@@ -379,8 +356,9 @@ def _diagonal(weights, n):
 def _rational_construction(k: int, N: int):
     """All nine operators for (k, N) in exact unit-spacing form, by name.
     G, D, D_hat and the interpolants are the order's stencils shaped for N;
-    Q and P are built from their weights that differ from 1 and read back
-    as integer rows for the node weights and B_hat."""
+    Q is built from its weights that differ from 1, P from the node weights
+    read off B_hat's own Q*D_hat rows, and B_hat and L as exact products of
+    integer rows."""
     _validate_order_cells(k, N)
     shapes = {"G": (N + 1, N + 2), "D": (N, N + 1), "D_hat": (N + 2, N + 1),
               "I_D": (N + 2, N + 1), "I_G": (N + 1, N + 2)}
@@ -389,44 +367,51 @@ def _rational_construction(k: int, N: int):
     q = ops["Q"] = _diagonal({0: Fraction(1, 2), N + 1: Fraction(1, 2),
                               **{r + 1: w for r, w in _build_q(k, N, ops["D"]).items()}}, N + 2)
     # B_hat = Q*D_hat + G^T*P (spacing cancels, so this is the physical
-    # matrix) and the unit-spacing Laplacian D_hat*G (physical scaling 1/h^2),
-    # exact in their left rows and mirrored to the right end (up to the
-    # middle row on small grids).  Weights differ from 1 only on nodes
-    # <= _P_ZONE and cells < _Q_ZONE, and G's stencil reaches k/2 columns
-    # past its row, so a B_hat row j >= nb is c_{i-j+1} + c_{j-i} = 0 by the
-    # stencil's antisymmetry.  D_hat row j >= k is interior and reaches
-    # only interior G rows, so L row j >= k is the product of the two
-    # interior stencils, its template.
-    # Both are formed on integer rows: q_j*D_hat[j,i] + G[i,j]*p_i over the
-    # product of the four denominators, D_hat[j,i]*G[i,col] over two.
+    # matrix) and the unit-spacing Laplacian D_hat*G (physical scaling 1/h^2)
+    # are formed exactly, on integer rows, in their left rows and mirrored to
+    # the right end (up to the middle row on small grids).  Weights differ
+    # from 1 only on nodes <= _P_ZONE and cells < _Q_ZONE, and G's stencil
+    # reaches k/2 columns past its row, so a B_hat row j >= nb is
+    # c_{i-j+1} + c_{j-i} = 0 by the stencil's antisymmetry.
     nb = min(_P_ZONE + 1 + k // 2, (N + 3) // 2)
     g_rows = [g.row(i) for i in range(nb + 1)]  # G rows past nb start at column nb or later
-    d_rows = [d_hat.row(j) for j in range(nb + 1)]
-    q_int = [q.row(j)[j] for j in range(nb + 1)]
-    p = ops["P"] = _diagonal(_build_p(N, (g.den, g_rows), (d_hat.den, d_rows), (q.den, q_int)),
-                             N + 1)
+    qd, qd_rows = q.den * d_hat.den, []  # Q*D_hat rows 0..nb over q.den*d_hat.den
+    for j in range(nb + 1):
+        w = q.row(j)[j]
+        qd_rows.append({i: w * c for i, c in d_hat.row(j).items()})
+    # Node weights: the corner weight pins B_hat[0,0] = -1 (D_hat's row 0 is
+    # empty), and each node 1..N-1 within _P_ZONE of either end takes the
+    # exact least-squares minimizer of its B_hat column's defect,
+    # p_i = -<(Q*D_hat)[:, i], G[i, :]> / |G[i, :]|^2, except the middle
+    # node of an even grid, which keeps weight 1 (at k=4 and N < 28 that is
+    # not its minimizer).
+    weights = dict.fromkeys((0, N), Fraction(-g.den, g_rows[0][0]))
+    for i in range(1, min(_P_ZONE, (N - 1) // 2) + 1):
+        row = g_rows[i]
+        num = sum(qd_rows[j].get(i, 0) * c for j, c in row.items())
+        weights[i] = weights[N - i] = Fraction(-num * g.den, qd * sum(c * c for c in row.values()))
+    p = ops["P"] = _diagonal(weights, N + 1)
     if min(v for op in (q, p) for row in op.closure for v in row.values()) <= 0:
         raise ConstructionError(f"non-positive quadrature weight (order k={k}, n_cells N={N})")
-    gp, qd = g.den * p.den, q.den * d_hat.den
-    b_left = [{i: q_int[j] * c * gp for i, c in row.items()} for j, row in enumerate(d_rows[:nb])]
+    gp = g.den * p.den
+    b_left = [{i: v * gp for i, v in row.items()} for row in qd_rows[:nb]]
     for i, row in enumerate(g_rows):
         w = p.row(i)[i] * qd
         for j, gc in row.items():
             if j < nb:
                 b_left[j][i] = b_left[j].get(i, 0) + gc * w
-    l_left = [{} for _ in range(k)]
-    for j in range(1, k):
-        for i, c in d_rows[j].items():
-            for col, gc in g_rows[i].items():
-                l_left[j][col] = l_left[j].get(col, 0) + c * gc
-    l_tpl = {}
-    for a, c in d_hat.template.items():
-        for b, gc in g.template.items():
-            l_tpl[a + b] = l_tpl.get(a + b, 0) + c * gc
     ops["B_hat"] = _Operator(qd * gp, [{i: v for i, v in row.items() if v} for row in b_left],
                              {}, -1, (N + 2, N + 1))
+    # D_hat row k is interior and reaches only interior G rows (N >= 2k), so
+    # L's row k is the product of the two interior stencils: its template.
+    l_rows = [{} for _ in range(k + 1)]
+    for j, l_row in enumerate(l_rows):
+        for i, c in d_hat.row(j).items():
+            for col, gc in g_rows[i].items():
+                l_row[col] = l_row.get(col, 0) + c * gc
+    *l_left, l_k = l_rows
     ops["L"] = _Operator(d_hat.den * g.den, [{j: v for j, v in row.items() if v} for row in l_left],
-                         l_tpl, 1, (N + 2, N + 2))
+                         {col - k: v for col, v in l_k.items()}, 1, (N + 2, N + 2))
     return ops
 
 
@@ -472,7 +457,6 @@ class MimeticOperatorSet:
     (order, grid) shares that scratch: an operator set, like a system, must
     not be used from two threads at once."""
 
-    order: int
     grid: StaggeredGrid1D
     kernels: dict
     q_diag: np.ndarray
@@ -575,7 +559,7 @@ def build_operator_set(k: int, grid: StaggeredGrid1D) -> MimeticOperatorSet:
     scales = {"D": 1.0 / h, "G": 1.0 / h, "D_hat": 1.0 / h, "Q": h, "P": h,
               "B_hat": 1.0, "L": 1.0 / h**2, "I_D": 1.0, "I_G": 1.0}
     kernels = {name: exact[name].to_csr(scale) for name, scale in scales.items()}
-    return MimeticOperatorSet(order=k, grid=grid, kernels=kernels,
+    return MimeticOperatorSet(grid=grid, kernels=kernels,
                               q_diag=kernels["Q"].data, p_diag=kernels["P"].data)
 
 

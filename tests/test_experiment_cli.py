@@ -538,6 +538,15 @@ def test_converge_continues_past_failing_scheme(tmp_path, capsys):
     assert {row["scheme"] for row in rows} == {"RK4"}
 
 
+def test_converge_refuses_non_integer_refinement(tmp_path, capsys):
+    """A refinement list that is not all integers is a config error (exit 2)
+    that quotes the list, before any output directory is made."""
+    assert main(["converge", _write_config(tmp_path), "--n", "16,x"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: --n expects a comma-separated integer list, got '16,x'\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_convergence_study_returns_rows_and_failures(tmp_path):
     config = parse_config(_write_config(tmp_path, schemes=["rk4"], t_end=0.5))
     rows, failures = run_convergence_study(config, [16, 32])

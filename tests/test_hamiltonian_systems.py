@@ -352,6 +352,39 @@ def test_shallow_water_rejects_non_positive_depth(swater):
         system.rhs(e, u)
 
 
+def test_shallow_water_rejects_non_positive_depth_at_nodes():
+    """d0 + e is positive at every center, but the interpolated depth
+    d0 + I_G e is not at every node: a deep dip between two high plateaus
+    undershoots, and ``position_rate`` refuses it at the nodes."""
+    grid = build_grid(-1.0, 1.0, 64)
+    system = ShallowWaterSystem(build_operator_set(4, grid), d0=1.0)
+    e = np.full(grid.n_cells + 2, 5.0)
+    e[30:32] = -0.99
+    assert system.d0 + e.min() > 0.0
+    with pytest.raises(NumericalFailure,
+                       match="non-positive total depth at nodes: min = -7.388e-01"):
+        system.position_rate(e, np.zeros(grid.n_cells + 1))
+
+
+@pytest.mark.parametrize("scheme", ["RK4", "RRK_bisection", "ForestRuth", "PEFRL",
+                                    "Leapfrog", "Composition4"])
+def test_shallow_water_projects_wall_velocity(scheme):
+    """A nonzero velocity at the walls is projected to +0.0 as a run loads
+    its state, and the rates keep it there: ``step`` and ``integrate`` both
+    return u = +0.0 at both walls, with e's end values as they were."""
+    grid = build_grid(-1.0, 1.0, 64)
+    system = ShallowWaterSystem(build_operator_set(4, grid))
+    e, u = shallow_water_ic(grid).arrays()
+    u[0], u[-1] = 0.1, -0.0
+    dt = cfl_dt(grid, 0.25, system.wave_speed)
+    for e_end, u_end in (step(system, scheme, (e, u), dt),
+                         integrate(system, scheme, (e, u), 1.0, dt).final_state):
+        walls = u_end[[0, -1]]
+        assert np.all(walls == 0.0) and not np.signbit(walls).any()
+        np.testing.assert_array_equal(e_end[[0, -1]], e[[0, -1]])
+    assert u[0] == 0.1  # the caller's arrays are left as they were
+
+
 class _RateLog(ShallowWaterSystem):
     """A shallow-water system that logs each rate call as (rate, bytes of e)."""
 

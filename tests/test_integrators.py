@@ -720,6 +720,38 @@ def test_relaxation_fails_loudly_on_boundary_spanning_state(name):
         integrate(WaveSystem(ops), name, (u, np.zeros_like(u)), 2.0, cfl_dt(grid, 0.5))
 
 
+class _FixedQuadratic(HarmonicOscillator):
+    """The oscillator with ``quadratic_parts`` pinned to (E, T), so every
+    analytic relaxation parameter is gamma = -2E/(dt*T)."""
+
+    def __init__(self, E, T):
+        self.parts = (E, T)
+
+    def quadratic_parts(self, u, v, d_u, d_v):
+        return self.parts
+
+
+def test_analytic_relaxation_without_quadratic_term_has_no_root():
+    """T = 0 with E != 0: the energy change along the step is linear in
+    gamma and vanishes only at gamma = 0, so the first step refuses it."""
+    with pytest.raises(NumericalFailure, match=r"^step 1: relaxation has no root: "
+                       r"quadratic term vanished with E = 1\.000e-03$") as info:
+        integrate(_FixedQuadratic(1e-3, 0.0), "rrk_analytic", STATE0, 1.0, 0.1)
+    assert (info.value.scheme, info.value.step, info.value.t) == ("RRK_analytic", 1, 0.0)
+
+
+def test_relaxation_stall_raises_at_the_step_cap():
+    """gamma = 1e-3 on every step advances t by dt/1000, so reaching
+    t_end = 10*dt would take 10^4 steps; the run stops at the cap of
+    50*ceil(t_end/dt) + 1000 = 1500 steps and says how far it got."""
+    dt = 0.1
+    system = _FixedQuadratic(-0.5e-3 * dt, 1.0)
+    with pytest.raises(NumericalFailure, match=r"^step 1501: relaxation stalled: reached "
+                       r"only t = 0\.15 of 1 after 1500 steps \(dt = 0\.1\)$") as info:
+        integrate(system, "rrk_analytic", STATE0, 10 * dt, dt)
+    assert info.value.step == 1501
+
+
 # ---------------------------------------------------------------------------
 # integrate() driver contract
 # ---------------------------------------------------------------------------
