@@ -24,25 +24,25 @@ matrix: Python integers over one positive denominator, as its left-closure
 rows, its centered interior template, and a mirror sign.  The right-end
 rows are the left closure reflected (row i -> n-1-i, column j -> m-1-j)
 times -1 for G, D, D_hat and B_hat, +1 for the interpolants, L, Q and P.
-Q and P are diagonal: their closures hold the weights that differ from h,
-and their template is the interior weight h (1 at unit spacing).  Exact
+Q and P are diagonal: their closures hold the boundary-zone weights, and
+their template is the interior weight h (1 at unit spacing).  Exact
 arithmetic and Python-level work are spent only in the closure zones, so
 they do not grow with N: the closures (interior weights are exactly h and
 are never formed one by one), the rows of B_hat within ``_P_ZONE`` plus
 the stencil reach of each end, and L's first k+1 rows (row k is interior,
 the product of the two interior stencils, and gives L's template).
 Interior rows of B_hat are empty.  The one-sided and centered stencils of
-G, D and the interpolants depend on k only: they are solved once per
-order, on the grid points times 2 (integers, so integer powers), and N
-only sets their shapes.  Q's conservation system is set on D's integer
-rows; B_hat's Q*D_hat rows are formed once, the node weights read off
-them and G's rows, and G^T*P added into them; the exact solves eliminate
-on sparse integer rows.  Fractions appear only as the solver's results
-and the node weights, each turned into integers over its operator's
-denominator.  On conversion to sparse floats (scaled by powers of h) each
-entry v/den is ``v / den``, the float nearest it; the closure and mirror
-rows are written entry by entry and the interior rows from the template,
-into preallocated arrays; construction results are cached.
+G, D and the interpolants depend on k only: each row is one exact
+Vandermonde solve on grid points derived from k (times 2, so integers),
+solved once per order, and N only sets their shapes.  Q's conservation
+system is set on D's integer rows; B_hat's Q*D_hat rows are formed once,
+the node weights read off them and G's rows, and G^T*P added into them;
+the exact solves eliminate on sparse integer rows.  Fractions appear only
+as the solver's results and the node weights, each turned into integers
+over its operator's denominator.  On conversion to sparse floats (scaled
+by powers of h) each entry v/den is ``v / den``, the float nearest it; the
+closure and mirror rows are written entry by entry and the interior rows
+from the template, into preallocated arrays; both stages are cached.
 
 The float operators, all nine, live as kernel arrays: the ``data``,
 ``indices``, ``indptr`` and ``shape`` that scipy's compiled CSR kernel reads
@@ -109,11 +109,6 @@ _Q_ZONE = 12
 # quadrature deviation zone plus the stencil width).
 _P_ZONE = 16
 
-# The first five extended centers and nodes (unit spacing) times 2, so that
-# they are integers: every one-sided closure row draws on these points only.
-_EXT2 = (0, 1, 3, 5, 7)
-_NODES2 = (0, 2, 4, 6, 8)
-
 
 # ---------------------------------------------------------------------------
 # exact rational construction (unit spacing)
@@ -172,22 +167,9 @@ def _cancel(row, p, col):
     return {j: v // g for j, v in new.items() if v}
 
 
-def _derivative_row(points, x0, k):
-    """Stencil coefficients c with sum_i c_i*t_i^s = s*x0^(s-1) for s = 0..k,
-    from the doubled (integer) points T_i = 2*t_i and X = 2*x0: equation s
-    times 2^s reads sum_i c_i*T_i^s = 2*s*X^(s-1)."""
-    A = [[t**s for t in points] for s in range(k + 1)]
-    b = [0] + [2 * s * x0 ** (s - 1) for s in range(1, k + 1)]
-    return _solve_exact(A, b)
-
-
-def _interp_row(points, x0):
-    """Interpolation coefficients c with sum_i c_i*t_i^s = x0^s for all s,
-    from the doubled (integer) points: both sides scale by 2^s."""
-    deg = len(points) - 1
-    A = [[t**s for t in points] for s in range(deg + 1)]
-    b = [x0**s for s in range(deg + 1)]
-    return _solve_exact(A, b)
+def _vandermonde_row(points, rhs):
+    """The exact c with sum_i c_i*t_i^s = rhs[s] for s = 0..len(rhs)-1."""
+    return _solve_exact([[t**s for t in points] for s in range(len(rhs))], rhs)
 
 
 class _CSR(NamedTuple):
@@ -290,14 +272,26 @@ def _stencils(k):
     The interpolants I_D node->extended and I_G extended->node are local
     polynomial interpolation of degree k-1 (exact on monomials <= k-1):
     centered k-point interior rows, one-sided rows from the first k points
-    near the ends, and the boundary value itself at the boundary point."""
-    stencil = dict(zip(range(1 - k // 2, k // 2 + 1), _derivative_row(range(1 - k, k, 2), 0, k)))
-    g = [dict(enumerate(_derivative_row(_EXT2[:k + 1], _NODES2[i], k))) for i in range(k // 2)]
-    d = [dict(enumerate(_derivative_row(_NODES2[:k + 1], _EXT2[i + 1], k)))
-         for i in range(k // 2 - 1)]
-    interp = dict(zip(range(-(k // 2), k // 2), _interp_row(range(-k, k, 2), -1)))
-    i_d = [{0: 1}] + [dict(enumerate(_interp_row(_NODES2[:k], _EXT2[i]))) for i in range(1, k // 2)]
-    i_g = [{0: 1}] + [dict(enumerate(_interp_row(_EXT2[:k], _NODES2[i]))) for i in range(1, k // 2)]
+    near the ends, and the boundary value itself at the boundary point.
+
+    Each row solves sum_i c_i*T_i^s = 2^s * (t^s's derivative, s <= k, or
+    value, s < k, at its point) on integer points T = 2t; one-sided rows
+    use the extended centers 0, 1, 3, ..., 2k-1 and nodes 0, 2, ..., 2k."""
+    ext, nodes = (0, *range(1, 2 * k, 2)), range(0, 2 * k + 1, 2)
+
+    def slope(x):
+        return [0, *(2 * s * x ** (s - 1) for s in range(1, k + 1))]
+
+    def value(x):
+        return [x**s for s in range(k)]
+
+    stencil = dict(zip(range(1 - k // 2, k // 2 + 1),
+                       _vandermonde_row(range(1 - k, k, 2), slope(0))))
+    g = [dict(enumerate(_vandermonde_row(ext, slope(x)))) for x in nodes[:k // 2]]
+    d = [dict(enumerate(_vandermonde_row(nodes, slope(x)))) for x in ext[1:k // 2]]
+    interp = dict(zip(range(-(k // 2), k // 2), _vandermonde_row(range(-k, k, 2), value(-1))))
+    i_d = [{0: 1}, *(dict(enumerate(_vandermonde_row(nodes[:k], value(x)))) for x in ext[1:k // 2])]
+    i_g = [{0: 1}, *(dict(enumerate(_vandermonde_row(ext[:k], value(x)))) for x in nodes[1:k // 2])]
     return {
         "G": _exact(g, stencil, -1),
         "D": _exact(d, stencil, -1),
@@ -307,16 +301,13 @@ def _stencils(k):
     }
 
 
-def _build_q(k, N, d):
-    """Interior center weights q_0..q_{N-1} that differ from 1, as {index:
-    weight}, forced by the conservation law
-    sum_r q_r*D[r,i] = -delta_{i,0} + delta_{i,N}, solved on D's integer
+def _build_q(N, d):
+    """Interior center weights q_0..q_{N-1} within ``_Q_ZONE`` cells of
+    either end (1 beyond), as {index: weight}, forced by the conservation
+    law sum_r q_r*D[r,i] = -delta_{i,0} + delta_{i,N}, solved on D's integer
     rows (the law times D's denominator).  A small grid solves all N + 1
     equations for its N weights, so ``_solve_exact`` refuses it if they
     disagree."""
-    if k == 2:
-        # the two-point stencil telescopes; q = 1 satisfies every column
-        return {}
     den, m = d.den, _Q_ZONE
     if N >= 2 * m + 4:
         # solve the boundary zone exactly with the tail pinned to 1
@@ -356,7 +347,7 @@ def _diagonal(weights, n):
 def _rational_construction(k: int, N: int):
     """All nine operators for (k, N) in exact unit-spacing form, by name.
     G, D, D_hat and the interpolants are the order's stencils shaped for N;
-    Q is built from its weights that differ from 1, P from the node weights
+    Q is built from its boundary-zone weights, P from the node weights
     read off B_hat's own Q*D_hat rows, and B_hat and L as exact products of
     integer rows."""
     _validate_order_cells(k, N)
@@ -365,7 +356,7 @@ def _rational_construction(k: int, N: int):
     ops = {name: _Operator(*parts, shapes[name]) for name, parts in _stencils(k).items()}
     g, d_hat = ops["G"], ops["D_hat"]
     q = ops["Q"] = _diagonal({0: Fraction(1, 2), N + 1: Fraction(1, 2),
-                              **{r + 1: w for r, w in _build_q(k, N, ops["D"]).items()}}, N + 2)
+                              **{r + 1: w for r, w in _build_q(N, ops["D"]).items()}}, N + 2)
     # B_hat = Q*D_hat + G^T*P (spacing cancels, so this is the physical
     # matrix) and the unit-spacing Laplacian D_hat*G (physical scaling 1/h^2)
     # are formed exactly, on integer rows, in their left rows and mirrored to

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from mimkit import (
+    HamiltonianSystem,
     HarmonicOscillator,
     NumericalFailure,
     ShallowWaterSystem,
@@ -29,6 +30,17 @@ from oracles import (
     standing_wave,
     standing_wave_velocity,
 )
+
+
+@pytest.mark.parametrize("call", [
+    lambda system: system.position_rate(np.zeros(1), np.zeros(1)),
+    lambda system: system.velocity_rate(np.zeros(1), np.zeros(1)),
+    lambda system: system.energy(np.zeros(1), np.zeros(1)),
+    lambda system: system.state_lengths,
+], ids=["position_rate", "velocity_rate", "energy", "state_lengths"])
+def test_base_system_leaves_rates_energy_and_lengths_to_subclasses(call):
+    with pytest.raises(NotImplementedError):
+        call(HamiltonianSystem())
 
 
 @pytest.fixture

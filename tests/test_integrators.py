@@ -67,6 +67,11 @@ def test_tableau_rejects_inconsistent_weights():
         ButcherTableau(a=((0.0,),), b=(0.5,), c=(0.0,))
 
 
+def test_tableau_rejects_inconsistent_dimensions():
+    with pytest.raises(ValueError, match="inconsistent tableau dimensions"):
+        ButcherTableau(a=((0.0,),), b=(0.5, 0.5), c=(0.0, 0.5))
+
+
 def test_symplecticity_residual_matches_algebraic_oracle():
     for tableau in (TABLEAU_RK4, TABLEAU_IMPLICIT_MIDPOINT):
         m = tableau_symplecticity_matrix(tableau.a, tableau.b)
@@ -662,6 +667,49 @@ def test_step_on_an_eigenmode_equals_the_mode_matrix(kind):
             u, v = step(system, kind, start, dt)
             np.testing.assert_allclose(u, M[0, col] * phi, rtol=0, atol=tol)
             np.testing.assert_allclose(v, M[1, col] * phi, rtol=0, atol=tol)
+
+
+def test_mode_bounds_behind_criteria_5a_and_5b():
+    """The per-mode bounds that criteria 5a and 5b state, recomputed.  The
+    shipped wave run (k = 4, N = 600 on [-30, 30], cfl 0.5, so dt = 0.05,
+    480 steps to t_end 24) is linear, so each eigenmode of L's Dirichlet
+    interior is an oscillator at omega*dt = sqrt(-lam)*dt, stepped by the
+    scheme's 2x2 mode matrix; omega_max*dt is 1.2253 (rho(-L)*h^2 =
+    6.0051).  The drift of one mode from (1, 0) is max_n |H_n - H_0| / H_0
+    over the 480 steps.  On 245 points of omega*dt up to omega_max*dt the
+    RK4/symplectic drift ratio peaks at 4.2011 for Leapfrog (omega*dt ~
+    0.80) and 20.874 for ForestRuth (~ 0.655), so no pulse reaches 5a's
+    100x; ForestRuth's own drift is 4.763e-7 at omega*dt = 0.05 and
+    7.664e-6 at 0.1, so 5b's 1e-6 needs omega*dt <~ 0.06.  The kit's own
+    ``integrate`` on ``HarmonicOscillator`` gives the same peaks to four
+    digits."""
+    grid = build_grid(-30.0, 30.0, 600)
+    dt = cfl_dt(grid, 0.5)
+    lams = np.linalg.eigvals(build_operator_set(4, grid).L.toarray()[1:-1, 1:-1])
+    assert not lams.imag.any() and lams.real.max() < 0
+    wdt_max = np.sqrt(-lams.real.min()) * dt
+    assert wdt_max == pytest.approx(1.2253, abs=1e-4)
+
+    def drift(matrices):  # every mode at once: H = |z|^2 / 2, H_0 = 1/2
+        z = np.tile([1.0, 0.0], (len(matrices), 1))
+        worst = np.zeros(len(matrices))
+        for _ in range(480):
+            z = np.einsum("kij,kj->ki", matrices, z)
+            np.maximum(worst, np.abs((z * z).sum(axis=1) - 1.0), out=worst)
+        return worst
+
+    def splitting(kind, wdts):
+        return drift(np.array([splitting_amplification(*_SPLITTINGS[kind], w) for w in wdts]))
+
+    wdts = np.linspace(0.005, wdt_max, 245)
+    rk4 = drift(np.array([rk4_amplification(w) for w in wdts]))
+    for kind, peak, at in [(SchemeKind.LEAPFROG, 4.2011, 0.800),
+                           (SchemeKind.FOREST_RUTH, 20.874, 0.655)]:
+        ratio = rk4 / splitting(kind, wdts)
+        assert ratio.max() == pytest.approx(peak, rel=1e-4)
+        assert wdts[ratio.argmax()] == pytest.approx(at, abs=wdts[1] - wdts[0])
+    np.testing.assert_allclose(splitting(SchemeKind.FOREST_RUTH, [0.05, 0.1]),
+                               [4.763e-7, 7.664e-6], rtol=1e-3)
 
 
 @pytest.mark.parametrize("name", ["rrk_analytic", "rrk_bisection"])

@@ -418,6 +418,14 @@ def test_quadrature_weights_strictly_positive(ops, grid01):
     assert ops.p_diag.min() / grid01.h > 0.25
 
 
+def test_construction_refuses_a_non_positive_weight(monkeypatch):
+    """A quadrature weight <= 0 would make the inner products indefinite,
+    so the construction refuses it rather than build the operators."""
+    monkeypatch.setattr(mimetic_ops, "_build_q", lambda N, d: {0: Fraction(-1, 2)})
+    with pytest.raises(ConstructionError, match="non-positive quadrature weight"):
+        mimetic_ops._rational_construction.__wrapped__(4, 64)
+
+
 def test_extended_weights_sum_to_length_plus_h(order):
     """sum(q) = (b - a) + h exactly: the two boundary points carry half-cell
     weights on top of the N interior cells, a first-order surplus that is
@@ -836,6 +844,15 @@ def test_missing_kernel_file_is_an_import_error(monkeypatch):
 
     monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", lambda *args: None)
     with pytest.raises(ImportError, match="_sparsetools"):
+        mimetic_ops._load_csr_matvec()
+
+
+def test_missing_scipy_is_an_import_error(monkeypatch):
+    """Without scipy at all the kernel load raises ImportError saying so."""
+    import importlib.util
+
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="scipy is not installed"):
         mimetic_ops._load_csr_matvec()
 
 
