@@ -41,7 +41,7 @@ coefficient, a 0-d float64 array), a rate writes ``scale * rate`` instead,
 bitwise the rate multiplied by ``scale`` afterwards, end values included:
 the wave and oscillator drifts multiply ``v`` by it straight into ``out``,
 saving the copy of ``v``, and every other rate multiplies ``out`` in place
-after zeroing its end values.  ``rhs`` and the Runge-Kutta stages leave it
+once its end values are zero.  ``rhs`` and the Runge-Kutta stages leave it
 out.  ``out`` and ``scale`` are positional, so a delegating proxy that
 forwards ``*args`` passes them on, and ``out`` must not overlap the inputs.
 With ``out`` left out a rate allocates a fresh array and then runs the same
@@ -178,7 +178,9 @@ def _scaled(rate, scale):
 
 
 class WaveSystem(HamiltonianSystem):
-    """u_t = v, v_t = L u with homogeneous Dirichlet conditions."""
+    """u_t = v, v_t = L u with homogeneous Dirichlet conditions.  The kick
+    ``L u`` is +0.0 at both ends with no end value of its own: rows 0 and
+    N+1 of L are empty, as D_hat's are, and ``matvec`` zero-fills its output."""
 
     name = "wave"
     wave_speed = 1.0
@@ -197,9 +199,7 @@ class WaveSystem(HamiltonianSystem):
         return _scaled_copy(v, out, scale)
 
     def velocity_rate(self, u, v, out=None, scale=None):
-        dv = matvec(self._L, u, _out(out, len(u)))
-        dv[0] = dv[-1] = 0.0
-        return _scaled(dv, scale)
+        return _scaled(matvec(self._L, u, _out(out, len(u))), scale)
 
     def energy(self, u, v):
         ops = self.ops
@@ -305,7 +305,6 @@ class HarmonicOscillator(HamiltonianSystem):
     """
 
     name = "harmonic_oscillator"
-    wave_speed = None
 
     @property
     def state_lengths(self):

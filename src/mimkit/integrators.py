@@ -225,10 +225,9 @@ class _Workspace:
     coefficient (``a*dt``, ``gamma*dt``) just before an array is multiplied
     by it: the product is the same as by the Python float, without numpy's
     slower path for one.  ``tol`` is the run's bisection tolerance on gamma.
-    ``h`` is H(x) when ``integrate`` has just evaluated it (the initial
-    energy and each recorded row), else None; every step that changes ``x``
-    clears it, so the bisection reuses it as H(x) only for the state it was
-    taken at.
+    ``h`` is H(x) from ``integrate``'s last recorded row until the
+    bisection, its only reader, takes it and resets it to None in one
+    statement, so no step that changes ``x`` has to clear it.
     """
 
     def __init__(self, n_u: int, n_v: int, tol: float):
@@ -315,14 +314,19 @@ def _gamma_analytic(system: HamiltonianSystem, ws: _Workspace, dt: float) -> flo
 def _gamma_bisection(system: HamiltonianSystem, ws: _Workspace, dt: float) -> float:
     """Relaxation parameter by bisection on r(g) = H(x + g*dt*d) - H(x), at
     state ``ws.x`` along ``ws.d``, each trial state formed in ``ws.y``; H(x)
-    is ``ws.h`` when ``integrate`` has it already.
+    is ``ws.h``, taken once, when ``integrate`` has just recorded it.
 
     Starts from the bracket [0.5, 1.5], expanding geometrically up to
     [0.1, 2.0] if the residual does not change sign; terminates when the
-    bracket width drops below ``ws.tol`` or after 200 iterations.  A
-    residual that is not finite raises NumericalFailure.
+    bracket width drops below ``ws.tol`` or after 200 iterations.  Signs are
+    compared, not multiplied: tiny residuals' products underflow to zero.  A
+    zero residual ends the search; one that is not finite raises
+    NumericalFailure.
     """
-    h0 = system.energy(*ws.state) if ws.h is None else ws.h
+    h0, ws.h = (system.energy(*ws.state) if ws.h is None else ws.h), None
+
+    def same_sign(a: float, b: float) -> bool:  # both nonzero, with one sign
+        return (a > 0.0 and b > 0.0) or (a < 0.0 and b < 0.0)
 
     def residual(g: float) -> float:
         ws.c[...] = g * dt
@@ -338,7 +342,7 @@ def _gamma_bisection(system: HamiltonianSystem, ws: _Workspace, dt: float) -> fl
         return 1.0
     lo, hi = 0.5, 1.5
     r_lo, r_hi = residual(lo), residual(hi)
-    while r_lo * r_hi > 0.0 and (lo > 0.1 or hi < 2.0):
+    while same_sign(r_lo, r_hi) and (lo > 0.1 or hi < 2.0):
         lo = max(0.1, 0.5 * lo)
         hi = min(2.0, 1.5 * hi)
         r_lo, r_hi = residual(lo), residual(hi)
@@ -346,7 +350,7 @@ def _gamma_bisection(system: HamiltonianSystem, ws: _Workspace, dt: float) -> fl
         return lo
     if r_hi == 0.0:
         return hi
-    if r_lo * r_hi > 0.0:
+    if same_sign(r_lo, r_hi):
         raise NumericalFailure(
             "relaxation bisection found no sign change on [0.1, 2.0]: "
             f"r(0.1) = {r_lo:.3e}, r(2.0) = {r_hi:.3e}"
@@ -357,10 +361,10 @@ def _gamma_bisection(system: HamiltonianSystem, ws: _Workspace, dt: float) -> fl
         r_mid = r_one if mid == 1.0 else residual(mid)
         if r_mid == 0.0:
             return mid
-        if r_lo * r_mid < 0.0:
-            hi, r_hi = mid, r_mid
-        else:
+        if same_sign(r_lo, r_mid):
             lo, r_lo = mid, r_mid
+        else:
+            hi, r_hi = mid, r_mid
         if hi - lo <= ws.tol:
             break
     return 0.5 * (lo + hi)
@@ -374,7 +378,6 @@ def _rrk_advance(system: HamiltonianSystem, ws: _Workspace, dt: float, gamma_rul
     ws.c[...] = gamma * dt
     ws.d *= ws.c
     ws.x += ws.d
-    ws.h = None
     return gamma
 
 
@@ -437,7 +440,6 @@ def _splitting_advance(system: HamiltonianSystem, ws: _Workspace, dt: float, dri
         v += system.velocity_rate(u, v, rate_v, c)
     c[...] = drifts[-1] * dt
     u += system.position_rate(u, v, rate_u, c)
-    ws.h = None
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,6 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -423,17 +422,17 @@ def _kernel_matrix(name):
     return cached_property(matrix)
 
 
-@dataclass(frozen=True, eq=False)
 class MimeticOperatorSet:
     """All order-k operators for one grid, plus the weighted inner products.
 
-    ``kernels`` maps each of D, G, D_hat, Q, P, B_hat, L, I_D and I_G, in
-    that order, to its kernel arrays (data, indices, indptr, shape), which
-    ``matvec`` and ``dump_operator`` take.  The attributes of those names
-    are ``scipy.sparse.csr_matrix`` objects built on first access (importing
-    ``scipy.sparse`` then) and cached.  They share their arrays with
-    ``kernels``, and ``q_diag`` and ``p_diag`` are the ``data`` of Q and P,
-    so writing to one writes to the others.
+    ``MimeticOperatorSet(grid, kernels)``: ``kernels`` maps each of D, G,
+    D_hat, Q, P, B_hat, L, I_D and I_G, in that order, to its kernel arrays
+    (data, indices, indptr, shape), which ``matvec`` and ``dump_operator``
+    take.  The attributes of those names are ``scipy.sparse.csr_matrix``
+    objects built on first access (importing ``scipy.sparse`` then) and
+    cached.  They share their arrays with ``kernels``, and ``q_diag`` and
+    ``p_diag`` are the ``data`` of Q and P, read off ``kernels``, so writing
+    to one writes to the others.
 
     The inner products are bare weighted dots with no length check of their
     own (numpy refuses a product that does not fit the weights);
@@ -448,11 +447,6 @@ class MimeticOperatorSet:
     (order, grid) shares that scratch: an operator set, like a system, must
     not be used from two threads at once."""
 
-    grid: StaggeredGrid1D
-    kernels: dict
-    q_diag: np.ndarray
-    p_diag: np.ndarray
-
     D = _kernel_matrix("D")
     G = _kernel_matrix("G")
     D_hat = _kernel_matrix("D_hat")
@@ -463,9 +457,10 @@ class MimeticOperatorSet:
     Q = _kernel_matrix("Q")
     P = _kernel_matrix("P")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_q_scratch", np.empty_like(self.q_diag))
-        object.__setattr__(self, "_p_scratch", np.empty_like(self.p_diag))
+    def __init__(self, grid: StaggeredGrid1D, kernels: dict):
+        self.grid, self.kernels = grid, kernels
+        self.q_diag, self.p_diag = kernels["Q"].data, kernels["P"].data
+        self._q_scratch, self._p_scratch = np.empty_like(self.q_diag), np.empty_like(self.p_diag)
 
     def inner_q(self, f, g) -> float:
         """<f, g>_Q over extended-center fields."""
@@ -535,7 +530,7 @@ def matvec(M, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64, typed=True)
 def build_operator_set(k: int, grid: StaggeredGrid1D) -> MimeticOperatorSet:
-    """Build (or fetch from cache) the full operator set for (k, grid).
+    """Build (or fetch from cache) the operator set of (k, grid) on its kernels.
 
     B_hat and L are assembled in exact rational arithmetic (the identity
     B_hat = Q*D_hat + G^T*P is exact by construction and h-independent), so
@@ -550,8 +545,7 @@ def build_operator_set(k: int, grid: StaggeredGrid1D) -> MimeticOperatorSet:
     scales = {"D": 1.0 / h, "G": 1.0 / h, "D_hat": 1.0 / h, "Q": h, "P": h,
               "B_hat": 1.0, "L": 1.0 / h**2, "I_D": 1.0, "I_G": 1.0}
     kernels = {name: exact[name].to_csr(scale) for name, scale in scales.items()}
-    return MimeticOperatorSet(grid=grid, kernels=kernels,
-                              q_diag=kernels["Q"].data, p_diag=kernels["P"].data)
+    return MimeticOperatorSet(grid, kernels)
 
 
 def mimetic_identity_residual(ops: MimeticOperatorSet, v, f_hat) -> float:

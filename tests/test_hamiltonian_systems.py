@@ -64,6 +64,25 @@ def test_wave_rhs_structure(wave64, rng):
     np.testing.assert_allclose(dv[1:-1], (ops.L @ u)[1:-1], atol=1e-13)
 
 
+@pytest.mark.parametrize("k", [2, 4])
+def test_wave_velocity_ends_are_the_empty_rows_of_l(k, rng):
+    """Rows 0 and N+1 of D_hat, and so of L = D_hat*G, store no entry, and
+    ``matvec`` zero-fills its output before adding each row's products, so
+    the wave's ``velocity_rate`` is +0.0 at both ends for any u, ends
+    included, with no end value of its own to assign."""
+    for n in [*range(2 * k, 41), 600, 9600]:
+        grid = build_grid(0.0, 1.0, n)
+        ops = build_operator_set(k, grid)
+        for name in ("D_hat", "L"):
+            indptr = ops.kernels[name].indptr
+            assert indptr[1] == 0 and indptr[-2] == indptr[-1], (name, n)
+        system, u = WaveSystem(ops), rng.standard_normal(n + 2)
+        u[[0, -1]] = -1.0
+        for dv in (system.velocity_rate(u, u), system.velocity_rate(u, u, np.full(n + 2, -1.0))):
+            ends = dv[[0, -1]]
+            assert np.all(ends == 0.0) and not np.signbit(ends).any(), n
+
+
 def test_integrate_rejects_wave_state_of_wrong_length(wave64):
     """integrate checks each initial field once against the extended
     length 66 and names it."""

@@ -621,6 +621,48 @@ def test_bisection_reuses_the_recorded_energy():
     assert len(set(system.states)) == len(system.states)
 
 
+@pytest.mark.parametrize("record_every", [3, 10**9])
+def test_bisection_never_reuses_a_stale_energy(record_every):
+    """The bisection takes ``integrate``'s recorded H only at the state it
+    was recorded at: with rows at every 3rd step, or only at the ends, each
+    run is bitwise the run that records every step (its gammas, its final
+    state and its energies at the rows both record).  A bisection that
+    kept an H past the next step would relax every unrecorded step to an
+    older energy."""
+    grid = build_grid(-5.0, 5.0, 100)
+    system = WaveSystem(build_operator_set(4, grid))
+    state, dt = gaussian_ic(grid, width=0.5).arrays(), cfl_dt(grid, 0.5)
+    every = integrate(system, "rrk_bisection", state, 20 * dt, dt)
+    sparse = integrate(system, "rrk_bisection", state, 20 * dt, dt, record_every=record_every)
+    assert sparse.n_steps == every.n_steps >= 20
+    assert sparse.gammas.tobytes() == every.gammas.tobytes()
+    for a, b in zip(sparse.final_state, every.final_state):
+        assert a.tobytes() == b.tobytes()
+    assert sparse.energies.tobytes() == every.energies[sparse.steps].tobytes()
+
+
+@pytest.mark.parametrize("name", ["rrk_analytic", "rrk_bisection"])
+def test_relaxation_is_exact_under_power_of_two_scaling(name):
+    """Scaling a wave state by 2**-300 scales every array of a run by it and
+    every energy by 2**-600, exactly, while nothing underflows (H(0) is then
+    5.0e-182, a normal float), so the gammas are bitwise the unscaled run's.
+    The bisection's residuals are then below 1e-190, so the product of two
+    underflows to zero: the bisection compares their signs, where a product
+    test walks to gamma = 1.5 at every step here, with no error."""
+    grid = build_grid(-30.0, 30.0, 64)
+    system = WaveSystem(build_operator_set(4, grid))
+    u, v = gaussian_ic(grid, center=0.0, width=3.0).arrays()
+    dt = cfl_dt(grid, 0.5)
+    plain = integrate(system, name, (u, v), 20 * dt, dt)
+    scaled = integrate(system, name, (u * 2.0**-300, v * 2.0**-300), 20 * dt, dt)
+    assert plain.n_steps == scaled.n_steps == 20
+    assert scaled.energies[0] == pytest.approx(5.0e-182, rel=1e-2)
+    assert scaled.gammas.tobytes() == plain.gammas.tobytes()
+    assert np.array_equal(scaled.energies, plain.energies * 2.0**-600)
+    for a, b in zip(scaled.final_state, plain.final_state):
+        assert np.array_equal(a, b * 2.0**-300)
+
+
 @pytest.mark.parametrize("record_every", [1, 3, 10**9])
 @pytest.mark.parametrize("name", ["rk4", "rrk_analytic", "lf", "fr", "pefrl", "comp4"])
 def test_fixed_step_run_evaluates_energy_once_per_recorded_row(name, record_every):
