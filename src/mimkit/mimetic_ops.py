@@ -12,8 +12,8 @@ Builds, for order k in {2, 4} on a grid with N cells and spacing h:
 * ``I_D`` ((N+2) x (N+1)), ``I_G`` ((N+1) x (N+2)): interpolants.
 
 Interior rows of G and D are the standard centered staggered stencils of
-order k; boundary rows are one-sided width-(k+1) stencils whose coefficients
-solve the Vandermonde exactness system on monomials x^0..x^k.  Quadrature
+order k; boundary rows are one-sided width-(k+1) stencils, exact on
+monomials x^0..x^k, whose coefficients are Lagrange's formula.  Quadrature
 weights are forced by the discrete conservation law ``1^T Q D_hat v =
 v_N - v_0`` (interior weights equal h); node weights minimize the column-wise
 duality defect of ``B_hat`` with the corner weight pinned so that
@@ -32,17 +32,18 @@ are never formed one by one), the rows of B_hat within ``_P_ZONE`` plus
 the stencil reach of each end, and L's first k+1 rows (row k is interior,
 the product of the two interior stencils, and gives L's template).
 Interior rows of B_hat are empty.  The one-sided and centered stencils of
-G, D and the interpolants depend on k only: each row is one exact
-Vandermonde solve on grid points derived from k (times 2, so integers),
-solved once per order, and N only sets their shapes.  Q's conservation
-system is set on D's integer rows; B_hat's Q*D_hat rows are formed once,
-the node weights read off them and G's rows, and G^T*P added into them;
-the exact solves eliminate on sparse integer rows.  Fractions appear only
-as the solver's results and the node weights, each turned into integers
-over its operator's denominator.  On conversion to sparse floats (scaled
-by powers of h) each entry v/den is ``v / den``, the float nearest it; the
-closure and mirror rows are written entry by entry and the interior rows
-from the template, into preallocated arrays; both stages are cached.
+G, D and the interpolants depend on k only: each row is the Lagrange
+basis's values or derivatives at its point, as integer products over grid
+points derived from k (times 2, so integers), formed once per order, and N
+only sets their shapes.  Q's conservation system is set on D's integer
+rows; B_hat's Q*D_hat rows are formed once, the node weights read off them
+and G's rows, and G^T*P added into them; Q's exact solve eliminates on
+sparse integer rows.  Fractions appear only as the stencil weights, the
+solver's results and the node weights, each turned into integers over its
+operator's denominator.  On conversion to sparse floats (scaled by powers
+of h) each entry v/den is ``v / den``, the float nearest it; the closure and
+mirror rows are written entry by entry and the interior rows one template
+column at a time, into preallocated arrays; both stages are cached.
 
 The float operators, all nine, live as kernel arrays: the ``data``,
 ``indices``, ``indptr`` and ``shape`` that scipy's compiled CSR kernel reads
@@ -116,7 +117,7 @@ _P_ZONE = 16
 def _solve_exact(A, b):
     """The exact solution of A x = b (rationals: ints or Fractions; more
     rows than unknowns only if consistent), as Fractions; raises on
-    singular systems.
+    singular systems.  The construction solves only Q's weight systems.
 
     Fraction-free Gauss-Jordan elimination (integer-preserving, as in
     Bareiss, Math. Comp. 22, 1968): each row of [A | b] is scaled to
@@ -166,9 +167,21 @@ def _cancel(row, p, col):
     return {j: v // g for j, v in new.items() if v}
 
 
-def _vandermonde_row(points, rhs):
-    """The exact c with sum_i c_i*t_i^s = rhs[s] for s = 0..len(rhs)-1."""
-    return _solve_exact([[t**s for t in points] for s in range(len(rhs))], rhs)
+def _lagrange_row(points, x, slope):
+    """The exact weights of the Lagrange basis l_i on the distinct integer
+    ``points`` at x: l_i(x), or with ``slope`` 2*l_i'(x), the derivative on
+    points doubled to integers (T = 2t, so d/dt = 2 d/dT).  The closed form
+    of finite-difference weights (Fornberg, Math. Comp. 51, 1988): integer
+    products over the other points, then one Fraction per weight."""
+    row = []
+    for t in points:
+        others = [u for u in points if u != t]
+        if slope:
+            num = 2 * sum(math.prod(x - u for u in others if u != v) for v in others)
+        else:
+            num = math.prod(x - u for u in others)
+        row.append(Fraction(num, math.prod(t - u for u in others)))
+    return row
 
 
 class _CSR(NamedTuple):
@@ -210,7 +223,7 @@ class _Operator(NamedTuple):
     def to_csr(self, scale=1.0) -> _CSR:
         """Float CSR kernel arrays times ``scale``, each written once into
         its preallocated array: closure rows entry by entry, the right-end
-        rows as ``row`` mirrors them, interior rows from the template.  An
+        rows as ``row`` mirrors them, interior rows by template column.  An
         entry is ``v / den * scale``: Python's int/int division is correctly
         rounded, so ``v / den`` is ``float(Fraction(v, den))``, the float
         nearest the exact entry."""
@@ -229,13 +242,14 @@ class _Operator(NamedTuple):
         indices = np.empty(b + len(last), dtype=np.int32)
         data = np.empty(b + len(last))
         indices[:a] = [j for j, _ in first]
-        np.add(np.arange(mid.start, mid.stop, dtype=np.int32)[:, None],
-               np.array([off for off, _ in tpl], dtype=np.int32),
-               out=indices[a:b].reshape(len(mid), w))
         indices[b:] = [j for j, _ in last]
         data[:a] = [v / den * scale for _, v in first]
-        data[a:b].reshape(len(mid), w)[:] = [v / den * scale for _, v in tpl]
         data[b:] = [v / den * scale for _, v in last]  # (-v) / den is -(v / den), correctly rounded
+        rows = np.arange(mid.start, mid.stop, dtype=np.int32)
+        block_indices, block_data = (x[a:b].reshape(len(mid), w) for x in (indices, data))
+        for j, (off, v) in enumerate(tpl):  # a long inner axis, where a w-wide row is slow
+            np.add(rows, off, out=block_indices[:, j])
+            block_data[:, j] = v / den * scale
         return _CSR(data, indices, indptr, self.shape)
 
 
@@ -253,7 +267,7 @@ def _exact(closure, template, sign):
 @lru_cache(maxsize=None)
 def _stencils(k):
     """The exact parts (``_exact``) of G, D, D_hat, I_D and I_G, by name.
-    They depend on the order only, so each stencil is solved once per order.
+    They depend on the order only, so each stencil is formed once per order.
 
     G and D take the centered order-k stencil inside: row i of G touches
     extended column i+off and row r of D (centered at x = r + 1/2) node
@@ -273,24 +287,19 @@ def _stencils(k):
     centered k-point interior rows, one-sided rows from the first k points
     near the ends, and the boundary value itself at the boundary point.
 
-    Each row solves sum_i c_i*T_i^s = 2^s * (t^s's derivative, s <= k, or
-    value, s < k, at its point) on integer points T = 2t; one-sided rows
-    use the extended centers 0, 1, 3, ..., 2k-1 and nodes 0, 2, ..., 2k."""
+    Each row is Lagrange's formula (``_lagrange_row``) at its own point on
+    integer points T = 2t: derivative rows are exact on t^0..t^k (the
+    k-point centered stencil on t^k by its antisymmetry), value rows on
+    t^0..t^(k-1).  One-sided rows use the extended centers 0, 1, 3, ...,
+    2k-1 and nodes 0, 2, ..., 2k.  tests/test_mimetic_ops.py checks the
+    exactness in Fractions for k = 2, 4 and 6."""
     ext, nodes = (0, *range(1, 2 * k, 2)), range(0, 2 * k + 1, 2)
-
-    def slope(x):
-        return [0, *(2 * s * x ** (s - 1) for s in range(1, k + 1))]
-
-    def value(x):
-        return [x**s for s in range(k)]
-
-    stencil = dict(zip(range(1 - k // 2, k // 2 + 1),
-                       _vandermonde_row(range(1 - k, k, 2), slope(0))))
-    g = [dict(enumerate(_vandermonde_row(ext, slope(x)))) for x in nodes[:k // 2]]
-    d = [dict(enumerate(_vandermonde_row(nodes, slope(x)))) for x in ext[1:k // 2]]
-    interp = dict(zip(range(-(k // 2), k // 2), _vandermonde_row(range(-k, k, 2), value(-1))))
-    i_d = [{0: 1}, *(dict(enumerate(_vandermonde_row(nodes[:k], value(x)))) for x in ext[1:k // 2])]
-    i_g = [{0: 1}, *(dict(enumerate(_vandermonde_row(ext[:k], value(x)))) for x in nodes[1:k // 2])]
+    stencil = dict(zip(range(1 - k // 2, k // 2 + 1), _lagrange_row(range(1 - k, k, 2), 0, True)))
+    g = [dict(enumerate(_lagrange_row(ext, x, True))) for x in nodes[:k // 2]]
+    d = [dict(enumerate(_lagrange_row(nodes, x, True))) for x in ext[1:k // 2]]
+    interp = dict(zip(range(-(k // 2), k // 2), _lagrange_row(range(-k, k, 2), -1, False)))
+    i_d = [{0: 1}, *(dict(enumerate(_lagrange_row(nodes[:k], x, False))) for x in ext[1:k // 2])]
+    i_g = [{0: 1}, *(dict(enumerate(_lagrange_row(ext[:k], x, False))) for x in nodes[1:k // 2])]
     return {
         "G": _exact(g, stencil, -1),
         "D": _exact(d, stencil, -1),

@@ -115,9 +115,9 @@ def test_solve_exact_matches_rational_oracle(system):
 
 def test_construction_solves_match_rational_oracle(monkeypatch):
     """Every system the exact construction solves has the oracle's exact
-    solution: the one-sided and centered stencil and interpolation rows,
-    the full conservation system (k=4, N < 28) and the 12-cell quadrature
-    zone (k=4, N >= 28)."""
+    solution: the full conservation system (k=4, N < 28) and the 12-cell
+    quadrature zone (k=4, N >= 28).  The stencil rows are not solved; their
+    exactness is ``test_stencil_rows_are_exact_in_fractions``."""
     solved = []
 
     def recording(A, b):
@@ -125,38 +125,86 @@ def test_construction_solves_match_rational_oracle(monkeypatch):
         return solved[-1][2]
 
     monkeypatch.setattr(mimetic_ops, "_solve_exact", recording)
-    mimetic_ops._stencils.cache_clear()  # so the stencil rows are solved here
     for k in SUPPORTED_ORDERS:
         for n in [*range(2 * k, 41), 600]:
             mimetic_ops._rational_construction.__wrapped__(k, n)
     for A, b, x in solved:
         assert rational_solve(A, b) == (x, len(A[0]), True)
-    # (equations, unknowns, b_0): b_0 = 0 for a first derivative, 1 for a value
-    kinds = {(len(A), len(A[0]), b[0]) for A, b, _ in solved}
-    for k in SUPPORTED_ORDERS:
-        assert {(k + 1, k + 1, 0), (k + 1, k, 0), (k, k, 1)} <= kinds, k
     assert {12, 27} <= {len(A[0]) for A, _, _ in solved}
 
 
 def test_stencils_are_solved_once_per_order(monkeypatch):
     """The stencil and interpolation rows depend on the order only: once
-    they are solved, a build at another size solves only Q's quadrature
-    zone, and G, D, I_D and I_G have the same closures and templates."""
-    unknowns = []
+    they are formed, a build at another size forms no stencil row and solves
+    only Q's quadrature zone, and G, D, I_D and I_G have the same closures
+    and templates."""
+    rows, unknowns, lagrange_row = [], [], mimetic_ops._lagrange_row
 
-    def counting(A, b):
+    def counting_rows(points, x, slope):
+        rows.append(x)
+        return lagrange_row(points, x, slope)
+
+    def counting_solves(A, b):
         unknowns.append(len(A[0]))
         return _solve_exact(A, b)
 
-    monkeypatch.setattr(mimetic_ops, "_solve_exact", counting)
+    monkeypatch.setattr(mimetic_ops, "_lagrange_row", counting_rows)
+    monkeypatch.setattr(mimetic_ops, "_solve_exact", counting_solves)
     mimetic_ops._stencils.cache_clear()
     first = mimetic_ops._rational_construction.__wrapped__(4, 600)
+    assert rows
+    rows.clear()
     unknowns.clear()
     second = mimetic_ops._rational_construction.__wrapped__(4, 601)
+    assert rows == []
     assert unknowns == [mimetic_ops._Q_ZONE]
     for name in ("G", "D", "I_D", "I_G"):
         assert (second[name].den, second[name].closure, second[name].template) == \
             (first[name].den, first[name].closure, first[name].template), name
+
+
+def _doubled_center(c):
+    """Extended center c (left of the right boundary) at T = 2t."""
+    return 0 if c == 0 else 2 * c - 1
+
+
+# per stencil operator: the doubled point of row i, of column j, and
+# whether its rows are first derivatives (else values)
+_STENCIL_POINTS = {
+    "G": (lambda i: 2 * i, _doubled_center, True),
+    "D": (lambda r: 2 * r + 1, lambda j: 2 * j, True),
+    "D_hat": (_doubled_center, lambda j: 2 * j, True),
+    "I_D": (_doubled_center, lambda j: 2 * j, False),
+    "I_G": (lambda i: 2 * i, _doubled_center, False),
+}
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_stencil_rows_are_exact_in_fractions(k):
+    """Every stencil row, each left-closure row and the interior template
+    (placed at row 2k), meets its exactness conditions in Fractions on the
+    doubled integer points T = 2t of its columns, at its own point X: a
+    derivative row has sum_i c_i*T_i^s = 2s*X^(s-1) for s = 0..k (the
+    k-point centered stencil too) and equals the oracle's finite-difference
+    weights on the points t, at x = X/2; a value row has sum_i c_i*T_i^s =
+    X^s for s = 0..k-1.  ``__wrapped__`` forms k = 6, outside
+    SUPPORTED_ORDERS, without caching it."""
+    parts = mimetic_ops._stencils.__wrapped__(k)
+    assert parts.keys() == _STENCIL_POINTS.keys()
+    for name, (den, closure, template, _) in parts.items():
+        row_at, col_at, slope = _STENCIL_POINTS[name]
+        interior = (2 * k, {2 * k + off: v for off, v in template.items()})
+        for r, row in [*enumerate(closure), interior]:
+            if not row:  # D_hat's zero first row
+                continue
+            x, points = row_at(r), [col_at(j) for j in row]
+            c = [Fraction(v, den) for v in row.values()]
+            for s in range(k + 1 if slope else k):
+                want = (2 * s * x ** (s - 1) if s else 0) if slope else x**s
+                assert sum(ci * t**s for ci, t in zip(c, points)) == want, (name, r, s)
+            if slope:
+                assert c == fd_weights_exact([Fraction(t, 2) for t in points], Fraction(x, 2)), \
+                    (name, r)
 
 
 @given(v=st.integers(-10**300, 10**300), den=st.integers(1, 10**320),
@@ -189,6 +237,32 @@ def test_kernel_arrays_bitwise_pinned():
                              repr(shape).encode()):
                     digest.update(part)
     assert digest.hexdigest() == KERNELS_SHA256
+
+
+@pytest.mark.parametrize("k", SUPPORTED_ORDERS)
+def test_to_csr_equals_a_row_by_row_reference(k):
+    """``_Operator.to_csr`` gives every operator the kernel arrays a
+    row-by-row reference builds from ``row(i)``: each row's entries in
+    column order, each ``v / den * scale``, with int32 ``indices`` and
+    ``indptr`` and float64 ``data``.  The sizes N = 2k..40 include operators
+    whose interior block has no row and one row; B_hat's template is empty
+    and L's 2k-1 wide."""
+    scale, interior_rows = 1 / 0.3, set()
+    for n in range(2 * k, 41):
+        exact = mimetic_ops._rational_construction(k, n)
+        assert exact["B_hat"].template == {} and len(exact["L"].template) == 2 * k - 1
+        for name, op in exact.items():
+            rows = [sorted(op.row(i).items()) for i in range(op.shape[0])]
+            got = op.to_csr(scale)
+            assert (got.data.dtype, got.indices.dtype, got.indptr.dtype) == \
+                (np.float64, np.int32, np.int32)
+            assert got.shape == op.shape
+            assert got.indptr.tolist() == np.cumsum([0, *map(len, rows)]).tolist(), (n, name)
+            assert got.indices.tolist() == [j for row in rows for j, _ in row], (n, name)
+            want = np.array([v / op.den * scale for row in rows for _, v in row], dtype=np.float64)
+            assert got.data.tobytes() == want.tobytes(), (n, name)
+            interior_rows.add(max(op.shape[0] - 2 * len(op.closure), 0))
+    assert {0, 1} <= interior_rows
 
 
 # ---------------------------------------------------------------------------
