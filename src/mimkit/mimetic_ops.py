@@ -72,7 +72,10 @@ identically zero.
 
 For k=4 the conservation solve has a geometric tail decaying ~26x per cell;
 weights are truncated to h beyond ``_Q_ZONE`` cells (conservation residual
-~1e-14) with a full exact solve for small N.
+~1e-14).  Every N takes one square exact solve, for the zone's
+``_Q_ZONE`` weights on a large grid and all N on a small one; the last
+equation is implied by the others, and the weights mirror, so Q and P are
+built from their left-end weights.
 """
 
 from __future__ import annotations
@@ -115,44 +118,31 @@ _P_ZONE = 16
 # ---------------------------------------------------------------------------
 
 def _solve_exact(A, b):
-    """The exact solution of A x = b (rationals: ints or Fractions; more
-    rows than unknowns only if consistent), as Fractions; raises on
-    singular systems.  The construction solves only Q's weight systems.
+    """The exact solution of the square integer system A x = b, as
+    Fractions; raises on a singular one.  The construction solves only Q's
+    weight systems (``_build_q``).
 
     Fraction-free Gauss-Jordan elimination (integer-preserving, as in
-    Bareiss, Math. Comp. 22, 1968): each row of [A | b] is scaled to
-    integers (the construction passes integer systems, which stay as they
-    are) and kept sparse, and one Fraction per unknown is formed at the
-    end.  Each column is cleared below its pivot, then above it from the
-    last pivot back, when the pivot row holds only its pivot and right-hand
-    side; so a banded system (Q's) fills in nothing above its band."""
-    n, m = len(A), len(A[0])
-    rows = []
-    for ab in ([*row, bi] for row, bi in zip(A, b)):  # [A | b] as sparse integer rows
-        lcm = math.lcm(*(c.denominator for c in ab))
-        rows.append({j: c.numerator * (lcm // c.denominator) for j, c in enumerate(ab) if c})
-    pivots = []
-    for col in range(m):
-        top = len(pivots)
-        piv = next((r for r in range(top, n) if col in rows[r]), None)
+    Bareiss, Math. Comp. 22, 1968): each row of [A | b] is kept as a sparse
+    integer row, and one Fraction per unknown is formed at the end.  Each
+    column is cleared below its pivot, then above it from the last pivot
+    back, when the pivot row holds only its pivot and right-hand side; so a
+    banded system (Q's) fills in nothing above its band."""
+    n = len(A)
+    rows = [{j: c for j, c in enumerate([*row, bi]) if c} for row, bi in zip(A, b)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if col in rows[r]), None)
         if piv is None:
-            continue
-        rows[top], rows[piv] = rows[piv], rows[top]
-        for r in range(top + 1, n):
+            raise ConstructionError("singular weight system")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        for r in range(col + 1, n):
             if col in rows[r]:
-                rows[r] = _cancel(rows[r], rows[top], col)
-        pivots.append(col)
-        if len(pivots) == n:
-            break
-    if any(rows[len(pivots):]):  # only the right-hand side can remain
-        raise ConstructionError("inconsistent stencil/weight system")
-    if len(pivots) < m:
-        raise ConstructionError("underdetermined stencil/weight system")
-    for top in reversed(range(m)):  # pivot row top holds column top
+                rows[r] = _cancel(rows[r], rows[col], col)
+    for top in reversed(range(n)):  # pivot row top holds column top
         for r in range(top):
             if top in rows[r]:
                 rows[r] = _cancel(rows[r], rows[top], top)
-    return [Fraction(row.get(m, 0), row[col]) for col, row in enumerate(rows[:m])]
+    return [Fraction(row.get(n, 0), row[col]) for col, row in enumerate(rows)]
 
 
 def _cancel(row, p, col):
@@ -310,27 +300,19 @@ def _stencils(k):
 
 
 def _build_q(N, d):
-    """Interior center weights q_0..q_{N-1} within ``_Q_ZONE`` cells of
-    either end (1 beyond), as {index: weight}, forced by the conservation
-    law sum_r q_r*D[r,i] = -delta_{i,0} + delta_{i,N}, solved on D's integer
-    rows (the law times D's denominator).  A small grid solves all N + 1
-    equations for its N weights, so ``_solve_exact`` refuses it if they
-    disagree."""
-    den, m = d.den, _Q_ZONE
-    if N >= 2 * m + 4:
-        # solve the boundary zone exactly with the tail pinned to 1
-        rows = [d.row(r) for r in range(m + 2)]
-        A, b = [], []
-        for i in range(m):
-            A.append([rows[r].get(i, 0) for r in range(m)])
-            tail = sum(rows[r].get(i, 0) for r in range(m, i + 3))
-            b.append((-den if i == 0 else 0) - tail)
-        zone = _solve_exact(A, b)
-        return {**dict(enumerate(zone)), **{N - 1 - i: w for i, w in enumerate(zone)}}
-    rows = [d.row(r) for r in range(N)]
-    A = [[rows[r].get(i, 0) for r in range(N)] for i in range(N + 1)]
-    b = [0] * (N + 1)
-    b[0], b[N] = -den, den
+    """Center weights q_0..q_{u-1} from the left end, as {index: weight},
+    forced by the conservation law sum_r q_r*D[r,i] = -delta_{i,0} +
+    delta_{i,N} on D's integer rows (the law times D's denominator).  One
+    square solve: the equations at nodes 0..u-1 in u unknowns, D's rows past
+    the zone that reach those nodes (weight 1) moved to the right-hand side;
+    u = ``_Q_ZONE`` on a large grid, and u = N on a small one, where no row
+    lies past it.  The last equation, at node N, is implied: it is minus the
+    sum of the other N, since D annihilates constants.  The solution is
+    unique and D mirrors, so the weights mirror, q_i = q_{N-1-i}."""
+    u = _Q_ZONE if N >= 2 * _Q_ZONE + 4 else N
+    rows = [d.row(r) for r in range(min(u + 2, N))]
+    A = [[row.get(i, 0) for row in rows[:u]] for i in range(u)]
+    b = [(-d.den if i == 0 else 0) - sum(row.get(i, 0) for row in rows[u:]) for i in range(u)]
     return dict(enumerate(_solve_exact(A, b)))
 
 
@@ -344,9 +326,10 @@ def _validate_order_cells(k, N):
 
 
 def _diagonal(weights, n):
-    """The n x n diagonal operator with the mirror-symmetric rational
-    ``weights`` ({index: weight}) on its diagonal and 1 elsewhere; its
-    closure runs to the deepest weight from either end."""
+    """The n x n diagonal operator with the rational left-end ``weights``
+    ({index: weight}) on its diagonal, mirrored to the right end, and 1
+    elsewhere; its closure runs to the deepest weight, read up to the
+    middle (a weight past it equals its mirror and is not read)."""
     depth = 1 + max(min(i, n - 1 - i) for i in weights)
     return _Operator(*_exact([{i: weights.get(i, 1)} for i in range(depth)], {0: 1}, 1), (n, n))
 
@@ -363,8 +346,8 @@ def _rational_construction(k: int, N: int):
               "I_D": (N + 2, N + 1), "I_G": (N + 1, N + 2)}
     ops = {name: _Operator(*parts, shapes[name]) for name, parts in _stencils(k).items()}
     g, d_hat = ops["G"], ops["D_hat"]
-    q = ops["Q"] = _diagonal({0: Fraction(1, 2), N + 1: Fraction(1, 2),
-                              **{r + 1: w for r, w in _build_q(N, ops["D"]).items()}}, N + 2)
+    q_weights = {r + 1: w for r, w in _build_q(N, ops["D"]).items()}
+    q = ops["Q"] = _diagonal({0: Fraction(1, 2), **q_weights}, N + 2)
     # B_hat = Q*D_hat + G^T*P (spacing cancels, so this is the physical
     # matrix) and the unit-spacing Laplacian D_hat*G (physical scaling 1/h^2)
     # are formed exactly, on integer rows, in their left rows and mirrored to
@@ -384,11 +367,11 @@ def _rational_construction(k: int, N: int):
     # p_i = -<(Q*D_hat)[:, i], G[i, :]> / |G[i, :]|^2, except the middle
     # node of an even grid, which keeps weight 1 (at k=4 and N < 28 that is
     # not its minimizer).
-    weights = dict.fromkeys((0, N), Fraction(-g.den, g_rows[0][0]))
+    weights = {0: Fraction(-g.den, g_rows[0][0])}
     for i in range(1, min(_P_ZONE, (N - 1) // 2) + 1):
         row = g_rows[i]
         num = sum(qd_rows[j].get(i, 0) * c for j, c in row.items())
-        weights[i] = weights[N - i] = Fraction(-num * g.den, qd * sum(c * c for c in row.values()))
+        weights[i] = Fraction(-num * g.den, qd * sum(c * c for c in row.values()))
     p = ops["P"] = _diagonal(weights, N + 1)
     if min(v for op in (q, p) for row in op.closure for v in row.values()) <= 0:
         raise ConstructionError(f"non-positive quadrature weight (order k={k}, n_cells N={N})")

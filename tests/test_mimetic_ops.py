@@ -61,52 +61,34 @@ def test_operator_set_is_cached(grid01):
 # Exact solver and bitwise construction
 # ---------------------------------------------------------------------------
 
-_SMALL_FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
-
-
 @st.composite
-def _rational_systems(draw):
-    """(kind, A, b) over small rationals: a square system with a random b;
-    an overdetermined consistent one, b = A x0; an overdetermined one with
-    a random b; or one whose last column combines the others, with b = A x0
-    or a random b."""
-    kind = draw(st.sampled_from(["square", "overdetermined", "inconsistent", "rank_deficient"]))
-    n_cols = draw(st.integers(1, 5))
-    if kind == "square":
-        n_rows = n_cols
-    else:
-        n_rows = draw(st.integers(1 if kind == "rank_deficient" else n_cols + 1, n_cols + 3))
-    row = st.lists(_SMALL_FRACTIONS, min_size=n_cols, max_size=n_cols)
-    A = draw(st.lists(row, min_size=n_rows, max_size=n_rows))
-    if kind == "rank_deficient":
-        weights = draw(st.lists(_SMALL_FRACTIONS, min_size=n_cols - 1, max_size=n_cols - 1))
+def _square_systems(draw):
+    """(singular, A, b): a square system over small integers with a random
+    b; when ``singular``, its last column is an integer combination of the
+    others (all zero for one unknown)."""
+    singular = draw(st.booleans())
+    n = draw(st.integers(1, 5))
+    ints = st.integers(-9, 9)
+    A = draw(st.lists(st.lists(ints, min_size=n, max_size=n), min_size=n, max_size=n))
+    if singular:
+        weights = draw(st.lists(ints, min_size=n - 1, max_size=n - 1))
         for a in A:
-            a[-1] = sum((w * c for w, c in zip(weights, a)), Fraction(0))
-    x0 = draw(row)
-    if kind in ("square", "inconsistent") or (kind == "rank_deficient" and draw(st.booleans())):
-        b = draw(st.lists(_SMALL_FRACTIONS, min_size=n_rows, max_size=n_rows))
-    else:
-        b = [sum((c * x for c, x in zip(a, x0)), Fraction(0)) for a in A]
-    return kind, A, b
+            a[-1] = sum(w * c for w, c in zip(weights, a))
+    return singular, A, draw(st.lists(ints, min_size=n, max_size=n))
 
 
-@settings(max_examples=100)  # 25 per kind on average
-@given(system=_rational_systems())
+@settings(max_examples=100)
+@given(system=_square_systems())
 def test_solve_exact_matches_rational_oracle(system):
-    """The fraction-free solver returns the oracle's exact solution, or
-    refuses the system with the message for its defect (inconsistency
-    first)."""
-    kind, A, b = system
-    solution, rank, consistent = rational_solve(A, b)
-    if kind == "overdetermined":
-        assert consistent
-    if kind == "rank_deficient":
-        assert rank < len(A[0])
-    if not consistent:
-        with pytest.raises(ConstructionError, match="^inconsistent stencil/weight system$"):
-            _solve_exact(A, b)
-    elif solution is None:
-        with pytest.raises(ConstructionError, match="^underdetermined stencil/weight system$"):
+    """The fraction-free solver returns the oracle's exact solution of a
+    nonsingular square integer system, every entry a Fraction, and refuses
+    a singular one."""
+    singular, A, b = system
+    solution, rank, _ = rational_solve(A, b)
+    if singular:
+        assert rank < len(A)
+    if rank < len(A):
+        with pytest.raises(ConstructionError, match="^singular weight system$"):
             _solve_exact(A, b)
     else:
         x = _solve_exact(A, b)
@@ -114,10 +96,13 @@ def test_solve_exact_matches_rational_oracle(system):
 
 
 def test_construction_solves_match_rational_oracle(monkeypatch):
-    """Every system the exact construction solves has the oracle's exact
-    solution: the full conservation system (k=4, N < 28) and the 12-cell
-    quadrature zone (k=4, N >= 28).  The stencil rows are not solved; their
-    exactness is ``test_stencil_rows_are_exact_in_fractions``."""
+    """Every system the exact construction solves is square and has the
+    oracle's exact solution: Q's one conservation solve, in all N weights
+    below N = 28 and in the 12-cell quadrature zone from N = 28 on, with the
+    equation at node N left out as implied (the law itself is checked in
+    ``test_quadrature_weights_satisfy_the_conservation_law_exactly``).  The
+    stencil rows are not solved; their exactness is
+    ``test_stencil_rows_are_exact_in_fractions``."""
     solved = []
 
     def recording(A, b):
@@ -129,6 +114,7 @@ def test_construction_solves_match_rational_oracle(monkeypatch):
         for n in [*range(2 * k, 41), 600]:
             mimetic_ops._rational_construction.__wrapped__(k, n)
     for A, b, x in solved:
+        assert len(A) == len(b) and all(len(row) == len(A) for row in A)
         assert rational_solve(A, b) == (x, len(A[0]), True)
     assert {12, 27} <= {len(A[0]) for A, _, _ in solved}
 
@@ -383,6 +369,33 @@ def test_node_weights_minimize_boundary_operator_columns(k):
                 continue
             num = sum(q[j] * d_hat_cols[i].get(j, 0) * c for j, c in g[i].items())
             assert p[i] == -num / sum(c * c for c in g[i].values()), (n, i)
+
+
+@pytest.mark.parametrize("k", SUPPORTED_ORDERS)
+def test_quadrature_weights_satisfy_the_conservation_law_exactly(k):
+    """Q's center weights q_r = Q[r+1, r+1] satisfy the conservation law
+    sum_r q_r*D[r,i] = -delta_{i,0} + delta_{i,N} exactly, on equations
+    built here from D's rows, not by ``_build_q``.  Every equation the solve
+    was given holds: nodes 0..N-1 below N = 28, and from N = 28 on the
+    zone's nodes 0..11, with every weight past the zone 1 (their mirrors
+    N-11..N hold too).  Below N = 28 the equation at node N, which the solve
+    leaves out as implied, holds as well, and the solve's own weights
+    mirror, q_i = q_{N-1-i}.  This takes over the consistency check the solver made at
+    run time when it was given all N + 1 equations."""
+    for n, exact in _exact_sets(k):
+        q = [_row(exact["Q"], r + 1)[r + 1] for r in range(n)]
+        law = [Fraction(0)] * (n + 1)
+        for r in range(n):
+            for i, c in _row(exact["D"], r).items():
+                law[i] += q[r] * c
+        target = [-1, *[0] * (n - 1), 1]
+        u = 12 if n >= 28 else n
+        assert law[:u] == target[:u], n
+        if n < 28:
+            solved = mimetic_ops._build_q(n, exact["D"])  # all n weights: Q mirrors the left half
+            assert law[n] == 1 and [solved[i] for i in range(n)] == q == q[::-1], n
+        else:
+            assert q[u:n - u] == [1] * (n - 2 * u) and law[n + 1 - u:] == target[n + 1 - u:], n
 
 
 def test_shapes(ops, grid01):
