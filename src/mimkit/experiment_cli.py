@@ -371,8 +371,9 @@ def run_energy_experiment(config: ExperimentConfig, processes: int = 1) -> dict:
     another.  With ``processes`` > 1 the schemes run side by side in that
     many worker processes started by fork (``"fork"`` must be among
     ``multiprocessing.get_all_start_methods()``); the operator set is built
-    here first, so the workers inherit it, and each worker starts on its own
-    usable CPU where the platform can set CPU affinity.  The outputs are
+    here first, with every kernel the system reads converted, so the workers
+    inherit it, and each worker starts on its own usable CPU where the
+    platform can set CPU affinity.  The outputs are
     identical either way, apart from each scheme's ``wall_seconds``, which
     is its time in its own process; ``processes`` is recorded in the
     summary.  A worker that dies raises
@@ -594,8 +595,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_dump_ops(args) -> int:
-    with _library_rules():
-        kernels = build_operator_set(args.order, build_grid(*args.domain, args.cells)).kernels
+    with _library_rules():  # dict() converts every operator here, under the rules
+        kernels = dict(build_operator_set(args.order, build_grid(*args.domain, args.cells)).kernels)
     for name, kernel in kernels.items():
         rows, cols = kernel.shape
         sys.stdout.write(f"# operator {name} ({rows}x{cols})\n")

@@ -43,10 +43,13 @@ solver's results and the node weights, each turned into integers over its
 operator's denominator.  On conversion to sparse floats (scaled by powers
 of h) each entry v/den is ``v / den``, the float nearest it; the closure and
 mirror rows are written entry by entry and the interior rows one template
-column at a time, into preallocated arrays; both stages are cached.
+column at a time, into preallocated arrays.  The exact stage is cached per
+(k, N) and the operator set per (k, grid); within a set each float operator
+is converted on its first use and kept, so a run converts only the operators
+its system reads.
 
-The float operators, all nine, live as kernel arrays: the ``data``,
-``indices``, ``indptr`` and ``shape`` that scipy's compiled CSR kernel reads
+The float operators live as kernel arrays: the ``data``, ``indices``,
+``indptr`` and ``shape`` that scipy's compiled CSR kernel reads
 (``MimeticOperatorSet.kernels``).  The time-stepping path multiplies with
 them through ``matvec``, which runs that kernel, loaded by file from scipy's
 install when this module loads, without importing the ``scipy.sparse``
@@ -84,6 +87,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -401,6 +405,28 @@ def _rational_construction(k: int, N: int):
 # float sparse assembly
 # ---------------------------------------------------------------------------
 
+class _LazyKernels(Mapping):
+    """Kernel arrays by operator name, in the order of ``scales``: each is
+    its exact operator's ``to_csr(scales[name])``, converted on the name's
+    first lookup and kept, so a run converts only the operators it reads,
+    each once, and iterating converts them all."""
+
+    def __init__(self, exact, scales):
+        self._exact, self._scales, self._kernels = exact, scales, {}
+
+    def __getitem__(self, name):
+        kernel = self._kernels.get(name)
+        if kernel is None:
+            kernel = self._kernels[name] = self._exact[name].to_csr(self._scales[name])
+        return kernel
+
+    def __iter__(self):
+        return iter(self._scales)
+
+    def __len__(self):
+        return len(self._scales)
+
+
 def _kernel_matrix(name):
     """A cached property: kernel operator ``name`` as a ``scipy.sparse``
     ``csr_matrix`` over the same arrays (no copy)."""
@@ -420,11 +446,13 @@ class MimeticOperatorSet:
     ``MimeticOperatorSet(grid, kernels)``: ``kernels`` maps each of D, G,
     D_hat, Q, P, B_hat, L, I_D and I_G, in that order, to its kernel arrays
     (data, indices, indptr, shape), which ``matvec`` and ``dump_operator``
-    take.  The attributes of those names are ``scipy.sparse.csr_matrix``
-    objects built on first access (importing ``scipy.sparse`` then) and
-    cached.  They share their arrays with ``kernels``, and ``q_diag`` and
-    ``p_diag`` are the ``data`` of Q and P, read off ``kernels``, so writing
-    to one writes to the others.
+    take.  It may be a plain dict; ``build_operator_set`` passes a mapping
+    that converts each operator on its first lookup and keeps it, and reads
+    Q and P here.  The attributes of those names are
+    ``scipy.sparse.csr_matrix`` objects built on first access (importing
+    ``scipy.sparse`` then) and cached.  They share their arrays with
+    ``kernels``, and ``q_diag`` and ``p_diag`` are the ``data`` of Q and P,
+    read off ``kernels``, so writing to one writes to the others.
 
     The inner products are bare weighted dots with no length check of their
     own (numpy refuses a product that does not fit the weights);
@@ -449,7 +477,7 @@ class MimeticOperatorSet:
     Q = _kernel_matrix("Q")
     P = _kernel_matrix("P")
 
-    def __init__(self, grid: StaggeredGrid1D, kernels: dict):
+    def __init__(self, grid: StaggeredGrid1D, kernels: Mapping):
         self.grid, self.kernels = grid, kernels
         self.q_diag, self.p_diag = kernels["Q"].data, kernels["P"].data
         self._q_scratch, self._p_scratch = np.empty_like(self.q_diag), np.empty_like(self.p_diag)
@@ -528,6 +556,9 @@ def build_operator_set(k: int, grid: StaggeredGrid1D) -> MimeticOperatorSet:
     B_hat = Q*D_hat + G^T*P is exact by construction and h-independent), so
     rows outside the boundary closure zone are exactly zero.  An order, size
     or spacing it cannot build (1/h**2 must be a finite float) raises ValueError.
+    The exact construction runs here; of the float kernels only Q and P are
+    converted here (``q_diag`` and ``p_diag``), and each other one on its
+    first lookup in ``kernels`` (``_LazyKernels``).
     """
     exact = _rational_construction(k, grid.n_cells)
     h = grid.h
@@ -536,8 +567,7 @@ def build_operator_set(k: int, grid: StaggeredGrid1D) -> MimeticOperatorSet:
     # in the order dump-ops prints them
     scales = {"D": 1.0 / h, "G": 1.0 / h, "D_hat": 1.0 / h, "Q": h, "P": h,
               "B_hat": 1.0, "L": 1.0 / h**2, "I_D": 1.0, "I_G": 1.0}
-    kernels = {name: exact[name].to_csr(scale) for name, scale in scales.items()}
-    return MimeticOperatorSet(grid, kernels)
+    return MimeticOperatorSet(grid, _LazyKernels(exact, scales))
 
 
 def mimetic_identity_residual(ops: MimeticOperatorSet, v, f_hat) -> float:

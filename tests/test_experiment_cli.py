@@ -27,7 +27,7 @@ from mimkit import (
     run_convergence_study,
     run_energy_experiment,
 )
-from mimkit import experiment_cli
+from mimkit import experiment_cli, mimetic_ops
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -672,17 +672,33 @@ def test_dump_ops_rejects_unbuildable_size(capsys, argv, message):
     assert out == "" and err.startswith(f"config error: {message}")
 
 
-@pytest.mark.parametrize("command", [["energy"], ["converge", "--n", "16,32"],
-                                     ["bench", "--repeats", "3"], ["dump-ops"]],
-                         ids=["energy", "converge", "bench", "dump-ops"])
+_COMMANDS = {"energy": ["energy"], "converge": ["converge", "--n", "16,32"],
+             "bench": ["bench", "--repeats", "3"], "dump-ops": ["dump-ops"]}
+
+
+@pytest.mark.parametrize("command,failing", [
+    *((argv, "build") for argv in _COMMANDS.values()),
+    *((argv, "conversion") for argv in _COMMANDS.values()),
+], ids=[*_COMMANDS, *(f"{name}-conversion" for name in _COMMANDS)])
 def test_memory_error_building_operators_is_config_error(tmp_path, capsys, monkeypatch,
-                                                         command):
+                                                         command, failing):
     """Every subcommand builds its operators through one helper, which maps
-    a MemoryError to exit 2."""
+    a MemoryError to exit 2, whether the operator set fails to build or an
+    operator converted on first use (every one but Q and P, which the set
+    converts when it is built) fails to convert."""
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 745. GiB")
 
-    monkeypatch.setattr(experiment_cli, "build_operator_set", out_of_memory)
+    if failing == "build":
+        monkeypatch.setattr(experiment_cli, "build_operator_set", out_of_memory)
+    else:
+        to_csr = mimetic_ops._Operator.to_csr
+
+        def to_csr_but_diagonals(op, scale=1.0):
+            return to_csr(op, scale) if set(op.template) == {0} else out_of_memory()
+
+        mimetic_ops.build_operator_set.cache_clear()  # so that the set's other operators convert anew
+        monkeypatch.setattr(mimetic_ops._Operator, "to_csr", to_csr_but_diagonals)
     if command == ["dump-ops"]:
         argv = ["dump-ops", "--order", "4", "--cells", "32"]
     else:

@@ -9,6 +9,7 @@ companion pinning down what actually holds.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -19,10 +20,18 @@ from hypothesis import strategies as st
 from mimkit import (
     SUPPORTED_ORDERS,
     ConstructionError,
+    MimeticOperatorSet,
+    SchemeKind,
+    ShallowWaterSystem,
+    WaveSystem,
     build_grid,
     build_operator_set,
+    cfl_dt,
     dump_operator,
+    gaussian_ic,
+    integrate,
     mimetic_identity_residual,
+    shallow_water_ic,
 )
 from mimkit import mimetic_ops
 from mimkit.mimetic_ops import _solve_exact, matvec
@@ -913,6 +922,7 @@ rng = np.random.default_rng(7)
 for k in (2, 4):
     ops = mimkit.build_operator_set(k, mimkit.build_grid(-1.0, 2.0, 37))
     assert list(ops.kernels) == ["D", "G", "D_hat", "Q", "P", "B_hat", "L", "I_D", "I_G"]
+    assert len(ops.kernels) == 9
     for name, kernel in ops.kernels.items():
         x = rng.standard_normal(kernel.shape[1])
         x[::3] = -0.0
@@ -920,6 +930,71 @@ for k in (2, 4):
         want = getattr(ops, name) @ x
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), (k, name)
 """)
+
+
+@pytest.fixture
+def conversions(monkeypatch):
+    """A fresh (uncached) k=4, N=40 operator set, and a Counter of the
+    operators ``_Operator.to_csr`` has converted since, by name."""
+    grid = build_grid(0.0, 1.0, 40)
+    names = {id(op): name for name, op in mimetic_ops._rational_construction(4, 40).items()}
+    counts = Counter()
+    to_csr = mimetic_ops._Operator.to_csr
+
+    def counting_to_csr(op, scale=1.0):
+        counts[names[id(op)]] += 1
+        return to_csr(op, scale)
+
+    monkeypatch.setattr(mimetic_ops._Operator, "to_csr", counting_to_csr)
+    return build_operator_set.__wrapped__(4, grid), counts
+
+
+@pytest.mark.parametrize("problem,operators", [
+    ("wave", {"Q", "P", "L", "G"}),
+    ("shallow_water", {"Q", "P", "G", "D_hat", "I_D", "I_G"}),
+])
+def test_systems_convert_only_the_operators_they_read(conversions, problem, operators):
+    """Building a set converts Q and P; building a system converts the
+    operators its rates and energy read, each once; steps of every scheme
+    that runs on the system (shallow water's energy is not quadratic, so not
+    RRK_analytic) convert nothing more."""
+    ops, counts = conversions
+    assert counts == {"Q": 1, "P": 1}
+    if problem == "wave":
+        system, state0 = WaveSystem(ops), gaussian_ic(ops.grid).arrays()
+    else:
+        system, state0 = ShallowWaterSystem(ops), shallow_water_ic(ops.grid).arrays()
+    assert counts == dict.fromkeys(operators, 1)
+    dt = cfl_dt(ops.grid, 0.5, system.wave_speed)
+    for kind in SchemeKind:
+        if problem == "shallow_water" and kind is SchemeKind.RRK_ANALYTIC:
+            continue
+        assert integrate(system, kind, state0, 3 * dt, dt).n_steps == 3
+    assert counts == dict.fromkeys(operators, 1)
+
+
+def test_kernels_convert_once_and_share_with_the_matrices(conversions):
+    """A repeated lookup returns the kernel converted first, which the
+    ``scipy.sparse`` matrix wraps; iterating converts the rest, each once."""
+    ops, counts = conversions
+    assert ops.kernels["G"] is ops.kernels["G"]
+    assert np.shares_memory(ops.L.data, ops.kernels["L"].data)
+    assert counts == {"Q": 1, "P": 1, "G": 1, "L": 1}
+    assert [name for name, _ in ops.kernels.items()] == list(OPERATORS)
+    assert counts == dict.fromkeys(OPERATORS, 1)
+    with pytest.raises(KeyError):
+        ops.kernels["M"]
+
+
+def test_operator_set_from_a_plain_dict(ops):
+    """``MimeticOperatorSet`` accepts kernels as a plain dict."""
+    kernels = dict(ops.kernels)
+    plain = MimeticOperatorSet(ops.grid, kernels)
+    assert plain.kernels is kernels and plain.q_diag is ops.q_diag
+    assert np.shares_memory(plain.G.data, kernels["G"].data)
+    rng = np.random.default_rng(3)
+    v, f = rng.standard_normal(ops.grid.n_cells + 1), rng.standard_normal(ops.grid.n_cells + 2)
+    assert mimetic_identity_residual(plain, v, f) == mimetic_identity_residual(ops, v, f)
 
 
 def test_missing_kernel_file_is_an_import_error(monkeypatch):
