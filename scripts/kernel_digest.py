@@ -1,6 +1,7 @@
 """Print one sha256 over the kernel arrays of many operator sets.
 
-For order k in {2, 4}, cell counts N = 2k..199, 399, 511, 1000, 1001 and
+For each order k in ``SUPPORTED_ORDERS`` (so a new order is covered with
+no edit here), cell counts N = 2k..199, 399, 511, 1000, 1001 and
 4097, and the domains [0, 1], [-30, 30] and [-1, 2.5], in that loop order,
 each of the nine ``ops.kernels`` entries feeds its ``data``, ``indices`` and
 ``indptr`` bytes, then ``repr(shape)``, into one sha256, whose hex digest is
@@ -15,14 +16,14 @@ from __future__ import annotations
 import hashlib
 
 from mimkit.grid_fields import build_grid
-from mimkit.mimetic_ops import build_operator_set
+from mimkit.mimetic_ops import SUPPORTED_ORDERS, build_operator_set
 
 DOMAINS = ((0.0, 1.0), (-30.0, 30.0), (-1.0, 2.5))
 
 
 def kernel_digest() -> str:
     digest = hashlib.sha256()
-    for k in (2, 4):
+    for k in SUPPORTED_ORDERS:
         for n_cells in [*range(2 * k, 200), 399, 511, 1000, 1001, 4097]:
             for a, b in DOMAINS:
                 ops = build_operator_set(k, build_grid(a, b, n_cells))

@@ -548,7 +548,10 @@ def _parse_cells_list(text: str) -> List[int]:
 
 
 def _parse_domain(text: str) -> Tuple[float, float]:
-    a, b = map(float, text.split(","))
+    try:
+        a, b = map(float, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected two numbers a,b, got {text!r}") from None
     return a, b
 
 

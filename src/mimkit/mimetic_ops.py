@@ -28,7 +28,7 @@ Q and P are diagonal: their closures hold the boundary-zone weights, and
 their template is the interior weight h (1 at unit spacing).  Exact
 arithmetic and Python-level work are spent only in the closure zones, so
 they do not grow with N: the closures (interior weights are exactly h and
-are never formed one by one), the rows of B_hat within ``_P_ZONE`` plus
+are never formed one by one), the rows of B_hat within P's depth plus
 the stencil reach of each end, and L's first k+1 rows (row k is interior,
 the product of the two interior stencils, and gives L's template).
 Interior rows of B_hat are empty.  The one-sided and centered stencils of
@@ -73,12 +73,13 @@ Gauss residual: ``G*1 = 0`` and the conservation law give ``1^T B_hat =
 reduce to their corners and ``mimetic_identity_residual`` would be
 identically zero.
 
-For k=4 the conservation solve has a geometric tail decaying ~26x per cell;
-weights are truncated to h beyond ``_Q_ZONE`` cells (conservation residual
-~1e-14).  Every N takes one square exact solve, for the zone's
-``_Q_ZONE`` weights on a large grid and all N on a small one; the last
-equation is implied by the others, and the weights mirror, so Q and P are
-built from their left-end weights.
+Each order has one boundary-zone depth, ``_Q_ZONE[k]`` cells, over which
+Q's weights may differ from h: 12 at k=4, whose conservation solve decays
+~26x per cell (truncated there: residual ~1e-14), 0 at k=2, whose stencil
+telescopes.  P's node weights span zone + k nodes, B_hat's rows that + 1 +
+k/2.  Grids from N = 2*zone + k on solve for the zone's weights, smaller
+ones for all N; the last equation is implied, and the weights mirror, so Q
+and P are built from their left-end weights.
 """
 
 from __future__ import annotations
@@ -105,16 +106,11 @@ __all__ = [
     "dump_operator",
 ]
 
-SUPPORTED_ORDERS = (2, 4)
-
-# Cells per side over which k=4 quadrature weights may deviate from h.  The
-# conservation recursion has a geometric mode decaying ~26x per cell, so
-# truncating at this depth leaves a residual ~1e-14 (machine-level) while
-# keeping the deviation zone, and hence the B_hat closure zone, N-independent.
-_Q_ZONE = 12
-# Nodes per side over which node weights may deviate from h (must cover the
-# quadrature deviation zone plus the stencil width).
-_P_ZONE = 16
+# Q's boundary-zone depth per order, the one per-order depth: the least m
+# with rho^-m < 2^-52, rho the growing root of D's centered stencil
+# polynomial over (z - 1) (z^2 - 26z + 1 at k=4; a constant at k=2).
+_Q_ZONE = {2: 0, 4: 12}
+SUPPORTED_ORDERS = tuple(_Q_ZONE)
 
 
 # ---------------------------------------------------------------------------
@@ -303,18 +299,18 @@ def _stencils(k):
     }
 
 
-def _build_q(N, d):
+def _build_q(k, N, d):
     """Center weights q_0..q_{u-1} from the left end, as {index: weight},
     forced by the conservation law sum_r q_r*D[r,i] = -delta_{i,0} +
     delta_{i,N} on D's integer rows (the law times D's denominator).  One
     square solve: the equations at nodes 0..u-1 in u unknowns, D's rows past
     the zone that reach those nodes (weight 1) moved to the right-hand side;
-    u = ``_Q_ZONE`` on a large grid, and u = N on a small one, where no row
-    lies past it.  The last equation, at node N, is implied: it is minus the
-    sum of the other N, since D annihilates constants.  The solution is
-    unique and D mirrors, so the weights mirror, q_i = q_{N-1-i}."""
-    u = _Q_ZONE if N >= 2 * _Q_ZONE + 4 else N
-    rows = [d.row(r) for r in range(min(u + 2, N))]
+    u = zone = ``_Q_ZONE[k]`` from N = 2*zone + k on, else N.  The equation at
+    node N is implied (minus the sum of the others: D annihilates constants);
+    the solution is unique and D mirrors, so q_i = q_{N-1-i}."""
+    zone = _Q_ZONE[k]
+    u = zone if N >= 2 * zone + k else N
+    rows = [d.row(r) for r in range(min(u + k // 2, N))]
     A = [[row.get(i, 0) for row in rows[:u]] for i in range(u)]
     b = [(-d.den if i == 0 else 0) - sum(row.get(i, 0) for row in rows[u:]) for i in range(u)]
     return dict(enumerate(_solve_exact(A, b)))
@@ -350,29 +346,30 @@ def _rational_construction(k: int, N: int):
               "I_D": (N + 2, N + 1), "I_G": (N + 1, N + 2)}
     ops = {name: _Operator(*parts, shapes[name]) for name, parts in _stencils(k).items()}
     g, d_hat = ops["G"], ops["D_hat"]
-    q_weights = {r + 1: w for r, w in _build_q(N, ops["D"]).items()}
+    q_weights = {r + 1: w for r, w in _build_q(k, N, ops["D"]).items()}
     q = ops["Q"] = _diagonal({0: Fraction(1, 2), **q_weights}, N + 2)
     # B_hat = Q*D_hat + G^T*P (spacing cancels, so this is the physical
     # matrix) and the unit-spacing Laplacian D_hat*G (physical scaling 1/h^2)
     # are formed exactly, on integer rows, in their left rows and mirrored to
     # the right end (up to the middle row on small grids).  Weights differ
-    # from 1 only on nodes <= _P_ZONE and cells < _Q_ZONE, and G's stencil
-    # reaches k/2 columns past its row, so a B_hat row j >= nb is
+    # from 1 only on cells < zone and nodes <= depth = zone + k, and G's
+    # stencil reaches k/2 columns past its row, so a B_hat row j >= nb is
     # c_{i-j+1} + c_{j-i} = 0 by the stencil's antisymmetry.
-    nb = min(_P_ZONE + 1 + k // 2, (N + 3) // 2)
+    depth = _Q_ZONE[k] + k
+    nb = min(depth + 1 + k // 2, (N + 3) // 2)
     g_rows = [g.row(i) for i in range(nb + 1)]  # G rows past nb start at column nb or later
     qd, qd_rows = q.den * d_hat.den, []  # Q*D_hat rows 0..nb over q.den*d_hat.den
     for j in range(nb + 1):
         w = q.row(j)[j]
         qd_rows.append({i: w * c for i, c in d_hat.row(j).items()})
     # Node weights: the corner weight pins B_hat[0,0] = -1 (D_hat's row 0 is
-    # empty), and each node 1..N-1 within _P_ZONE of either end takes the
+    # empty), and each node 1..N-1 within depth of either end takes the
     # exact least-squares minimizer of its B_hat column's defect,
     # p_i = -<(Q*D_hat)[:, i], G[i, :]> / |G[i, :]|^2, except the middle
     # node of an even grid, which keeps weight 1 (at k=4 and N < 28 that is
     # not its minimizer).
     weights = {0: Fraction(-g.den, g_rows[0][0])}
-    for i in range(1, min(_P_ZONE, (N - 1) // 2) + 1):
+    for i in range(1, min(depth, (N - 1) // 2) + 1):
         row = g_rows[i]
         num = sum(qd_rows[j].get(i, 0) * c for j, c in row.items())
         weights[i] = Fraction(-num * g.den, qd * sum(c * c for c in row.values()))

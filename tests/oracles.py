@@ -73,9 +73,10 @@ def rational_solve(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
 
     Returns ``(solution, rank, consistent)``: the rank of A, whether b lies
     in A's column space, and the unique solution when there is one
-    (consistent and rank n), else None."""
+    (consistent and rank n), else None.  No rows is the 0 x 0 system, whose
+    solution is empty."""
     M = [[Fraction(a) for a in row] + [Fraction(bi)] for row, bi in zip(A, b)]
-    m, n = len(M), len(M[0]) - 1
+    m, n = len(M), len(M[0]) - 1 if M else 0
     rank = 0
     for col in range(n):
         piv = next((r for r in range(rank, m) if M[r][col] != 0), None)
@@ -95,6 +96,26 @@ def rational_solve(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
     for r in range(n - 1, -1, -1):  # pivot r sits in column r when rank == n
         x[r] = (M[r][n] - sum(M[r][c] * x[c] for c in range(r + 1, n))) / M[r][r]
     return x, rank, consistent
+
+
+def zone_depth(k: int) -> Tuple[int, float]:
+    """(depth, m*): the boundary-zone depth of order k's quadrature weights
+    and the real number it rounds up.  The conservation law
+    sum_r q_r*D[r, i] = 0 on interior nodes is a recursion whose modes are
+    the roots of D's centered order-k stencil polynomial sum_off c_off
+    z^(k/2 - off); z = 1 (constant weights) is one root, and the quotient by
+    (z - 1) is palindromic, so its roots pair as rho, 1/rho.  A boundary
+    deviation decays like rho^-m for the growing root rho, so it falls below
+    2^-52 for m > m* = 52 ln 2 / ln|rho|, and the depth is the least such
+    integer m.  A constant quotient (k = 2) has no mode: (0, 0.0)."""
+    points = [Fraction(2 * j - k + 1, 2) for j in range(k)]  # offsets 1-k/2..k/2 less 1/2
+    stencil = [float(c) for c in fd_weights_exact(points, Fraction(0))]
+    quotient, _ = np.polydiv(stencil, [1.0, -1.0])
+    rho = max(np.abs(np.roots(quotient)), default=1.0)
+    if rho <= 1.0:
+        return 0, 0.0
+    m_star = 52 * math.log(2) / math.log(rho)
+    return math.floor(m_star) + 1, m_star
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +197,16 @@ def standing_wave_velocity(x: np.ndarray, t: float) -> np.ndarray:
     """du/dt of :func:`standing_wave`."""
     return (-math.pi * math.sin(math.pi * t)
             * np.sin(np.pi * np.asarray(x, dtype=float)))
+
+
+def linear_wave_flow(A: np.ndarray, u0: np.ndarray, t: float) -> np.ndarray:
+    """Exact solution at time t of the linear semi-discrete wave u'' = A u
+    with u(0) = u0 and u'(0) = 0: V cos(t sqrt(-Lambda)) V^-1 u0, from a
+    dense eigendecomposition A = V Lambda V^-1 (A's spectrum real and
+    non-positive)."""
+    lam, V = np.linalg.eig(np.asarray(A, dtype=float))
+    c = np.cos(t * np.sqrt(-lam.astype(complex)))
+    return (V @ (c * np.linalg.solve(V, np.asarray(u0, dtype=float)))).real
 
 
 STANDING_WAVE_ENERGY = math.pi ** 2 / 4.0

@@ -728,14 +728,17 @@ def test_dump_ops_accepts_domain(capsys):
 
 def test_dump_ops_rejects_bad_domain(capsys):
     """A reversed domain is build_grid's config error; anything but two
-    numbers is an argparse usage error.  Both exit 2."""
+    numbers is an argparse usage error that says what it expected and names
+    no private function.  Both exit 2."""
     assert main(["dump-ops", "--order", "2", "--cells", "8", "--domain", "1,0"]) == 2
     assert capsys.readouterr().err.startswith("config error: grid requires b > a")
     for text in ("0,1,2", "0", "x,1"):
         with pytest.raises(SystemExit) as exc:
             main(["dump-ops", "--order", "2", "--cells", "8", f"--domain={text}"])
         assert exc.value.code == 2
-        assert "--domain" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"--domain: expected two numbers a,b, got '{text}'" in err
+        assert "_parse_domain" not in err
 
 
 # ---------------------------------------------------------------------------
