@@ -11,9 +11,11 @@ suite runs in a temporary working directory.
 
     PYTHONPATH=src python scripts/reach.py
 
-Two limits: code that runs in a child process is not traced, so the forked
-workers of ``energy`` runs count as never run; and criterion 7b is left
-out, because under the tracer its timing loop only costs minutes.
+Two limits: code that runs in a child process is not traced, so what only
+the forked children of ``energy`` runs execute counts as never run (the
+calling process claims schemes too, so the code they share is reached);
+and criterion 7b is left out, because under the tracer its timing loop
+only costs minutes.
 """
 
 from __future__ import annotations

@@ -6,10 +6,10 @@ Subcommands:
   configured scheme; write one CSV per scheme (``energy_<Scheme>.csv``,
   header ``t,H,rel_drift`` plus a ``gamma`` column for relaxation schemes)
   and a combined ``summary.json``.  The schemes run side by side in up to
-  one forked worker process per usable CPU (``"processes"`` in the
-  summary), or in-process where there is one CPU or no fork; the outputs
-  are identical either way, and each scheme's ``wall_seconds`` is its time
-  in its own process.
+  one process per usable CPU, this one and forked children (``"processes"``
+  in the summary), or in-process where there is one CPU or no fork; the
+  outputs are identical either way, and each scheme's ``wall_seconds`` is
+  its time in its own process.
 * ``converge <config> --n 16,32,64,128`` — standing-wave convergence study
   on [0, 1]; writes ``convergence.csv`` with observed orders.
 * ``bench <config> --repeats 5`` — timing benchmark, strictly sequential
@@ -41,6 +41,7 @@ import gc
 import json
 import math
 import os
+import pickle
 import statistics
 import sys
 from contextlib import contextmanager
@@ -302,13 +303,12 @@ def _build_setup(config: ExperimentConfig):
 # experiments
 # ---------------------------------------------------------------------------
 
-def _energy_run(config: ExperimentConfig, kind: SchemeKind) -> Tuple[dict, Optional[str]]:
-    """One scheme of an energy experiment: integrate, then write its CSV
-    (``rel_drift`` is (H - H0) / |H0|, or H - H0 when H0 = 0).  Returns
-    (summary entry, CSV path), or (failure entry, None) when the scheme
-    fails numerically.  The setup is rebuilt from ``config``; its operator
-    set comes from ``build_operator_set``'s cache."""
-    _, system, state0, dt = _build_setup(config)
+def _energy_run(config: ExperimentConfig, system, state0, dt: float,
+                kind: SchemeKind) -> Tuple[dict, Optional[str]]:
+    """One scheme of an energy experiment on the setup ``_build_setup`` made
+    from ``config``: integrate, then write its CSV (``rel_drift`` is
+    (H - H0) / |H0|, or H - H0 when H0 = 0).  Returns (summary entry, CSV
+    path), or (failure entry, None) when the scheme fails numerically."""
     try:
         record = integrate(system, kind, state0, config.t_end, dt,
                            record_every=config.record_every,
@@ -351,14 +351,67 @@ def _energy_run(config: ExperimentConfig, kind: SchemeKind) -> Tuple[dict, Optio
     return summary, path
 
 
-def _start_on_own_cpu(cpus) -> None:
-    """Worker initializer: move this worker onto the next CPU in the queue
-    ``cpus``, then let it run on any usable CPU again.  A forked worker
-    starts on its parent's CPU, and the scheduler can leave all the workers
-    sharing that one CPU for hundreds of milliseconds."""
-    usable = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {cpus.get()})
-    os.sched_setaffinity(0, usable)
+def _start_on_own_cpu(lane: int) -> None:
+    """Move this process onto the ``lane``-th usable CPU, then let it run on
+    any usable CPU again: a forked child starts on its parent's CPU, where
+    the scheduler can leave it for hundreds of milliseconds."""
+    if hasattr(os, "sched_setaffinity"):
+        usable = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {sorted(usable)[lane % len(usable)]})
+        os.sched_setaffinity(0, usable)
+
+
+def _run_in_lanes(run, kinds: Sequence[SchemeKind], processes: int) -> dict:
+    """{kind: run(kind)} from this process and up to ``processes`` - 1 forked
+    children, each claiming the next index from a pipe (a 1-byte read is
+    atomic) until it is empty or a run raises.  A child pickles its (index,
+    result or exception) pairs into its own pipe and exits; every exit
+    path empties the task pipe, then waits for every child."""
+    def claim():
+        done = []
+        while index := os.read(tasks, 1):
+            try:
+                done.append((index[0], run(kinds[index[0]])))
+            except Exception as exc:
+                return done + [(index[0], exc)]
+        return done
+
+    tasks, feed = os.pipe()
+    os.write(feed, bytes(range(len(kinds))))
+    os.close(feed)
+    children, replies = {}, []
+    try:
+        for lane in range(1, min(processes, len(kinds))):
+            reply, send = os.pipe()
+            if (pid := os.fork()) == 0:  # the child never leaves this block
+                try:
+                    _start_on_own_cpu(lane)
+                    with open(send, "wb") as out:
+                        out.write(pickle.dumps(claim()))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(send)
+            children[pid] = reply
+        _start_on_own_cpu(0)
+        results = dict(claim())
+    finally:
+        while os.read(tasks, 256):  # no process claims another scheme
+            pass
+        os.close(tasks)
+        for pid, reply in children.items():
+            with open(reply, "rb") as fh:
+                replies.append((fh.read(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    for data, code in replies:
+        results.update(pickle.loads(data) if code == 0 else ())
+    for i in range(len(kinds)):
+        if isinstance(results.get(i), Exception):
+            raise results[i]
+    if lost := [kind.value for i, kind in enumerate(kinds) if i not in results]:
+        code = next(code for _, code in replies if code)
+        raise ChildProcessError(f"a child process exited with status {code} before sending "
+                                f"its results; no result for {', '.join(lost)}")
+    return {kind: results[i] for i, kind in enumerate(kinds)}
 
 
 def run_energy_experiment(config: ExperimentConfig, processes: int = 1) -> dict:
@@ -368,44 +421,32 @@ def run_energy_experiment(config: ExperimentConfig, processes: int = 1) -> dict:
     (with the written file paths under "files").
 
     With ``processes`` = 1 every scheme runs in this process, one after
-    another.  With ``processes`` > 1 the schemes run side by side in that
-    many worker processes started by fork (``"fork"`` must be among
-    ``multiprocessing.get_all_start_methods()``); the operator set is built
-    here first, with every kernel the system reads converted, so the workers
-    inherit it, and each worker starts on its own usable CPU where the
-    platform can set CPU affinity.  The outputs are
-    identical either way, apart from each scheme's ``wall_seconds``, which
-    is its time in its own process; ``processes`` is recorded in the
-    summary.  A worker that dies raises
-    ``concurrent.futures.process.BrokenProcessPool``.
+    another.  With ``processes`` > 1 (``os.fork`` must exist) this process
+    and up to ``processes`` - 1 forked children each take the next scheme
+    as they become free; they share the setup built here, and each starts
+    on its own usable CPU where the platform can set CPU affinity.  The
+    outputs are identical either way, apart from each scheme's
+    ``wall_seconds``, its time in its own process; ``processes`` is
+    recorded in the summary.  A scheme's exception in a child is raised
+    here, a child that exits without sending its results raises
+    ``ChildProcessError``, and no child outlives the call.
 
-    Either way RRK_bisection, the longest run, starts first; the summary
-    lists the schemes and their files in config order.
+    The schemes start longest first: RRK_bisection, then the others by
+    force evaluations per step, ties in config order.  The summary lists
+    the schemes and their files in config order.
     """
     if processes < 1:
         raise ValueError(f"processes must be >= 1, got {processes!r}")
-    _, _, _, dt = _build_setup(config)
+    _, system, state0, dt = _build_setup(config)
     _make_output_dir(config)
 
-    # The longest run starts first: an RRK_bisection step makes about 43
-    # energy evaluations, any other scheme's at most 5 force evaluations.
-    first = sorted(config.schemes, key=lambda kind: kind is not SchemeKind.RRK_BISECTION)
-    run = partial(_energy_run, config)
-    if processes == 1:
-        results = dict(zip(first, map(run, first)))
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        context = multiprocessing.get_context("fork")
-        spread = {}
-        if hasattr(os, "sched_setaffinity"):
-            cpus = context.SimpleQueue()
-            usable = sorted(os.sched_getaffinity(0))
-            for i in range(processes):
-                cpus.put(usable[i % len(usable)])
-            spread = {"initializer": _start_on_own_cpu, "initargs": (cpus,)}
-        with ProcessPoolExecutor(processes, mp_context=context, **spread) as pool:
-            results = dict(zip(first, pool.map(run, first)))
+    # An RRK_bisection step makes about 43 energy evaluations, any other
+    # scheme's at most 5 force evaluations.
+    first = sorted(config.schemes, key=lambda kind: (kind is not SchemeKind.RRK_BISECTION,
+                                                     -kind.rhs_evals_per_step))
+    run = partial(_energy_run, config, system, state0, dt)
+    results = (dict(zip(first, map(run, first))) if processes == 1
+               else _run_in_lanes(run, first, processes))
 
     scheme_summaries: Dict[str, dict] = {}
     files: List[str] = []
@@ -556,15 +597,10 @@ def _parse_domain(text: str) -> Tuple[float, float]:
 
 
 def _energy_processes(n_schemes: int) -> int:
-    """Worker processes for ``energy``: one per usable CPU, at most one per
-    scheme; 1 where only one CPU is usable or fork is unavailable."""
+    """Processes for ``energy``: one per usable CPU, at most one per scheme;
+    1 where only one CPU is usable or fork is unavailable."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    processes = min(cpus or 1, n_schemes)
-    if processes > 1:
-        import multiprocessing
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return 1
-    return processes
+    return min(cpus or 1, n_schemes) if hasattr(os, "fork") else 1
 
 
 def _report(failures: Sequence[str]) -> int:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -12,7 +13,6 @@ import random
 import signal
 import time
 import warnings
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from mimkit import (
     DRIFT_THRESHOLD,
     ConfigError,
     ConvergenceRow,
+    SchemeKind,
     main,
     parse_config,
     run_convergence_study,
@@ -339,43 +340,140 @@ def test_energy_in_worker_processes_matches_in_process(tmp_path):
     assert 0.0 < failed["t"] < 15.0
 
 
+def _parent_waits_for_a_child(monkeypatch):
+    """Hold this process, where run_energy_experiment starts on its own CPU,
+    until a forked child has exited (left unreaped for the runner), so the
+    child claims the schemes first; children start as before."""
+    parent, real_start = os.getpid(), experiment_cli._start_on_own_cpu
+
+    def start(lane):
+        if os.getpid() == parent:
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+        real_start(lane)
+
+    monkeypatch.setattr(experiment_cli, "_start_on_own_cpu", start)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_energy_dead_worker_raises(tmp_path, monkeypatch):
-    """A worker process that dies mid-run makes run_energy_experiment raise
-    BrokenProcessPool promptly instead of waiting for its result; an alarm
-    fails the test if it hangs."""
-    real_integrate = experiment_cli.integrate
+    """A child process that dies mid-run makes run_energy_experiment raise
+    ChildProcessError promptly, naming its exit status and the schemes left
+    without a result, instead of waiting for them; an alarm fails the test
+    if it hangs."""
+    parent, real_integrate = os.getpid(), experiment_cli.integrate
 
     def dying_integrate(system, kind, *args, **kwargs):
-        if kind.value == "Leapfrog":
-            os._exit(1)  # the forked worker inherits this patch
+        if kind.value == "Leapfrog" and os.getpid() != parent:
+            os._exit(1)  # the forked child inherits this patch
         return real_integrate(system, kind, *args, **kwargs)
 
     monkeypatch.setattr(experiment_cli, "integrate", dying_integrate)
+    _parent_waits_for_a_child(monkeypatch)
     config = parse_config(_write_config(tmp_path))
     start = time.perf_counter()
-    with _deadline(30), pytest.raises(BrokenProcessPool):
+    with _deadline(30), pytest.raises(ChildProcessError, match=r"status 1\b.*Leapfrog"):
         run_energy_experiment(config, processes=2)
     assert time.perf_counter() - start < 10.0
+    _assert_no_child_left()
+
+
+def test_energy_scheme_raising_in_the_parent_leaves_no_child(tmp_path, monkeypatch):
+    """A scheme that raises in the calling process stops every lane taking
+    another: run_energy_experiment raises that exception promptly, once the
+    child has finished the one scheme it was running (slowed here to 0.5 s),
+    so at most one CSV is written, and no child is left."""
+    parent, real_integrate = os.getpid(), experiment_cli.integrate
+
+    def failing_integrate(system, kind, *args, **kwargs):
+        if os.getpid() == parent:
+            raise RuntimeError(f"{kind.value} failed in the parent")
+        time.sleep(0.5)
+        return real_integrate(system, kind, *args, **kwargs)
+
+    monkeypatch.setattr(experiment_cli, "integrate", failing_integrate)
+    schemes = ["rk4", "fr", "pefrl", "lf", "comp4", "rrk_analytic"]
+    config = parse_config(_write_config(tmp_path, schemes=schemes))
+    with _deadline(30), pytest.raises(RuntimeError, match="failed in the parent"):
+        run_energy_experiment(config, processes=2)
+    assert len(list((tmp_path / "out").glob("energy_*.csv"))) <= 1
+    _assert_no_child_left()
+
+
+def test_energy_lanes_beyond_the_cpus_run_each_scheme_once(tmp_path, monkeypatch):
+    """Seven lanes, more than this machine's CPUs, claim each of the seven
+    schemes exactly once from the shared pipe (each run appends its name to
+    one file; a short append is atomic), give the in-process outputs, and
+    leave no child."""
+    log, real_integrate = tmp_path / "runs.log", experiment_cli.integrate
+
+    def logging_integrate(system, kind, *args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(kind.value + "\n")
+        return real_integrate(system, kind, *args, **kwargs)
+
+    monkeypatch.setattr(experiment_cli, "integrate", logging_integrate)
+    schemes = ["rk4", "rrk_analytic", "rrk_bisection", "fr", "pefrl", "lf", "comp4"]
+    serial = run_energy_experiment(parse_config(_write_config(
+        tmp_path, name="serial.json", output_dir=str(tmp_path / "serial"), schemes=schemes)))
+    log.unlink()
+    with _deadline(60):
+        lanes = run_energy_experiment(parse_config(_write_config(tmp_path, schemes=schemes)),
+                                      processes=7)
+    assert sorted(log.read_text().split()) == sorted(kind.value for kind in SchemeKind)
+    assert lanes["processes"] == 7 and lanes["failures"] == serial["failures"] == []
+    for path in serial["files"]:
+        name = Path(path).name
+        assert (tmp_path / "out" / name).read_bytes() == Path(path).read_bytes(), name
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [
+    ConfigError("config key 'output_dir': refused in a child"),
+    OSError(errno.ENOSPC, "No space left on device", "energy_RK4.csv"),
+], ids=["ConfigError", "OSError"])
+def test_energy_exception_in_a_child_reaches_the_caller(tmp_path, monkeypatch, error):
+    """An exception a scheme raises in a child process is raised by
+    run_energy_experiment with its type and message."""
+    parent, real_integrate = os.getpid(), experiment_cli.integrate
+
+    def child_failing_integrate(system, kind, *args, **kwargs):
+        if os.getpid() != parent:
+            raise error
+        return real_integrate(system, kind, *args, **kwargs)
+
+    monkeypatch.setattr(experiment_cli, "integrate", child_failing_integrate)
+    _parent_waits_for_a_child(monkeypatch)
+    config = parse_config(_write_config(tmp_path))
+    with _deadline(30), pytest.raises(type(error)) as raised:
+        run_energy_experiment(config, processes=2)
+    assert type(raised.value) is type(error) and str(raised.value) == str(error)
+    _assert_no_child_left()
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
-def test_energy_worker_start_leaves_every_usable_cpu_allowed():
-    """A worker's start takes its CPU from the queue and then restores its
-    affinity: no worker stays pinned to one CPU."""
-    import multiprocessing
+def test_energy_worker_start_leaves_every_usable_cpu_allowed(monkeypatch):
+    """A process's start pins it to its own usable CPU, counted from the
+    lowest, and then restores its affinity: no process stays pinned."""
+    usable, real_setaffinity, calls = os.sched_getaffinity(0), os.sched_setaffinity, []
 
-    usable = os.sched_getaffinity(0)
-    cpus = multiprocessing.get_context("fork").SimpleQueue()
-    cpus.put(max(usable))
-    experiment_cli._start_on_own_cpu(cpus)
-    assert cpus.empty()
+    def recording_setaffinity(pid, cpus):
+        calls.append(set(cpus))
+        real_setaffinity(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", recording_setaffinity)
+    experiment_cli._start_on_own_cpu(len(usable) - 1)
+    assert calls == [{max(usable)}, usable]
     assert os.sched_getaffinity(0) == usable
 
 
 def test_energy_library_default_runs_in_process(tmp_path, monkeypatch):
     """run_energy_experiment's default runs every scheme in the calling
-    process, so a patched integrate sees every call (in-process timing of
-    the writes relies on this)."""
+    process, longest first, so a patched integrate sees every call
+    (in-process timing of the writes relies on this)."""
     real_integrate = experiment_cli.integrate
     calls = []
 
@@ -384,17 +482,18 @@ def test_energy_library_default_runs_in_process(tmp_path, monkeypatch):
         return real_integrate(system, kind, *args, **kwargs)
 
     monkeypatch.setattr(experiment_cli, "integrate", counting_integrate)
-    config = parse_config(_write_config(tmp_path))
+    config = parse_config(_write_config(tmp_path, schemes=["rk4", "lf", "rrk_bisection", "fr"]))
     summary = run_energy_experiment(config)
-    assert calls == ["RK4", "PEFRL", "Leapfrog"]
+    assert calls == ["RRK_bisection", "RK4", "ForestRuth", "Leapfrog"]
     assert summary["processes"] == 1
     with pytest.raises(ValueError, match="processes must be >= 1"):
         run_energy_experiment(config, processes=0)
 
 
 def test_energy_starts_the_bisection_run_first(tmp_path, monkeypatch):
-    """RRK_bisection, the longest run, starts first and the others keep
-    their config order; the summary and the files stay in config order."""
+    """RRK_bisection, the longest run, starts first, then the others by
+    force evaluations per step, ties in config order; the summary and the
+    files stay in config order."""
     real_integrate = experiment_cli.integrate
     calls = []
 
@@ -403,19 +502,19 @@ def test_energy_starts_the_bisection_run_first(tmp_path, monkeypatch):
         return real_integrate(system, kind, *args, **kwargs)
 
     monkeypatch.setattr(experiment_cli, "integrate", recording_integrate)
-    config = parse_config(_write_config(tmp_path, schemes=["rk4", "lf", "rrk_bisection", "fr"]))
+    schemes = ["lf", "pefrl", "rk4", "rrk_bisection", "comp4", "fr"]
+    config = parse_config(_write_config(tmp_path, schemes=schemes))
     summary = run_energy_experiment(config, processes=1)
-    assert calls == ["RRK_bisection", "RK4", "Leapfrog", "ForestRuth"]
-    assert list(summary["schemes"]) == ["RK4", "Leapfrog", "RRK_bisection", "ForestRuth"]
+    assert calls == ["RRK_bisection", "Composition4", "PEFRL", "RK4", "ForestRuth", "Leapfrog"]
+    in_config_order = [kind.value for kind in config.schemes]
+    assert list(summary["schemes"]) == in_config_order
     assert [Path(p).name for p in summary["files"]] == [
-        "energy_RK4.csv", "energy_Leapfrog.csv", "energy_RRK_bisection.csv", "energy_ForestRuth.csv"]
+        f"energy_{name}.csv" for name in in_config_order]
 
 
 def test_energy_cli_uses_one_process_per_usable_cpu(monkeypatch):
-    """``mimkit energy`` runs one worker per usable CPU, at most one per
+    """``mimkit energy`` runs one process per usable CPU, at most one per
     scheme, and runs in-process on one CPU or without fork."""
-    import multiprocessing
-
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     assert experiment_cli._energy_processes(7) == 4
     assert experiment_cli._energy_processes(3) == 3
@@ -426,8 +525,31 @@ def test_energy_cli_uses_one_process_per_usable_cpu(monkeypatch):
     assert experiment_cli._energy_processes(7) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert experiment_cli._energy_processes(7) == 2
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     assert experiment_cli._energy_processes(7) == 1
+
+
+def test_energy_run_with_children_imports_no_process_pool(tmp_path, fresh_python):
+    """An energy run in forked children imports no ``multiprocessing``,
+    ``concurrent`` or ``queue`` module: an import hook refusing them, which
+    the children inherit, would make the run fail."""
+    fresh_python(f"""
+import sys
+import mimkit
+POOL = ("multiprocessing", "concurrent", "queue")
+assert not [m for m in sys.modules if m.split(".")[0] in POOL]
+
+class RefusePool:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] in POOL:
+            raise ImportError(name + " imported during an energy run")
+
+sys.meta_path.insert(0, RefusePool())
+config = mimkit.parse_config({_write_config(tmp_path)!r})
+summary = mimkit.run_energy_experiment(config, processes=2)
+assert summary["processes"] == 2 and summary["failures"] == [], summary
+assert not [m for m in sys.modules if m.split(".")[0] in POOL]
+""")
 
 
 @pytest.mark.parametrize("processes", [1, 2])

@@ -33,12 +33,14 @@ from mimkit.integrators import _SPLITTINGS, _gamma_bisection, _load
 
 from oracles import (
     forest_ruth_drift_kick,
+    linear_wave_flow,
     map_jacobian,
     observed_orders,
     relaxation_gamma_from_samples,
     rk4_amplification,
     rotation_exact,
     splitting_amplification,
+    standing_wave,
     symplectic_defect,
     tableau_symplecticity_matrix,
 )
@@ -179,6 +181,47 @@ def test_convergence_order_on_oscillator(name):
     expected = 2.0 if name == "lf" else 4.0
     for rate in observed_orders(errors):
         assert rate == pytest.approx(expected, abs=0.1)
+
+
+# cfl values per scheme for the temporal order on the semi-discrete wave:
+# above round-off and inside each scheme's stability limit (Forest-Ruth's is
+# cfl 0.642).  Measured max errors at k = 4, N = 64, t = 0.8:
+#   RK4          3.10e-8, 2.01e-9, 1.22e-10, 7.58e-12 (orders 3.95, 4.05, 4.01)
+#   ForestRuth   1.55e-8, 9.32e-10, 5.78e-11          (4.06, 4.01)
+#   PEFRL        3.30e-9, 1.97e-10, 1.24e-11          (4.07, 3.99)
+#   Composition4 1.12e-10, 7.15e-12                   (3.97; at cfl 0.25 a
+#                round-off floor near 2e-13 pulls the order to 3.54)
+#   Leapfrog     9.49e-5 .. 1.48e-6                   (2.00 throughout)
+TEMPORAL_CFLS = {
+    "rk4": (0.8, 0.4, 0.2, 0.1),
+    "fr": (0.4, 0.2, 0.1),
+    "pefrl": (0.8, 0.4, 0.2),
+    "comp4": (1.0, 0.5),
+    "lf": (0.8, 0.4, 0.2, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", list(TEMPORAL_CFLS))
+def test_temporal_order_against_the_exact_semi_discrete_wave(name):
+    """Each scheme's own temporal order, with no spatial error in it: the
+    k = 4, N = 64 standing wave on [0, 1] to t = 0.8 against the oracle's
+    exact flow of u'' = L u on L's Dirichlet interior block, at the run's
+    final time.  4 +- 0.25 for the fourth-order schemes, 2 +- 0.1 for
+    Leapfrog."""
+    grid = build_grid(0.0, 1.0, 64)
+    ops = build_operator_set(4, grid)
+    system, interior = WaveSystem(ops), ops.L.toarray()[1:-1, 1:-1]
+    u0 = standing_wave(grid.extended, 0.0)
+    u0[[0, -1]] = 0.0
+    errors = []
+    for cfl in TEMPORAL_CFLS[name]:
+        record = integrate(system, name, (u0, np.zeros_like(u0)), 0.8, cfl_dt(grid, cfl),
+                           record_every=10**9)
+        exact = linear_wave_flow(interior, u0[1:-1], record.final_time)
+        errors.append(np.abs(record.final_state[0][1:-1] - exact).max())
+    expected, tol = (2.0, 0.1) if name == "lf" else (4.0, 0.25)
+    for rate in observed_orders(errors):
+        assert rate == pytest.approx(expected, abs=tol)
 
 
 # ---------------------------------------------------------------------------

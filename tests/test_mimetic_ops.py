@@ -424,6 +424,31 @@ def test_quadrature_weights_satisfy_the_conservation_law_exactly(k):
             assert law == target, n
 
 
+@pytest.mark.parametrize("k", SUPPORTED_ORDERS)
+def test_conservation_law_holds_on_the_equations_the_zone_leaves_out(k):
+    """From N = 2*zone + k on, Q's solve keeps only the zone's equations;
+    the law sum_r q_r*D[r,i] = -delta_{i,0} + delta_{i,N} at nodes
+    zone..N-zone, formed here in Fractions, then holds as far as the zone's
+    truncation allows.  At k = 2 the zone is empty and every equation holds
+    exactly.  At k = 4 the exact residual is nonzero only at nodes 12, 13
+    and their mirrors, and is at most 7.48e-15 at every size checked
+    (N = 28..40 and 600), under the bound 1e-14."""
+    zone = mimetic_ops._Q_ZONE[k]
+    for n in [*range(28, 41), 600]:
+        exact = mimetic_ops._rational_construction(k, n)
+        q = [_row(exact["Q"], r + 1)[r + 1] for r in range(n)]
+        law = [Fraction(0)] * (n + 1)
+        for r in range(n):
+            for i, c in _row(exact["D"], r).items():
+                law[i] += q[r] * c
+        target = [-1, *[0] * (n - 1), 1]
+        residual = [law[i] - target[i] for i in range(zone, n - zone + 1)]
+        if k == 2:
+            assert residual == [0] * (n + 1), n
+        else:
+            assert float(max(map(abs, residual))) <= 1e-14, n
+
+
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_zone_depth_is_the_decay_rule(k):
     """Q's boundary-zone depth, the one depth kept per order, is the
