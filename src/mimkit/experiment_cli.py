@@ -6,10 +6,10 @@ Subcommands:
   configured scheme; write one CSV per scheme (``energy_<Scheme>.csv``,
   header ``t,H,rel_drift`` plus a ``gamma`` column for relaxation schemes)
   and a combined ``summary.json``.  The schemes run side by side in up to
-  one process per usable CPU, this one and forked children (``"processes"``
-  in the summary), or in-process where there is one CPU or no fork; the
-  outputs are identical either way, and each scheme's ``wall_seconds`` is
-  its time in its own process.
+  one lane per usable CPU (``"processes"`` in the summary): this process,
+  the only lane where there is one CPU or no fork, and forked children
+  that only compute.  The outputs are identical either way, and each
+  scheme's ``wall_seconds`` is its time in its own process.
 * ``converge <config> --n 16,32,64,128`` — standing-wave convergence study
   on [0, 1]; writes ``convergence.csv`` with observed orders.
 * ``bench <config> --repeats 5`` — timing benchmark, strictly sequential
@@ -22,7 +22,8 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure (with
 scheme/step diagnostics on stderr).  ``parse_config`` type-checks a config;
 each experiment then builds its runs, where the library checks each value it
 reads, and creates its ``output_dir``, before any integration.  A refused
-value and a directory that cannot be created are configuration errors.
+value, a directory that cannot be created and a file that cannot be
+written are configuration errors; files are written after the last run.
 
 Configs are flat JSON objects (no nesting) whose keys are the fields of
 ``ExperimentConfig``, one per setting; any other key is an error.  A
@@ -51,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, NumericalFailure
+from .errors import ConfigError, NumericalFailure, _require_positive_integer
 from .grid_fields import build_grid
 from .hamiltonian_systems import (
     ShallowWaterSystem,
@@ -252,10 +253,14 @@ def _make_output_dir(config: ExperimentConfig):
 
 
 def _write(config: ExperimentConfig, name: str, text: str) -> str:
-    """Write ``text`` to ``<output_dir>/<name>``; returns the path."""
+    """Write ``text`` to ``<output_dir>/<name>``; returns the path.  A path
+    that cannot be written is a ConfigError naming ``output_dir``."""
     path = os.path.join(config.output_dir, name)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"config key 'output_dir': cannot write {path!r}: {exc}") from None
     return path
 
 
@@ -306,9 +311,9 @@ def _build_setup(config: ExperimentConfig):
 def _energy_run(config: ExperimentConfig, system, state0, dt: float,
                 kind: SchemeKind) -> Tuple[dict, Optional[str]]:
     """One scheme of an energy experiment on the setup ``_build_setup`` made
-    from ``config``: integrate, then write its CSV (``rel_drift`` is
+    from ``config``: integrate, then format its CSV (``rel_drift`` is
     (H - H0) / |H0|, or H - H0 when H0 = 0).  Returns (summary entry, CSV
-    path), or (failure entry, None) when the scheme fails numerically."""
+    text), or (failure entry, None) when the scheme fails numerically."""
     try:
         record = integrate(system, kind, state0, config.t_end, dt,
                            record_every=config.record_every,
@@ -330,7 +335,6 @@ def _energy_run(config: ExperimentConfig, system, state0, dt: float,
     if record.gammas is not None:  # the row at step s > 0 has gammas[s - 1]
         header.append("gamma")
         columns.append([None, *record.gammas[record.steps[1:] - 1].tolist()])
-    path = _write(config, f"energy_{kind.value}.csv", _csv(header, zip(*columns)))
     drift = np.abs(rel)
     summary = {
         "status": "ok",
@@ -348,7 +352,7 @@ def _energy_run(config: ExperimentConfig, system, state0, dt: float,
     if record.gammas is not None and len(record.gammas):
         summary["gamma_min"] = float(np.min(record.gammas))
         summary["gamma_max"] = float(np.max(record.gammas))
-    return summary, path
+    return summary, _csv(header, zip(*columns))
 
 
 def _start_on_own_cpu(lane: int) -> None:
@@ -363,10 +367,11 @@ def _start_on_own_cpu(lane: int) -> None:
 
 def _run_in_lanes(run, kinds: Sequence[SchemeKind], processes: int) -> dict:
     """{kind: run(kind)} from this process and up to ``processes`` - 1 forked
-    children, each claiming the next index from a pipe (a 1-byte read is
-    atomic) until it is empty or a run raises.  A child pickles its (index,
-    result or exception) pairs into its own pipe and exits; every exit
-    path empties the task pipe, then waits for every child."""
+    children (none for one lane), each claiming the next index from a pipe
+    (a 1-byte read is atomic) until it is empty or a run raises.  A child
+    only computes: it pickles its (index, result or exception) pairs into
+    its own pipe and exits.  Every exit path empties the task pipe, then
+    waits for every child."""
     def claim():
         done = []
         while index := os.read(tasks, 1):
@@ -393,7 +398,8 @@ def _run_in_lanes(run, kinds: Sequence[SchemeKind], processes: int) -> dict:
                     os._exit(1)
             os.close(send)
             children[pid] = reply
-        _start_on_own_cpu(0)
+        if children:  # a lone lane stays on its CPU
+            _start_on_own_cpu(0)
         results = dict(claim())
     finally:
         while os.read(tasks, 256):  # no process claims another scheme
@@ -415,28 +421,24 @@ def _run_in_lanes(run, kinds: Sequence[SchemeKind], processes: int) -> dict:
 
 
 def run_energy_experiment(config: ExperimentConfig, processes: int = 1) -> dict:
-    """Integrate every configured scheme; write per-scheme energy CSVs and a
-    combined summary.json.  A scheme that fails numerically is recorded in
-    the summary and does not stop the others.  Returns the summary dict
-    (with the written file paths under "files").
+    """Integrate every configured scheme, then write per-scheme energy CSVs
+    and a combined summary.json.  A scheme that fails numerically is
+    recorded in the summary and does not stop the others.  Returns the
+    summary dict (with the written file paths under "files").
 
-    With ``processes`` = 1 every scheme runs in this process, one after
-    another.  With ``processes`` > 1 (``os.fork`` must exist) this process
-    and up to ``processes`` - 1 forked children each take the next scheme
-    as they become free; they share the setup built here, and each starts
-    on its own usable CPU where the platform can set CPU affinity.  The
-    outputs are identical either way, apart from each scheme's
-    ``wall_seconds``, its time in its own process; ``processes`` is
-    recorded in the summary.  A scheme's exception in a child is raised
-    here, a child that exits without sending its results raises
-    ``ChildProcessError``, and no child outlives the call.
-
-    The schemes start longest first: RRK_bisection, then the others by
-    force evaluations per step, ties in config order.  The summary lists
-    the schemes and their files in config order.
+    The schemes run in ``_run_in_lanes``: this process and up to
+    ``processes`` - 1 forked children (``os.fork`` must exist for more than
+    one), sharing the setup built here, each taking the next scheme as it
+    becomes free, longest first: RRK_bisection, then the others by force
+    evaluations per step, ties in config order.  The outputs are identical
+    for every ``processes`` (recorded in the summary), apart from each
+    scheme's ``wall_seconds``, its time in its own process.  Only this
+    process writes, after every result is in: the CSVs, then summary.json,
+    both in config order.  So a run that raises (a scheme's exception, or
+    ``ChildProcessError`` for a lost child) writes nothing, and no child
+    outlives the call.
     """
-    if processes < 1:
-        raise ValueError(f"processes must be >= 1, got {processes!r}")
+    _require_positive_integer("processes", processes)
     _, system, state0, dt = _build_setup(config)
     _make_output_dir(config)
 
@@ -444,27 +446,25 @@ def run_energy_experiment(config: ExperimentConfig, processes: int = 1) -> dict:
     # scheme's at most 5 force evaluations.
     first = sorted(config.schemes, key=lambda kind: (kind is not SchemeKind.RRK_BISECTION,
                                                      -kind.rhs_evals_per_step))
-    run = partial(_energy_run, config, system, state0, dt)
-    results = (dict(zip(first, map(run, first))) if processes == 1
-               else _run_in_lanes(run, first, processes))
+    results = _run_in_lanes(partial(_energy_run, config, system, state0, dt), first, processes)
 
     scheme_summaries: Dict[str, dict] = {}
     files: List[str] = []
     failures: List[str] = []
     for kind in config.schemes:
-        entry, path = results[kind]
+        entry, text = results[kind]
         scheme_summaries[kind.value] = entry
-        if path is None:
+        if text is None:
             failures.append(f"{kind.value}: {entry['error']}")
         else:
-            files.append(path)
+            files.append(_write(config, f"energy_{kind.value}.csv", text))
 
     summary = {
         "experiment": "energy",
         "drift_threshold": DRIFT_THRESHOLD,
         "config": _config_echo(config),
         "dt": dt,
-        "processes": processes,
+        "processes": int(processes),  # numpy's integers too
         "schemes": scheme_summaries,
         "files": files,
         "failures": failures,

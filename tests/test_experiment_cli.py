@@ -10,6 +10,7 @@ import json
 import math
 import os
 import random
+import re
 import signal
 import time
 import warnings
@@ -385,7 +386,7 @@ def test_energy_scheme_raising_in_the_parent_leaves_no_child(tmp_path, monkeypat
     """A scheme that raises in the calling process stops every lane taking
     another: run_energy_experiment raises that exception promptly, once the
     child has finished the one scheme it was running (slowed here to 0.5 s),
-    so at most one CSV is written, and no child is left."""
+    writes no file, and leaves no child."""
     parent, real_integrate = os.getpid(), experiment_cli.integrate
 
     def failing_integrate(system, kind, *args, **kwargs):
@@ -399,7 +400,96 @@ def test_energy_scheme_raising_in_the_parent_leaves_no_child(tmp_path, monkeypat
     config = parse_config(_write_config(tmp_path, schemes=schemes))
     with _deadline(30), pytest.raises(RuntimeError, match="failed in the parent"):
         run_energy_experiment(config, processes=2)
-    assert len(list((tmp_path / "out").glob("energy_*.csv"))) <= 1
+    assert not any((tmp_path / "out").iterdir())
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_energy_run_that_raises_leaves_the_output_dir_as_it_was(tmp_path, monkeypatch,
+                                                                processes):
+    """A run that raises after six of its seven schemes have finished, in
+    the calling process (one lane) or in a child (two lanes, the child
+    running every scheme), leaves the files a previous run wrote to the
+    same output_dir byte for byte, and adds none."""
+    schemes = ["rk4", "rrk_analytic", "rrk_bisection", "fr", "pefrl", "lf", "comp4"]
+    run_energy_experiment(parse_config(_write_config(tmp_path, schemes=schemes)), processes)
+    before = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()}
+    assert len(before) == 8
+    real_integrate = experiment_cli.integrate
+
+    def leapfrog_raises(system, kind, *args, **kwargs):
+        if kind.value == "Leapfrog":  # the last scheme to start
+            raise RuntimeError("Leapfrog raised")
+        return real_integrate(system, kind, *args, **kwargs)
+
+    monkeypatch.setattr(experiment_cli, "integrate", leapfrog_raises)
+    if processes == 2:
+        _parent_waits_for_a_child(monkeypatch)
+    config = parse_config(_write_config(tmp_path, name="second.json", schemes=schemes,
+                                        t_end=0.25))
+    with _deadline(30), pytest.raises(RuntimeError, match="Leapfrog raised"):
+        run_energy_experiment(config, processes)
+    assert {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()} == before
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("processes,schemes", [(1, ["rk4", "pefrl", "lf"]), (2, ["rk4"])],
+                         ids=["processes_1", "one_scheme"])
+def test_energy_one_lane_forks_nothing_and_keeps_its_affinity(tmp_path, monkeypatch,
+                                                              processes, schemes):
+    """One lane, asked for or all that one scheme needs, runs in the calling
+    process: it forks no child and does not move itself to another CPU."""
+    def refused(*args):
+        raise AssertionError("called with one lane")
+
+    monkeypatch.setattr(os, "fork", refused, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
+    summary = run_energy_experiment(parse_config(_write_config(tmp_path, schemes=schemes)),
+                                    processes)
+    assert summary["processes"] == processes and summary["failures"] == []
+    assert len(summary["files"]) == len(schemes)
+
+
+@pytest.mark.parametrize("processes", [2, 7])
+def test_energy_only_the_caller_writes(tmp_path, monkeypatch, processes):
+    """Forked lanes only compute: every file is written by the calling
+    process, the CSVs in config order and then summary.json (each write is
+    logged with its pid to one file; a short append is atomic)."""
+    log, real_write = tmp_path / "writes.log", experiment_cli._write
+
+    def logging_write(config, name, text):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {name}\n")
+        return real_write(config, name, text)
+
+    monkeypatch.setattr(experiment_cli, "_write", logging_write)
+    schemes = ["lf", "pefrl", "rk4", "rrk_bisection", "comp4", "fr", "rrk_analytic"]
+    config = parse_config(_write_config(tmp_path, schemes=schemes))
+    with _deadline(60):
+        summary = run_energy_experiment(config, processes)
+    assert summary["processes"] == processes and summary["failures"] == []
+    names = [f"energy_{kind.value}.csv" for kind in config.schemes] + ["summary.json"]
+    assert log.read_text().splitlines() == [f"{os.getpid()} {name}" for name in names]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("processes", [0, -1, True, 1.0], ids=["0", "-1", "True", "1.0"])
+def test_energy_processes_must_be_a_positive_integer(tmp_path, processes):
+    """``processes`` is refused before the run is built unless it is an
+    integer >= 1: a bool is not a count of lanes."""
+    config = parse_config(_write_config(tmp_path))
+    with pytest.raises(ValueError, match=re.escape(
+            f"processes must be a positive integer, got {processes!r}")):
+        run_energy_experiment(config, processes)
+    assert not (tmp_path / "out").exists()
+
+
+def test_energy_processes_may_be_a_numpy_integer(tmp_path):
+    """A numpy integer counts lanes as an int does, and summary.json echoes
+    it as a JSON number."""
+    with _deadline(60):
+        summary = run_energy_experiment(parse_config(_write_config(tmp_path)), np.int64(2))
+    assert json.loads(Path(summary["summary_path"]).read_text())["processes"] == 2
     _assert_no_child_left()
 
 
@@ -486,7 +576,7 @@ def test_energy_library_default_runs_in_process(tmp_path, monkeypatch):
     summary = run_energy_experiment(config)
     assert calls == ["RRK_bisection", "RK4", "ForestRuth", "Leapfrog"]
     assert summary["processes"] == 1
-    with pytest.raises(ValueError, match="processes must be >= 1"):
+    with pytest.raises(ValueError, match="processes must be a positive integer, got 0"):
         run_energy_experiment(config, processes=0)
 
 
@@ -900,6 +990,27 @@ def test_uncreatable_output_dir_exits_2_before_integrating(tmp_path, capsys, mon
         err = capsys.readouterr().err
         assert err.startswith(
             f"config error: config key 'output_dir': cannot create {output_dir!r}: ")
+
+
+@pytest.mark.parametrize("command,blocked", [
+    (["energy"], "energy_RK4.csv"),
+    (["converge", "--n", "16,32"], "convergence.csv"),
+    (["bench", "--repeats", "3"], "timing.csv"),
+], ids=["energy", "converge", "bench"])
+def test_unwritable_output_file_exits_2(tmp_path, capsys, command, blocked):
+    """An output file that cannot be written (a directory stands at its path)
+    is a one-line config error naming ``output_dir``, exit 2.  ``energy``
+    writes RK4's CSV, the config's first scheme, first: so no other CSV and
+    no summary.json is written either."""
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    path = _write_config(tmp_path, t_end=0.1)
+    assert main([command[0], path, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"config error: config key 'output_dir': cannot write {str(out / blocked)!r}: ")
+    assert err.count("\n") == 1
+    assert [p.name for p in out.iterdir()] == [blocked]
 
 
 def _converge_refusal(overrides):
