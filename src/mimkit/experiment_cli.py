@@ -41,6 +41,7 @@ import argparse
 import gc
 import json
 import math
+import numbers
 import os
 import pickle
 import statistics
@@ -541,7 +542,8 @@ def run_timing_benchmark(config: ExperimentConfig, repeats: int) -> List[dict]:
     at most a sample or two instead of shifting one scheme's median; the
     cyclic garbage collector is paused while timing, as ``timeit`` does.
     """
-    _require(isinstance(repeats, int) and repeats >= 3,
+    _require(isinstance(repeats, numbers.Integral) and not isinstance(repeats, bool)
+             and repeats >= 3,
              f"bench requires repeats >= 3, got {repeats!r}")
     grid, system, state0, dt = _build_setup(config)
     _make_output_dir(config)

@@ -358,8 +358,10 @@ def gaussian_ic(
 ) -> WaveState:
     """Gaussian displacement pulse amplitude*exp(-((x-center)/width)^2)
     sampled at extended centers, boundary entries zeroed; zero velocity.
-    Defaults reproduce exp(-100 (x - 1/2)^2); ValueError unless 0 < width < inf."""
-    u = _bump(grid.extended, center, width, amplitude)
+    Defaults reproduce exp(-100 (x - 1/2)^2); ValueError unless 0 < width < inf.
+    Built with numpy's warnings off: an overflowing exponent gives exactly 0."""
+    with np.errstate(all="ignore"):
+        u = _bump(grid.extended, center, width, amplitude)
     u[0] = u[-1] = 0.0
     return WaveState(u=u, v=np.zeros_like(u))
 
@@ -375,7 +377,10 @@ def shallow_water_ic(
 ) -> ShallowWaterState:
     """Still velocity with a Gaussian elevation bump
     offset + amplitude*exp(-((x-center)/width)^2) at extended centers.
-    Defaults reproduce eta = 1 + 0.1 exp(-x^2), u = 0; width as in ``gaussian_ic``."""
-    e = offset + _bump(grid.extended, center, width, amplitude)
+    Defaults reproduce eta = 1 + 0.1 exp(-x^2), u = 0; width as in ``gaussian_ic``.
+    Built with numpy's warnings off: an overflowing elevation is inf, which
+    ``integrate`` refuses as a non-finite initial energy."""
+    with np.errstate(all="ignore"):
+        e = offset + _bump(grid.extended, center, width, amplitude)
     u = np.zeros(grid.n_cells + 1)
     return ShallowWaterState(e=e, u=u, d0=float(d0), g=float(g))

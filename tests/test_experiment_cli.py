@@ -28,6 +28,7 @@ from mimkit import (
     parse_config,
     run_convergence_study,
     run_energy_experiment,
+    run_timing_benchmark,
 )
 from mimkit import experiment_cli, mimetic_ops
 
@@ -251,13 +252,16 @@ def test_energy_isolates_failing_scheme(tmp_path, capsys):
     ({"problem": "shallow_water", "domain": None, "g": 1e300, "d0": 1e-300},
      "numerical failure: RK4: step 1: non-positive total depth: min(d0 + e) = -8.848e+296\n"),
     ({"ic_amplitude": 1e300}, "numerical failure: RK4: non-finite initial energy: inf\n"),
-], ids=["shallow_water_overflow", "wave_overflow"])
+    ({"problem": "shallow_water", "domain": None, "n_cells": 61, "ic_amplitude": 1.7e308,
+      "ic_offset": 1.7e308}, "numerical failure: RK4: non-finite initial energy: nan\n"),
+], ids=["shallow_water_overflow", "wave_overflow", "shallow_water_initial_elevation"])
 def test_overflow_is_a_numerical_failure_without_runtime_warning(tmp_path, capsys, overrides,
                                                                  message):
     """An overflow inside a run is reported once, as the attributed
     ``numerical failure:`` line (exit 3): numpy's own RuntimeWarning (from
     ``advection *= u`` on shallow water, from the P inner product's dot on
-    the wave) neither reaches stderr nor is issued at all."""
+    the wave, from the sum that builds an elevation beyond float range)
+    neither reaches stderr nor is issued at all."""
     path = _write_config(tmp_path, schemes=["rk4"], **overrides)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -265,6 +269,18 @@ def test_overflow_is_a_numerical_failure_without_runtime_warning(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.endswith(message) and err.count("numerical failure:") == 1
     assert "RuntimeWarning" not in err
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_overflowing_pulse_is_zero_without_runtime_warning(tmp_path, capsys):
+    """The initial conditions are built with numpy's warnings off, as
+    ``integrate`` runs its steps: a pulse whose exponent overflows is
+    exactly zero, and the run finishes."""
+    path = _write_config(tmp_path, schemes=["rk4"], ic_center=1e308, ic_width=1e-308)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["energy", path]) == 0
+    assert capsys.readouterr().err == ""
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
@@ -835,6 +851,21 @@ def test_bench_failure_names_its_scheme(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ForestRuth: step ")
     assert "non-positive total depth" in err
+
+
+def test_bench_repeats_are_any_integer_from_three(tmp_path, capsys):
+    """repeats is any integer >= 3, numpy's too, as ``processes`` is for
+    ``run_energy_experiment``; fewer, a bool or a float is refused."""
+    path = _write_config(tmp_path, schemes=["lf"], t_end=0.05)
+    assert main(["bench", path, "--repeats", "2"]) == 2
+    assert capsys.readouterr().err == "config error: bench requires repeats >= 3, got 2\n"
+    assert not (tmp_path / "out").exists()
+    config = parse_config(path)
+    assert [row["scheme"] for row in run_timing_benchmark(config, np.int64(3))] == ["Leapfrog"]
+    for bad in (True, 3.0):
+        message = f"bench requires repeats >= 3, got {bad!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_timing_benchmark(config, bad)
 
 
 # ---------------------------------------------------------------------------

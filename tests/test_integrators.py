@@ -3,6 +3,8 @@ symplecticity, reversibility, relaxation behavior, and the integrate()
 driver contract."""
 from __future__ import annotations
 
+import hashlib
+import itertools
 import re
 
 import numpy as np
@@ -999,6 +1001,58 @@ def test_integrate_is_deterministic():
     assert np.array_equal(a.energies, b.energies)
     assert np.array_equal(a.final_state[0], b.final_state[0])
     assert np.array_equal(a.final_state[1], b.final_state[1])
+
+
+# sha256 over 378 ``integrate`` runs.  Every scheme runs on the k = 4 wave
+# (N = 40 on [-5, 5], a Gaussian of width 0.5), shallow water (the same grid,
+# its default bump) and the oscillator from (0.8, -0.6), at the CFL step
+# (dt = 0.1 for the oscillator), to t_end = 10*dt and 10.3*dt, with
+# ``record_every`` 1, 3, 7 and 10**9 and both ``rrk_advance`` modes; then
+# from a state holding a NaN, and at 20 times that step over 400 steps, which
+# blows up mid-run.  In that loop order each run feeds its case, then its
+# times, energies, steps, gammas and final-state bytes and repr of its final
+# time and step count, or its failure's type, message, step and time.  A
+# change that moves a run's bits on purpose re-pins it.
+RECORDS_SHA256 = "3b049fab5d78361b4296404eb1e73c8c0e9e39714be5fbcd0525c338d5b5f74b"
+
+
+def test_integrate_records_are_pinned():
+    digest = hashlib.sha256()
+
+    def feed(case, run):
+        digest.update(repr(case).encode())
+        try:
+            record = run()
+        except NumericalFailure as exc:
+            digest.update(f"{type(exc).__name__}: {exc} @ {exc.step!r} {exc.t!r}".encode())
+            return
+        gammas = b"none" if record.gammas is None else record.gammas.tobytes()
+        for part in (record.times.tobytes(), record.energies.tobytes(),
+                     record.steps.tobytes(), gammas,
+                     *(x.tobytes() for x in record.final_state),
+                     repr((record.final_time, record.n_steps)).encode()):
+            digest.update(part)
+
+    grid = build_grid(-5.0, 5.0, 40)
+    ops = build_operator_set(4, grid)
+    dt = cfl_dt(grid, 0.5)
+    cases = [("wave", WaveSystem(ops), gaussian_ic(grid, center=0.0, width=0.5).arrays(), dt),
+             ("shallow_water", ShallowWaterSystem(ops), shallow_water_ic(grid).arrays(), dt),
+             ("oscillator", OSC, STATE0, 0.1)]
+    for name, system, state, dt in cases:
+        for scheme in SchemeKind:
+            for steps, every, mode in itertools.product(
+                    (10.0, 10.3), (1, 3, 7, 10**9), ("gamma_dt", "plain_dt")):
+                feed((name, scheme.value, steps, every, mode),
+                     lambda: integrate(system, scheme, state, steps * dt, dt,
+                                       record_every=every, rrk_advance=mode))
+            nan_state = tuple(x.copy() for x in state)
+            nan_state[0][len(nan_state[0]) // 2] = np.nan
+            feed((name, scheme.value, "nan"),
+                 lambda: integrate(system, scheme, nan_state, 10 * dt, dt))
+            feed((name, scheme.value, "unstable"),
+                 lambda: integrate(system, scheme, state, 400 * 20 * dt, 20 * dt))
+    assert digest.hexdigest() == RECORDS_SHA256
 
 
 def test_integrate_rejects_non_finite_initial_energy():

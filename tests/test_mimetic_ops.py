@@ -228,20 +228,23 @@ def test_integer_entry_converts_as_its_fraction(v, den, scale, sign):
 
 
 # sha256 over the kernel arrays of every operator set of both orders at
-# N = 2k..40, 600 and 9600 on [-30, 30]: per operator, in ``kernels``
-# order, the bytes of data, indices and indptr, then repr(shape).
-KERNELS_SHA256 = "5e0e774c22299325ef66a825ec8d0e0967cf3ed95923affb38a7a8b46e5455b6"
+# N = 2k..199, 399, 511, 600, 1000, 1001, 4097 and 9600, each on [0, 1],
+# [-30, 30] and [-1, 2.5], in that loop order: per operator, in ``kernels``
+# order, the bytes of data, indices and indptr, then repr(shape).  A change
+# that moves an operator's bits on purpose re-pins it.
+KERNELS_SHA256 = "66c8581b7ff90cabb2292003beb262ba5af141505cf8ceadb108f72a11d76480"
 
 
 def test_kernel_arrays_bitwise_pinned():
     digest = hashlib.sha256()
     for k in SUPPORTED_ORDERS:
-        for n in [*range(2 * k, 41), 600, 9600]:
-            ops = build_operator_set(k, build_grid(-30.0, 30.0, n))
-            for data, indices, indptr, shape in ops.kernels.values():
-                for part in (data.tobytes(), indices.tobytes(), indptr.tobytes(),
-                             repr(shape).encode()):
-                    digest.update(part)
+        for n in [*range(2 * k, 200), 399, 511, 600, 1000, 1001, 4097, 9600]:
+            for a, b in ((0.0, 1.0), (-30.0, 30.0), (-1.0, 2.5)):
+                ops = build_operator_set(k, build_grid(a, b, n))
+                for data, indices, indptr, shape in ops.kernels.values():
+                    for part in (data.tobytes(), indices.tobytes(), indptr.tobytes(),
+                                 repr(shape).encode()):
+                        digest.update(part)
     assert digest.hexdigest() == KERNELS_SHA256
 
 
