@@ -6,7 +6,9 @@ numbers, such as ``domain``, every bad value but the type replaces the last
 entry).  Every single mutant, and every pair of mutants on two different
 keys, runs through ``mimkit.experiment_cli.main`` in this process, with
 ``integrate`` replaced by a stub that ends the run, so nothing is
-integrated.  One line per mutant:
+integrated, and the CLI's argument parser built once and reused (``main``
+builds it anew on each call, which would take most of the time here).
+One line per mutant:
 
     <config> <key>=<value>[ <key>=<value>] -> <outcome> | <first stderr line>
 
@@ -26,6 +28,7 @@ change moves:
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -102,6 +105,7 @@ def main(paths):
     paths = [Path(path).resolve() for path in paths]
     experiment_cli.integrate = _stub_integrate
     experiment_cli._energy_processes = lambda n_schemes: 1
+    experiment_cli._build_parser = functools.cache(experiment_cli._build_parser)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # a dropped output_dir defaults to ./results
         out_dirs = [os.path.join(tmp, "out"), os.path.join(tmp, "results")]

@@ -15,7 +15,7 @@ the system's layouts once, at entry.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -27,12 +27,17 @@ __all__ = ["StaggeredGrid1D", "build_grid"]
 
 @dataclass(frozen=True)
 class StaggeredGrid1D:
-    """Uniform staggered grid on ``[a, b]`` with ``n_cells`` cells."""
+    """Uniform staggered grid on ``[a, b]`` with ``n_cells`` cells; its
+    spacing ``h = (b - a)/n_cells`` is derived, never given, so a grid and
+    ``dataclasses.replace`` of one always agree with their own ``h``."""
 
     a: float
     b: float
     n_cells: int
-    h: float
+    h: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "h", (self.b - self.a) / self.n_cells)
 
     # Coordinates are computed as a + i*h (not by cumulative summation) so
     # spacing stays uniform to rounding even for large N.
@@ -66,4 +71,4 @@ def build_grid(a: float, b: float, n_cells: int) -> StaggeredGrid1D:
     n = int(n_cells)
     if n > sys.float_info.max:
         raise ValueError(f"n_cells must be within float range, got {n_cells!r}")
-    return StaggeredGrid1D(a=a, b=b, n_cells=n, h=(b - a) / n)
+    return StaggeredGrid1D(a=a, b=b, n_cells=n)

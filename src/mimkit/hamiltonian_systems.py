@@ -15,7 +15,7 @@ Each system is autonomous: it defines the rates ``position_rate(u, v)``
   energy ``H = (1/2)(g <e, e>_Q + <(d0 + I_G e) u, u>_P)``; only its
   ``position_rate`` checks the total depth, once per evaluation.
 * ``HarmonicOscillator``: the two-dimensional oracle ``u' = v, v' = -u`` with
-  ``H = (u^2 + v^2)/2`` and a closed-form rotation solution, used to pin
+  ``H = (u^2 + v^2)/2``, whose exact flow is a rotation, used to pin
   integrator orders and sign conventions.
 
 Boundary handling: ``apply_boundary(u, v)`` projects a state onto the
@@ -323,15 +323,6 @@ class HarmonicOscillator(HamiltonianSystem):
         E = float(u @ d_u + v @ d_v)
         T = float(d_u @ d_u + d_v @ d_v)
         return E, T
-
-    @staticmethod
-    def initial_state(u0: float = 1.0, v0: float = 0.0):
-        return np.array([float(u0)]), np.array([float(v0)])
-
-    @staticmethod
-    def exact_solution(t: float, u0: float = 1.0, v0: float = 0.0):
-        c, s = np.cos(t), np.sin(t)
-        return np.array([u0 * c + v0 * s]), np.array([-u0 * s + v0 * c])
 
 
 # ---------------------------------------------------------------------------

@@ -53,14 +53,15 @@ table.  ``integrate`` and ``step`` both dispatch through it; nothing else
 decides which code runs which scheme.
 
 ``integrate`` owns one contiguous float buffer per run: ``_load`` copies
-``state0`` into it once, with u and v as views, checking each field's
-length against ``system.state_lengths``, and projects the copy onto the
-boundary conditions (``system.apply_boundary``), the one projection of the
-run: a system's rates keep its boundary conditions (the wave rates are
-±0.0 at the Dirichlet ends, and +0.0 + ±0.0 = +0.0), so no stage, trial or
-step projects again.  Every RK4 stage, relaxation trial state, drift and
-kick then updates buffers of that run in place (``_Workspace``), the rates
-writing into them through their ``out`` argument, passed positionally.
+``state0`` into it once, with u and v as views, checking that it holds one
+real field of the right length per entry of ``system.state_lengths``, and
+projects the copy onto the boundary conditions (``system.apply_boundary``),
+the one projection of the run: a system's rates keep its boundary
+conditions (the wave rates are ±0.0 at the Dirichlet ends, and
++0.0 + ±0.0 = +0.0), so no stage, trial or step projects again.  Every
+RK4 stage, relaxation trial state, drift and kick then updates buffers of
+that run in place (``_Workspace``), the rates writing into them through
+their ``out`` argument, passed positionally.
 Each drift and kick passes its coefficient (``a*dt`` or ``b*dt``) to the
 rate as its ``scale``, so the rate writes the scaled rate in one pass and
 the step only adds it.  Every scalar an array is updated by is a 0-d
@@ -91,8 +92,6 @@ from .hamiltonian_systems import HamiltonianSystem
 __all__ = [
     "ButcherTableau",
     "TABLEAU_RK4",
-    "TABLEAU_IMPLICIT_MIDPOINT",
-    "symplecticity_residual",
     "SchemeKind",
     "normalize_scheme",
     "RunRecord",
@@ -105,7 +104,7 @@ State = Tuple[np.ndarray, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
-# Butcher tableaus and the symplecticity residual
+# the RK4 Butcher tableau
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -133,19 +132,6 @@ TABLEAU_RK4 = ButcherTableau(
     b=(1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0),
     c=(0.0, 0.5, 0.5, 1.0),
 )
-
-TABLEAU_IMPLICIT_MIDPOINT = ButcherTableau(a=((0.5,),), b=(1.0,), c=(0.5,))
-
-
-def symplecticity_residual(tableau: ButcherTableau) -> float:
-    """max |b_i a_ij + b_j a_ji - b_i b_j|; zero for symplectic tableaus."""
-    a, b = tableau.a, tableau.b
-    s = tableau.stages
-    return max(
-        abs(b[i] * a[i][j] + b[j] * a[j][i] - b[i] * b[j])
-        for i in range(s)
-        for j in range(i, s)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +232,20 @@ def _load(system: HamiltonianSystem, state: State, tol: float = 1e-12) -> _Works
     projected onto the boundary conditions in place: the one projection of
     a run or a step.
 
-    Raises ValueError when a field does not have the length
-    ``system.state_lengths`` gives for it: the one layout check of a run or
-    a step.
+    Raises ValueError when ``state`` does not hold one field per entry of
+    ``system.state_lengths``, or a field is complex or does not have the
+    length given for it: the one layout check of a run or a step.
     """
     lengths = system.state_lengths
+    state = tuple(state)
+    if len(state) != len(lengths):
+        raise ValueError(f"{system.name}: a state has {len(lengths)} fields "
+                         f"({', '.join(lengths)}), got {len(state)}")
     ws = _Workspace(*lengths.values(), tol)
-    for (name, n), x, view in zip(lengths.items(), state, ws.state, strict=True):
+    for (name, n), x, view in zip(lengths.items(), state, ws.state):
+        if np.iscomplexobj(x):
+            raise ValueError(f"{system.name}: initial {name} must be real, "
+                             f"got dtype {np.asarray(x).dtype}")
         x = np.asarray(x, dtype=float)
         if x.shape != (n,):
             raise ValueError(f"{system.name}: initial {name} must have length {n}, "
@@ -465,8 +458,8 @@ def step(system: HamiltonianSystem, scheme, state: State, dt: float) -> State:
     ``scheme`` is a SchemeKind, a scheme's name in any case, or one of the
     short names ``rrk``, ``fr``, ``lf``, ``comp4``.  Returns the new (u, v);
     a relaxation step's gamma is not returned (``integrate`` records it in
-    ``RunRecord.gammas``).  Raises ValueError as ``integrate`` does when a
-    field has the wrong length or ``dt`` is not finite; a negative ``dt``
+    ``RunRecord.gammas``).  Raises ValueError as ``integrate`` does when the
+    state does not fit the system or ``dt`` is not finite; a negative ``dt``
     steps backwards.
     """
     if not math.isfinite(dt):
@@ -540,12 +533,13 @@ def integrate(
     Relaxation schemes always take full steps of nominal size dt and advance
     time by gamma*dt (or plain dt with rrk_advance="plain_dt"), so the final
     time may exceed t_end by less than one step; the record keeps the true
-    final time.  Raises ValueError for a bad argument (``rrk_tol`` too) or a
-    field of ``state0`` whose length differs from ``system.state_lengths``
-    (the one layout check of a run), and NumericalFailure when the initial
-    energy is not finite (``step`` 0), or when a step aborts or the energy
-    becomes non-finite (its message then starts with the step number); the
-    failure's ``scheme``, ``step`` and ``t`` fields are set.
+    final time.  Raises ValueError for a bad argument (``rrk_tol`` too), or
+    a ``state0`` whose fields differ in number, kind (complex) or length
+    from ``system.state_lengths`` (the one layout check of a run), and
+    NumericalFailure when the initial energy is not finite (``step`` 0), or
+    when a step aborts or the energy becomes non-finite (its message then
+    starts with the step number); the failure's ``scheme``, ``step`` and
+    ``t`` fields are set.
     """
     _check_run(t_end, dt, record_every, rrk_tol, rrk_advance)
     kind = normalize_scheme(scheme)
@@ -566,7 +560,7 @@ def integrate(
 
     t = 0.0
     n_steps = 0
-    tiny = 1e-12 * max(dt, t_end)
+    tiny = 1e-12 * t_end
     try:
         # Overflow and invalid values surface as non-finite energies or
         # failed checks, each raised as an attributed NumericalFailure, so

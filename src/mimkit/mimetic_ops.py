@@ -87,6 +87,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 from collections.abc import Mapping
 from fractions import Fraction
@@ -552,11 +553,14 @@ def build_operator_set(k: int, grid: StaggeredGrid1D) -> MimeticOperatorSet:
     B_hat and L are assembled in exact rational arithmetic (the identity
     B_hat = Q*D_hat + G^T*P is exact by construction and h-independent), so
     rows outside the boundary closure zone are exactly zero.  An order, size
-    or spacing it cannot build (1/h**2 must be a finite float) raises ValueError.
+    or spacing it cannot build (1/h**2 must be a finite float) raises ValueError;
+    the order is any integer, numpy's too, but not a bool.
     The exact construction runs here; of the float kernels only Q and P are
     converted here (``q_diag`` and ``p_diag``), and each other one on its
     first lookup in ``kernels`` (``_LazyKernels``).
     """
+    if isinstance(k, numbers.Integral) and not isinstance(k, bool):
+        k = int(k)  # numpy's integers too: one exact stage per order
     exact = _rational_construction(k, grid.n_cells)
     h = grid.h
     if not 1e-150 < h < 1e150:

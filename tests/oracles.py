@@ -249,6 +249,11 @@ def tableau_symplecticity_matrix(a, b) -> np.ndarray:
     return (b[:, None] * A + (b[:, None] * A).T) - np.outer(b, b)
 
 
+IMPLICIT_MIDPOINT = (((0.5,),), (1.0,))
+"""(a, b) of the one-stage implicit midpoint rule, the simplest symplectic
+Runge-Kutta method: its symplecticity matrix vanishes."""
+
+
 # ---------------------------------------------------------------------------
 # Relaxation parameter
 # ---------------------------------------------------------------------------

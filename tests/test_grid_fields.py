@@ -1,6 +1,7 @@
 """Staggered grid geometry and validation."""
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
@@ -64,3 +65,17 @@ def test_build_grid_refuses_bools_and_non_integers():
     for n_cells in (np.int64(16), np.int32(16), np.uint8(16)):
         grid = build_grid(0.0, 1.0, n_cells)
         assert grid.n_cells == 16 and type(grid.n_cells) is int
+
+
+def test_grid_derives_its_spacing():
+    """h is (b - a)/n_cells, not an input: a grid built directly and a
+    replaced grid carry build_grid's h bit for bit, so their layouts agree
+    with their own endpoints."""
+    with pytest.raises(TypeError):
+        StaggeredGrid1D(0.0, 1.0, 10, 0.2)
+    direct = StaggeredGrid1D(0.0, 1.0, 10)
+    assert direct == build_grid(0.0, 1.0, 10) and direct.h == 0.1
+    assert np.all(np.diff(direct.extended) > 0) and direct.extended[-1] == 1.0
+    replaced = dataclasses.replace(build_grid(-30.0, 30.0, 600), n_cells=7)
+    assert replaced.h == build_grid(-30.0, 30.0, 7).h == 60.0 / 7
+    assert replaced.nodes[-1] == pytest.approx(30.0, rel=1e-15)

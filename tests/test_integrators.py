@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mimkit import (
-    TABLEAU_IMPLICIT_MIDPOINT,
     TABLEAU_RK4,
     ButcherTableau,
     NumericalFailure,
@@ -28,12 +28,12 @@ from mimkit import (
     normalize_scheme,
     shallow_water_ic,
     step,
-    symplecticity_residual,
 )
 from mimkit.hamiltonian_systems import HarmonicOscillator
 from mimkit.integrators import _SPLITTINGS, _gamma_bisection, _load
 
 from oracles import (
+    IMPLICIT_MIDPOINT,
     forest_ruth_drift_kick,
     linear_wave_flow,
     map_jacobian,
@@ -52,18 +52,17 @@ FOURTH_ORDER = ["rk4", "rrk_analytic", "rrk_bisection", "fr", "pefrl", "comp4"]
 SPLITTINGS = ["lf", "fr", "pefrl", "comp4"]
 
 OSC = HarmonicOscillator()
-STATE0 = HarmonicOscillator.initial_state(0.8, -0.6)
+STATE0 = (np.array([0.8]), np.array([-0.6]))
 
 
 # ---------------------------------------------------------------------------
-# Tableaus and the symplecticity residual
+# The RK4 tableau and its symplecticity residual
 # ---------------------------------------------------------------------------
 
 
 def test_rk4_tableau_coefficients():
     assert TABLEAU_RK4.b == (1 / 6, 1 / 3, 1 / 3, 1 / 6)
     assert TABLEAU_RK4.c == (0.0, 0.5, 0.5, 1.0)
-    assert TABLEAU_IMPLICIT_MIDPOINT.b == (1.0,)
 
 
 def test_tableau_rejects_inconsistent_weights():
@@ -76,13 +75,12 @@ def test_tableau_rejects_inconsistent_dimensions():
         ButcherTableau(a=((0.0,),), b=(0.5, 0.5), c=(0.0, 0.5))
 
 
-def test_symplecticity_residual_matches_algebraic_oracle():
-    for tableau in (TABLEAU_RK4, TABLEAU_IMPLICIT_MIDPOINT):
-        m = tableau_symplecticity_matrix(tableau.a, tableau.b)
-        assert symplecticity_residual(tableau) == pytest.approx(
-            np.abs(m).max(), abs=1e-15)
-    assert symplecticity_residual(TABLEAU_RK4) == pytest.approx(1 / 9, abs=1e-15)
-    assert symplecticity_residual(TABLEAU_IMPLICIT_MIDPOINT) == 0.0
+def test_rk4_tableau_symplecticity_residual():
+    """RK4's tableau fails the algebraic symplecticity test by 1/9, where
+    the oracle's midpoint tableau passes it exactly."""
+    m = tableau_symplecticity_matrix(TABLEAU_RK4.a, TABLEAU_RK4.b)
+    assert np.abs(m).max() == pytest.approx(1 / 9, abs=1e-15)
+    assert np.abs(tableau_symplecticity_matrix(*IMPLICIT_MIDPOINT)).max() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +161,9 @@ def test_declared_rhs_evals_match_actual_calls(name, expected):
 
 
 def _rotation_error(record):
-    ue, ve = HarmonicOscillator.exact_solution(record.final_time, 0.8, -0.6)
-    return max(abs(record.final_state[0][0] - ue[0]),
-               abs(record.final_state[1][0] - ve[0]))
+    ue, ve = rotation_exact(0.8, -0.6, record.final_time)
+    return max(abs(record.final_state[0][0] - ue),
+               abs(record.final_state[1][0] - ve))
 
 
 @pytest.mark.parametrize("name", ALL_SCHEMES)
@@ -469,6 +467,25 @@ def test_public_steps_reject_wave_state_of_wrong_length(name):
             step(system, name, state, 1e-3)
 
 
+@pytest.mark.parametrize("run", [
+    lambda state: integrate(OSC, "rk4", state, 1.0, 0.1),
+    lambda state: step(OSC, "rk4", state, 0.1),
+], ids=["integrate", "step"])
+def test_public_steps_refuse_states_they_cannot_hold(run):
+    """A state with one field too few or too many, or a complex field, is
+    refused with a ValueError naming the system, and no warning: numpy
+    would otherwise cast the complex field to its real part."""
+    u, v = STATE0
+    fields = "^harmonic_oscillator: a state has 2 fields \\(u, v\\), got "
+    cases = (((u,), fields + "1$"), ((u, v, v), fields + "3$"),
+             ((u + 0.5j, v), "^harmonic_oscillator: initial u must be real, got dtype complex128$"))
+    for state, message in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                run(state)
+
+
 @pytest.mark.parametrize("name", ALL_SCHEMES)
 def test_step_is_integrates_first_step(name):
     """``step`` loads and projects a state as ``integrate`` does, so from a
@@ -616,9 +633,23 @@ def test_gamma_is_one_for_energy_preserving_direction():
     leaves the energy flat; both rules give gamma = 1 rather than dividing
     by zero."""
     for name in ("rrk_analytic", "rrk_bisection"):
-        record = integrate(OSC, name, HarmonicOscillator.initial_state(0.0, 0.0), 1.0, 0.1)
+        record = integrate(OSC, name, (np.array([0.0]), np.array([0.0])), 1.0, 0.1)
         assert record.n_steps >= 10
         assert np.all(record.gammas == 1.0)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("rrk_analytic", "relaxation parameter collapsed"),
+    ("rrk_bisection", "relaxation bisection found no sign change"),
+])
+def test_relaxation_step_far_beyond_t_end_fails_at_step_one(name, message):
+    """With dt = 1e13 t_end the loop still takes its first step (its end
+    tolerance is relative to t_end, not dt), and the relaxation parameter
+    of that step cannot be found, so the run fails rather than returning
+    zero steps at t = 0."""
+    with pytest.raises(NumericalFailure, match=f"^step 1: {message}") as failure:
+        integrate(OSC, name, STATE0, 1.0, 1e13)
+    assert failure.value.step == 1
 
 
 def test_bisection_rejects_non_finite_residual():

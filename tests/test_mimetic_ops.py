@@ -9,6 +9,7 @@ companion pinning down what actually holds.
 from __future__ import annotations
 
 import hashlib
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -68,6 +69,27 @@ def test_build_rejects_bad_inputs(grid01):
     build_operator_set(4, grid01)
     with pytest.raises(ValueError, match="order k"):
         build_operator_set(4.0, grid01)
+
+
+def test_numpy_integer_orders_build_the_int_order_set():
+    """An order is any integer, numpy's too: its set reads the exact stage
+    of the Python int (a cache hit, not a second build) and has the same
+    kernel arrays bit for bit; a float or a bool is refused as before."""
+    grid = build_grid(-1.0, 2.5, 40)
+    want = build_operator_set(4, grid)
+    for k in (np.int64(4), np.int32(4), np.uint8(4)):
+        misses = mimetic_ops._rational_construction.cache_info().misses
+        got = build_operator_set(k, grid)
+        assert mimetic_ops._rational_construction.cache_info().misses == misses
+        assert got.kernels.keys() == want.kernels.keys()
+        for name, (data, indices, indptr, shape) in want.kernels.items():
+            assert [got.kernels[name][i].tobytes() for i in range(3)] == \
+                [data.tobytes(), indices.tobytes(), indptr.tobytes()], (k, name)
+            assert got.kernels[name].shape == shape
+    for k in (4.0, np.float64(4), True, np.bool_(True)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"order k must be one of (2, 4), got {k!r}")):
+            build_operator_set(k, grid)
 
 
 def test_operator_set_is_cached(grid01):

@@ -21,7 +21,6 @@ PUBLIC_NAMES = [
     "ShallowWaterState",
     "ShallowWaterSystem",
     "StaggeredGrid1D",
-    "TABLEAU_IMPLICIT_MIDPOINT",
     "TABLEAU_RK4",
     "WaveState",
     "WaveSystem",
@@ -41,7 +40,6 @@ PUBLIC_NAMES = [
     "run_timing_benchmark",
     "shallow_water_ic",
     "step",
-    "symplecticity_residual",
     "wave_standing_exact",
 ]
 
